@@ -28,22 +28,14 @@ from .errors import (
     InfeasibleTargetError,
     M2MPoolError,
     ParameterError,
-    UnsupportedArrivalError,
 )
 from .lte import (
     LteProfile,
     PoolPlan,
     build_pool_plan,
-    capacity_from_subframes,
     rbs_per_report,
 )
-from .numerics import (
-    RngStream,
-    q_function,
-    q_inverse,
-    sample_attempts,
-    sample_poisson,
-)
+from .numerics import RngStream, q_function, q_inverse
 from .sim import (
     DemandHistogram,
     FailureEstimate,
@@ -76,11 +68,9 @@ __all__ = [
     "RngStream",
     "SchedulerPolicy",
     "SystemParams",
-    "UnsupportedArrivalError",
     "attempts_pmf",
     "attempts_second_moment",
     "build_pool_plan",
-    "capacity_from_subframes",
     "demand_summary",
     "dimension_capacity",
     "estimate_failure_prob",
@@ -90,9 +80,7 @@ __all__ = [
     "q_function",
     "q_inverse",
     "rbs_per_report",
-    "sample_attempts",
     "sample_demand",
-    "sample_poisson",
     "simulate_interval",
     "wilson_interval",
 ]

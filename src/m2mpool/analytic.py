@@ -1,8 +1,8 @@
 """Closed-form characterization of the shared-pool transmission demand.
 
 Model: N devices report over a recurring interval.  Per interval a device
-generates a random number of reports, U (Poisson with unit normalized load,
-or exactly one).  Every report takes a geometrically distributed number of
+generates a random number of reports, U (Poisson with mean load lambda, or
+exactly one).  Every report takes a geometrically distributed number of
 transmission attempts with reception-failure probability p_e, truncated at
 the retry limit L.  The first transmission of a device's first report rides
 that device's preallocated resources; every other transmission (excess
@@ -15,9 +15,10 @@ A device's shared-pool demand is therefore
 
 and the pool sees R = sum_i R_i.  With N large, R is treated as Gaussian and
 characterized by its mean and variance alone.  This module provides those
-moments, the scheduler-independent upper bound on the per-report failure
-probability for a pool of capacity C transmissions, and the inverse problem:
-the smallest C meeting a target failure probability.
+moments, the scheduler-independent bound on the per-report failure
+probability that this Gaussian model gives for a pool of capacity C
+transmissions, and the inverse problem: the smallest C meeting a target
+failure probability.
 """
 
 from __future__ import annotations
@@ -26,19 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import InfeasibleTargetError, ParameterError, UnsupportedArrivalError
-from .numerics import q_function, q_inverse
-
-_E_INV = math.exp(-1.0)
+from .errors import InfeasibleTargetError, ParameterError
+from .numerics import check_error_prob, check_positive_int, q_function, q_inverse
 
 
 @dataclass(frozen=True)
 class PoissonPerRI:
-    """Poisson report arrivals; ``load`` is the mean report count per interval.
-
-    The closed forms below hold only at load 1 (one expected report per
-    interval); other loads are simulation-only.
-    """
+    """Poisson report arrivals; ``load`` is the mean report count per interval."""
 
     load: float = 1.0
 
@@ -66,12 +61,9 @@ class SystemParams:
     target_failure: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_devices, int) or self.n_devices < 1:
-            raise ParameterError(f"n_devices must be a positive integer, got {self.n_devices!r}")
-        if not (0.0 <= self.p_e < 1.0):
-            raise ParameterError(f"p_e must be in [0, 1), got {self.p_e!r}")
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
-            raise ParameterError(f"max_attempts must be a positive integer, got {self.max_attempts!r}")
+        check_positive_int("n_devices", self.n_devices)
+        check_error_prob(self.p_e)
+        check_positive_int("max_attempts", self.max_attempts)
         if not (0.0 < self.target_failure < 1.0):
             raise ParameterError(f"target_failure must be in (0, 1), got {self.target_failure!r}")
         if not isinstance(self.arrival, (PoissonPerRI, OnePerRI)):
@@ -107,7 +99,8 @@ def attempts_pmf(k: int, p_e: float, max_attempts: int) -> float:
     p_e^(k-1) (1 - p_e) below the cap; the cap point absorbs the whole
     geometric tail, P[W = L] = p_e^(L-1).
     """
-    _check_pe_l(p_e, max_attempts)
+    check_error_prob(p_e)
+    check_positive_int("max_attempts", max_attempts)
     if not isinstance(k, int) or not 1 <= k <= max_attempts:
         raise ParameterError(f"k must be an integer in [1, {max_attempts}], got {k!r}")
     if k < max_attempts:
@@ -117,28 +110,33 @@ def attempts_pmf(k: int, p_e: float, max_attempts: int) -> float:
 
 def expected_attempts(p_e: float, max_attempts: int) -> float:
     """E[W] = (1 - p_e^L) / (1 - p_e), the truncated geometric series in closed form."""
-    _check_pe_l(p_e, max_attempts)
+    check_error_prob(p_e)
+    check_positive_int("max_attempts", max_attempts)
     return (1.0 - p_e**max_attempts) / (1.0 - p_e)
 
 
 def attempts_second_moment(p_e: float, max_attempts: int) -> float:
     """E[W^2] by direct summation of the L-term pmf (exact, no closed form needed)."""
-    _check_pe_l(p_e, max_attempts)
+    check_error_prob(p_e)
+    check_positive_int("max_attempts", max_attempts)
     return sum(k * k * attempts_pmf(k, p_e, max_attempts) for k in range(1, max_attempts + 1))
 
 
 def demand_summary(params: SystemParams) -> DemandSummary:
     """Moments of the shared-pool demand R for the given system.
 
-    Unit-load Poisson arrivals: per device,
+    Poisson arrivals with mean lambda: a device's demand is its attempt total
+    S over U reports, less the preallocated slot when U >= 1.  Conditioning
+    on U gives, per device,
 
-        E[R_i]   = E[W] - (1 - e^-1)
-        Var[R_i] = ((2L-1) p^(L+1) - (2L+1) p^L + p + 1) / (1-p)^2
-                   + e^-1 (1 - 2 E[W] - e^-1)
+        E[R_i]   = lambda E[W] - (1 - e^-lambda)
+        Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
+        E[W^2]   = ((2L-1) p^(L+1) - (2L+1) p^L + p + 1) / (1-p)^2
 
-    One report per interval: R_i = W - 1 exactly, so the moments are the
-    truncated-geometric ones shifted.  Both scale linearly with N because
-    devices are independent and identically distributed.
+    which at lambda = 1 is the published dimensioning rule.  One report per
+    interval: R_i = W - 1 exactly, so the moments are the truncated-geometric
+    ones shifted.  Both scale linearly with N because devices are
+    independent and identically distributed.
     """
     p_e, cap = params.p_e, params.max_attempts
     e_w = expected_attempts(p_e, cap)
@@ -146,38 +144,32 @@ def demand_summary(params: SystemParams) -> DemandSummary:
         mean1 = e_w - 1.0
         var1 = attempts_second_moment(p_e, cap) - e_w * e_w
     else:
-        if params.arrival.load != 1.0:
-            raise UnsupportedArrivalError(
-                f"closed forms need unit Poisson load, got {params.arrival.load!r}; "
-                "use the simulator for other loads"
-            )
-        mean1 = e_w - (1.0 - _E_INV)
-        var1 = _unit_poisson_demand_variance(p_e, cap)
+        load = params.arrival.load
+        silent = math.exp(-load)
+        e_w2 = ((2 * cap - 1) * p_e ** (cap + 1) - (2 * cap + 1) * p_e**cap + p_e + 1.0) / (
+            1.0 - p_e
+        ) ** 2
+        # grouped so that load 1 repeats the published rule's arithmetic exactly
+        mean1 = load * e_w - (1.0 - silent)
+        var1 = load * e_w2 + silent * (1.0 - 2.0 * load * e_w - silent)
     n = params.n_devices
     return DemandSummary(mean=n * mean1, variance=n * max(var1, 0.0))
 
 
-def _unit_poisson_demand_variance(p_e: float, max_attempts: int) -> float:
-    # the leading ratio is E[W^2] in closed form; kept in this shape so the
-    # whole bracket mirrors the published dimensioning rule
-    cap = max_attempts
-    ratio = ((2 * cap - 1) * p_e ** (cap + 1) - (2 * cap + 1) * p_e**cap + p_e + 1.0) / (
-        1.0 - p_e
-    ) ** 2
-    return ratio + _E_INV * (1.0 - 2.0 * expected_attempts(p_e, cap) - _E_INV)
-
-
 def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempts: int) -> float:
-    """Upper bound on the per-report failure probability at pool capacity C.
+    """Per-report failure probability bound at pool capacity C, Gaussian demand model.
 
         P[failure] <= Q((C - mu) / sigma) (1 - p_e^L) + p_e^L
 
     The p_e^L term is the irreducible floor from reports that burn all L
-    attempts; the Q term bounds the probability that total demand overflows
-    the pool, which holds under any scheduling discipline.  A zero-variance
+    attempts.  The Q term is the Gaussian approximation of P[R > C], the
+    probability that total demand overflows the pool.  It does not depend on
+    the scheduling discipline, but it is not a bound: the right-skewed demand
+    has a heavier upper tail, so it can understate P[R > C].  A zero-variance
     summary degenerates to a step: p_e^L when C covers the mean, else 1.
     """
-    _check_pe_l(p_e, max_attempts)
+    check_error_prob(p_e)
+    check_positive_int("max_attempts", max_attempts)
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     floor = p_e**max_attempts
@@ -192,6 +184,8 @@ def dimension_capacity(params: SystemParams) -> int:
 
     Closed form first (invert the Gaussian tail), then a local integer scan
     so that failure_bound(C) <= target < failure_bound(C - 1) holds exactly.
+    From 2**53 on, C and C - 1 round to the same double, so the scan could
+    never move; such a closed-form capacity is returned without it.
     """
     summary = demand_summary(params)
     floor = params.failure_floor
@@ -205,15 +199,11 @@ def dimension_capacity(params: SystemParams) -> int:
         return max(0, math.ceil(summary.mean))
     cap = math.ceil(summary.mean + summary.std * q_inverse((eps - floor) / (1.0 - floor)))
     cap = max(0, cap)
+    if cap >= 2**53:
+        return cap
     while cap > 0 and failure_bound(cap - 1, summary, params.p_e, params.max_attempts) <= eps:
         cap -= 1
     while failure_bound(cap, summary, params.p_e, params.max_attempts) > eps:
         cap += 1
     return cap
 
-
-def _check_pe_l(p_e: float, max_attempts: int) -> None:
-    if not (0.0 <= p_e < 1.0):
-        raise ParameterError(f"p_e must be in [0, 1), got {p_e!r}")
-    if not isinstance(max_attempts, int) or max_attempts < 1:
-        raise ParameterError(f"max_attempts must be a positive integer, got {max_attempts!r}")

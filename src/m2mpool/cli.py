@@ -12,6 +12,7 @@ itself is stdout and the summary moves to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -30,7 +31,6 @@ from .errors import (
     InfeasibleGeometryError,
     InfeasibleTargetError,
     ParameterError,
-    UnsupportedArrivalError,
 )
 from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan
 from .numerics import q_function
@@ -43,6 +43,7 @@ EXIT_INFEASIBLE_GEOMETRY = 3
 EXIT_IO = 4
 
 _SUBFRAME_SECONDS = 1e-3
+_MAX_RI_SECONDS = 86_400.0  # one day
 _MODULATION_BITS = {"qpsk": QPSK_BITS_PER_RE, "qam64": QAM64_BITS_PER_RE}
 
 
@@ -114,7 +115,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--arrival", choices=["poisson", "one-per-ri"],
                      help="report arrival model per interval")
     sub.add_argument("--load", type=float, metavar="X",
-                     help="mean reports per interval for the poisson model (simulation only unless 1)")
+                     help="mean reports per interval for the poisson model")
     sub.add_argument("--report-bytes", type=int, metavar="RS", dest="report_bytes",
                      help="report size in bytes")
     sub.add_argument("--modulation", choices=["qpsk", "qam64"], help="uplink modulation")
@@ -123,7 +124,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m2m-rbs", type=int, metavar="Y", dest="m2m_rbs",
                      help="RBs per subframe reserved for reporting (default: whole bandwidth)")
     sub.add_argument("--ri-seconds", type=float, metavar="T", dest="ri_seconds",
-                     help="reporting interval length in seconds")
+                     help="reporting interval length in seconds (at most 86400)")
     sub.add_argument("--runs", type=int, metavar="R", help="simulation replications")
     sub.add_argument("--seed", type=int, metavar="S", help="master seed")
     sub.add_argument("--out", metavar="PATH", help="CSV output path (default: stdout)")
@@ -186,11 +187,9 @@ class _Config:
             elif key in file_values:
                 try:
                     value = convert(file_values[key])
-                except ParameterError:
-                    raise
                 except (TypeError, ValueError) as exc:
                     raise ParameterError(
-                        f"invalid config value {key}={file_values[key]!r}"
+                        f"invalid config value {key}={file_values[key]!r}: {exc}"
                     ) from exc
                 self.explicit.add(key)
             elif key in overrides:
@@ -201,6 +200,10 @@ class _Config:
         self.command: str = args.command
         self.out: str | None = args.out
         self.sweep: str | None = getattr(args, "sweep", None)
+        if not (math.isfinite(self.ri_seconds) and self.ri_seconds <= _MAX_RI_SECONDS):
+            raise ParameterError(
+                f"ri_seconds must be finite and at most {_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}"
+            )
 
     def system_params(self, *, devices: int | None = None, pe: float | None = None) -> SystemParams:
         if self.arrival == "one-per-ri":
@@ -288,10 +291,6 @@ def cmd_dimension(cfg: _Config) -> int:
     return EXIT_OK
 
 
-def _gaussian_cdf(x: float) -> float:
-    return 1.0 - q_function(x)
-
-
 def cmd_validate_clt(cfg: _Config) -> int:
     if cfg.runs < 1:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
@@ -309,14 +308,13 @@ def cmd_validate_clt(cfg: _Config) -> int:
         )
         sigma = summary.std
         cumulative = 0
-        for value in range(min(hist.counts), max(hist.counts) + 1):
-            count = hist.counts.get(value, 0)
+        for value, count in zip(hist.values.tolist(), hist.counts.tolist()):
             cumulative += count
-            lo = (value - 0.5 - summary.mean) / sigma
-            hi = (value + 0.5 - summary.mean) / sigma
+            cdf_lo = 1.0 - q_function((value - 0.5 - summary.mean) / sigma)
+            cdf_hi = 1.0 - q_function((value + 0.5 - summary.mean) / sigma)
             rows.append([
                 _fmt(pe), str(value), _fmt(count / hist.runs), _fmt(cumulative / hist.runs),
-                _fmt(_gaussian_cdf(hi) - _gaussian_cdf(lo)), _fmt(_gaussian_cdf(hi)),
+                _fmt(cdf_hi - cdf_lo), _fmt(cdf_hi),
             ])
     _write_csv(cfg.out, header, rows)
     return EXIT_OK
@@ -326,26 +324,13 @@ def cmd_simulate(cfg: _Config) -> int:
     if cfg.runs < 1:
         raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
-    if cfg.capacity is not None:
-        capacity = cfg.capacity
-    else:
-        try:
-            capacity = dimension_capacity(params)
-        except UnsupportedArrivalError as exc:
-            raise ParameterError(
-                "dimensioning needs unit Poisson load; pass --capacity explicitly"
-            ) from exc
+    capacity = cfg.capacity if cfg.capacity is not None else dimension_capacity(params)
     estimate = estimate_failure_prob(params, capacity, cfg.scheduler(), cfg.runs, cfg.seed)
-    try:
-        bound = failure_bound(capacity, demand_summary(params), params.p_e, params.max_attempts)
-        bound_text = _fmt(bound)
-    except UnsupportedArrivalError:
-        bound_text = ""
+    bound_text = _fmt(failure_bound(capacity, demand_summary(params), params.p_e, params.max_attempts))
     cfg.say(
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
         f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
-        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}]"
-        + (f" bound={bound_text}" if bound_text else "")
+        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound_text}"
     )
     header = ["N", "pe", "L", "capacity", "policy", "intervals", "reports", "failures",
               "p_hat", "ci_low", "ci_high", "bound"]
@@ -424,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _Config(args)
         return _COMMANDS[args.command](cfg)
-    except (ParameterError, UnsupportedArrivalError, IndeterminateEstimateError) as exc:
+    except (ParameterError, IndeterminateEstimateError) as exc:
         print(f"m2mpool: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleTargetError as exc:

@@ -17,9 +17,5 @@ class InfeasibleGeometryError(M2MPoolError):
     """The requested pool does not fit the configured resource grid."""
 
 
-class UnsupportedArrivalError(M2MPoolError):
-    """The closed forms require unit Poisson load; use the simulator instead."""
-
-
 class IndeterminateEstimateError(M2MPoolError):
     """No reports were generated, so a failure probability cannot be estimated."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .analytic import SystemParams
 from .errors import InfeasibleGeometryError, ParameterError
+from .numerics import check_positive_int
 
 QPSK_BITS_PER_RE = 2
 QAM64_BITS_PER_RE = 6
@@ -43,9 +44,7 @@ class LteProfile:
             "report_size_bits",
             "ri_subframes",
         ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+            check_positive_int(name, getattr(self, name))
         if self.m2m_rbs_per_subframe > self.rbs_per_subframe_total:
             raise ParameterError(
                 f"m2m_rbs_per_subframe ({self.m2m_rbs_per_subframe}) exceeds the "
@@ -113,12 +112,3 @@ def build_pool_plan(params: SystemParams, profile: LteProfile, capacity: int) ->
         capacity_fraction=fraction,
         worst_case_delay_seconds=delay,
     )
-
-
-def capacity_from_subframes(common_subframes: int, profile: LteProfile, report_rbs: int) -> int:
-    """Transmissions a shared pool of the given subframe count can carry."""
-    if common_subframes < 0:
-        raise ParameterError(f"common_subframes must be non-negative, got {common_subframes!r}")
-    if report_rbs < 1:
-        raise ParameterError(f"report_rbs must be positive, got {report_rbs!r}")
-    return common_subframes * profile.m2m_rbs_per_subframe // report_rbs

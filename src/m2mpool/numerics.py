@@ -1,4 +1,5 @@
-"""Gaussian tail functions and reproducible sampling primitives.
+"""Gaussian tail functions, reproducible sampling primitives, and the
+parameter validators every module shares.
 
 Everything here is deterministic given an :class:`RngStream`, so simulation
 replications can be farmed out to workers and still reduce to bit-identical
@@ -102,40 +103,26 @@ def poisson_counts(gen: np.random.Generator, mean: float, size: int) -> np.ndarr
     return total + _poisson_draw(gen, mean, size)
 
 
-def sample_poisson(rng: RngStream, mean: float) -> int:
-    """Draw one Poisson(mean) variate from the stream."""
-    return int(poisson_counts(rng.generator, mean, 1)[0])
-
-
 def leading_failure_counts(gen: np.random.Generator, p_e: float, size: int) -> np.ndarray:
     """Consecutive reception failures before a report's first success.
 
     Geometric, P[F = k] = p_e^k (1 - p_e), sampled by inversion from one
     uniform per draw.  Uncapped: callers apply their own retry limit.
     """
-    _check_error_prob(p_e)
+    check_error_prob(p_e)
     if p_e == 0.0:
         return np.zeros(size, dtype=np.int64)
     u = gen.random(size)
     return np.floor(np.log1p(-u) / math.log(p_e)).astype(np.int64)
 
 
-def sample_attempts(rng: RngStream, p_e: float, max_attempts: int) -> int:
-    """Draw one report's attempt count: geometric in p_e, truncated at the cap.
-
-    P[W = k] = p_e^(k-1) (1 - p_e) below the cap; the cap absorbs the whole
-    remaining tail, P[W = L] = p_e^(L-1).
-    """
-    _check_max_attempts(max_attempts)
-    f = leading_failure_counts(rng.generator, p_e, 1)[0]
-    return int(min(f + 1, max_attempts))
-
-
-def _check_error_prob(p_e: float) -> None:
+def check_error_prob(p_e: float) -> None:
+    """Reject a reception-failure probability outside [0, 1) (NaN included)."""
     if not (0.0 <= p_e < 1.0):
-        raise ParameterError(f"reception failure probability must be in [0, 1), got {p_e!r}")
+        raise ParameterError(f"p_e must be in [0, 1), got {p_e!r}")
 
 
-def _check_max_attempts(max_attempts: int) -> None:
-    if not isinstance(max_attempts, (int, np.integer)) or max_attempts < 1:
-        raise ParameterError(f"max_attempts must be a positive integer, got {max_attempts!r}")
+def check_positive_int(name: str, value: object) -> None:
+    """Reject anything but a Python int >= 1; bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")

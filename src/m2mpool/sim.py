@@ -31,6 +31,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,27 +57,38 @@ class IntervalResult(NamedTuple):
     unserved_failures: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandHistogram:
-    """Occurrence counts of the integer shared-pool demand over replications."""
+    """Occurrence counts of the integer shared-pool demand over replications.
 
-    counts: dict[int, int]
-    runs: int
+    ``counts[k]`` is the number of replications whose demand was
+    ``offset + k``: an ``np.bincount`` shifted to start at the smallest
+    demand seen.
+    """
+
+    counts: np.ndarray
+    offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.runs < 1 or sum(self.counts.values()) != self.runs:
-            raise ParameterError("histogram counts must total the number of runs")
+        if self.offset < 0 or self.counts.ndim != 1 or (self.counts < 0).any() or self.runs < 1:
+            raise ParameterError("histogram needs non-negative counts totalling at least one run")
+
+    @cached_property
+    def runs(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.arange(self.offset, self.offset + self.counts.size)
 
     def mean(self) -> float:
-        return sum(r * c for r, c in self.counts.items()) / self.runs
+        return int(self.values @ self.counts) / self.runs
 
     def variance(self) -> float:
         """Unbiased sample variance."""
         if self.runs < 2:
             return 0.0
-        m = self.mean()
-        ss = sum(c * (r - m) ** 2 for r, c in self.counts.items())
-        return ss / (self.runs - 1)
+        return float(self.counts @ (self.values - self.mean()) ** 2) / (self.runs - 1)
 
 
 @dataclass(frozen=True)
@@ -105,12 +117,19 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return low, high
 
 
-def _draw_report_counts(gen: np.random.Generator, params: SystemParams) -> tuple[int, int]:
-    """(active devices, total reports) for one interval."""
+def _draw_interval(gen: np.random.Generator, params: SystemParams) -> tuple[int, np.ndarray, np.ndarray]:
+    """Active devices, then per report its leading failures and capped attempt count.
+
+    The first `n_active` reports are the active devices' first reports.  The
+    stream yields the report counts first, then one failure run per report.
+    """
     if isinstance(params.arrival, OnePerRI):
-        return params.n_devices, params.n_devices
-    u = poisson_counts(gen, params.arrival.load, params.n_devices)
-    return int(np.count_nonzero(u)), int(u.sum())
+        n_active = n_reports = params.n_devices
+    else:
+        u = poisson_counts(gen, params.arrival.load, params.n_devices)
+        n_active, n_reports = int(np.count_nonzero(u)), int(u.sum())
+    fails = leading_failure_counts(gen, params.p_e, n_reports)
+    return n_active, fails, np.minimum(fails + 1, params.max_attempts)
 
 
 def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram:
@@ -123,36 +142,29 @@ def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs!r}")
-    cap = params.max_attempts
-    counts: dict[int, int] = {}
+    demands = np.empty(runs, dtype=np.int64)
     for i in range(runs):
-        gen = RngStream(seed, i).generator
-        n_active, n_reports = _draw_report_counts(gen, params)
-        if n_reports == 0:
-            demand = 0
-        else:
-            fails = leading_failure_counts(gen, params.p_e, n_reports)
-            demand = int(np.minimum(fails + 1, cap).sum()) - n_active
-        counts[demand] = counts.get(demand, 0) + 1
-    return DemandHistogram(counts=counts, runs=runs)
+        n_active, _, attempts = _draw_interval(RngStream(seed, i).generator, params)
+        demands[i] = int(attempts.sum()) - n_active
+    low = int(demands.min())
+    return DemandHistogram(counts=np.bincount(demands - low), offset=low)
 
 
 def ks_distance(hist: DemandHistogram, summary: DemandSummary) -> float:
     """Max gap between the empirical demand CDF and the matched Gaussian.
 
     The Gaussian CDF is read at r + 1/2, the continuity correction for an
-    integer-valued quantity, and the gap is scanned over the histogram's
-    support.
+    integer-valued quantity, and the gap is scanned over the demand values
+    the histogram actually holds.
     """
     if summary.variance <= 0.0:
         raise ParameterError("zero-variance summary has no Gaussian comparison")
     sigma = summary.std
-    cum = 0
+    cumulative = np.cumsum(hist.counts).tolist()
     worst = 0.0
-    for r in sorted(hist.counts):
-        cum += hist.counts[r]
-        gauss = 1.0 - q_function((r + 0.5 - summary.mean) / sigma)
-        worst = max(worst, abs(cum / hist.runs - gauss))
+    for k in np.flatnonzero(hist.counts).tolist():
+        gauss = 1.0 - q_function((hist.offset + k + 0.5 - summary.mean) / sigma)
+        worst = max(worst, abs(cumulative[k] / hist.runs - gauss))
     return worst
 
 
@@ -171,15 +183,12 @@ def simulate_interval(
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     gen = rng.generator
-    n_active, n_reports = _draw_report_counts(gen, params)
+    n_active, fails, pending = _draw_interval(gen, params)
+    n_reports = fails.size
     if n_reports == 0:
         return IntervalResult(0, 0, 0, 0)
-    cap = params.max_attempts
-    fails = leading_failure_counts(gen, params.p_e, n_reports)
-    exhausted = fails >= cap
-    # slots each report still needs from the shared pool: the first n_active
-    # entries are first reports, whose opening attempt rode the preallocated slot
-    pending = np.minimum(fails + 1, cap)
+    exhausted = fails >= params.max_attempts
+    # slots each report still needs from the shared pool
     pending[:n_active] -= 1
     demand = int(pending.sum())
     if demand <= capacity:

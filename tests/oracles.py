@@ -24,8 +24,10 @@ def truncated_geometric_pmf(p_e: float, cap: int) -> list[float]:
     return pmf
 
 
-def poisson_demand_pmf(p_e: float, cap: int, tail: float = 1e-12) -> dict[int, float]:
-    """Exact pmf of one device's shared-pool demand under unit Poisson arrivals.
+def poisson_demand_pmf(
+    p_e: float, cap: int, tail: float = 1e-12, load: float = 1.0
+) -> dict[int, float]:
+    """Exact pmf of one device's shared-pool demand under Poisson(load) arrivals.
 
     Conditions on the report count u and convolves u copies of the
     attempt-count pmf exactly, stopping once the remaining Poisson mass is
@@ -33,14 +35,14 @@ def poisson_demand_pmf(p_e: float, cap: int, tail: float = 1e-12) -> dict[int, f
     transmission), or zero for a silent device.
     """
     w = truncated_geometric_pmf(p_e, cap)
-    p_u = math.exp(-1.0)
+    p_u = math.exp(-load)
     mass = p_u
     pmf = {0: p_u}
     conv: dict[int, float] = {0: 1.0}
     u = 0
     while mass < 1.0 - tail:
         u += 1
-        p_u /= u
+        p_u *= load / u
         mass += p_u
         nxt: dict[int, float] = {}
         for total, prob in conv.items():

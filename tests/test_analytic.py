@@ -14,7 +14,6 @@ from m2mpool import (
     ParameterError,
     PoissonPerRI,
     SystemParams,
-    UnsupportedArrivalError,
     attempts_pmf,
     attempts_second_moment,
     demand_summary,
@@ -28,6 +27,7 @@ from oracles import one_per_ri_demand_pmf, pmf_moments, poisson_demand_pmf
 E_INV = math.exp(-1.0)
 PE_GRID = [0.0, 0.1, 0.4, 0.9]
 CAP_GRID = [1, 2, 5, 10]
+LOAD_GRID = [0.05, 0.5, 1.0, 2.0, 5.0]
 
 
 class TestAttemptsPmf:
@@ -109,10 +109,13 @@ class TestDemandSummary:
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)
     def test_poisson_matches_convolution_oracle(self, p_e, cap):
-        mean, variance = pmf_moments(poisson_demand_pmf(p_e, cap))
-        summary = demand_summary(SystemParams(1, p_e, cap))
-        assert summary.mean == pytest.approx(mean, rel=1e-8)
-        assert summary.variance == pytest.approx(variance, rel=1e-8)
+        # at load 0.05 the mean is about load^2 / 2, so the truncated Poisson
+        # tail must sit well below the default 1e-12 to stay under rel 1e-8
+        for load in LOAD_GRID:
+            mean, variance = pmf_moments(poisson_demand_pmf(p_e, cap, tail=1e-14, load=load))
+            summary = demand_summary(SystemParams(1, p_e, cap, PoissonPerRI(load)))
+            assert summary.mean == pytest.approx(mean, rel=1e-8), load
+            assert summary.variance == pytest.approx(variance, rel=1e-8), load
 
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)
@@ -121,10 +124,6 @@ class TestDemandSummary:
         summary = demand_summary(SystemParams(1, p_e, cap, OnePerRI()))
         assert summary.mean == pytest.approx(mean, rel=1e-6, abs=1e-12)
         assert summary.variance == pytest.approx(variance, rel=1e-6, abs=1e-12)
-
-    def test_rejects_non_unit_poisson_load(self):
-        with pytest.raises(UnsupportedArrivalError):
-            demand_summary(SystemParams(10, 0.1, 5, PoissonPerRI(load=2.0)))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -135,6 +134,8 @@ class TestDemandSummary:
             dict(n_devices=10, p_e=0.1, max_attempts=0),
             dict(n_devices=10, p_e=0.1, max_attempts=5, target_failure=0.0),
             dict(n_devices=10, p_e=0.1, max_attempts=5, target_failure=1.0),
+            dict(n_devices=True, p_e=0.1, max_attempts=5),
+            dict(n_devices=10, p_e=0.1, max_attempts=True),
         ],
     )
     def test_params_validation(self, kwargs):

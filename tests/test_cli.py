@@ -65,6 +65,15 @@ class TestDimension:
         code, _, _ = run_cli(["dimension", "--report-bytes", "1000", "--modulation", "qpsk"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "args", [["--devices", "300000000000000000000000"], ["--load", "1e20"]]
+    )
+    def test_capacity_beyond_double_precision_returns(self, args):
+        # the closed form lands past 2**53, where the integer scan cannot move
+        code, _, err = run_cli(["dimension", *args])
+        assert code == 3
+        assert err.startswith("m2mpool: infeasible geometry:")
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         code, _, _ = run_cli(["dimension", "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 4
@@ -225,7 +234,22 @@ class TestConfigFile:
         assert not out.exists()
 
 
+class TestArrivalLoad:
+    def test_non_unit_load_runs_without_capacity(self):
+        assert run_cli(["dimension", "--load", "2"])[0] == 0
+        code, out, _ = run_cli(["simulate", "--load", "2", "--runs", "5"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-1] != ""  # the bound column is filled
+
+
 class TestUsage:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "86401"])
+    def test_rejects_bad_ri_seconds(self, value):
+        code, out, err = run_cli(["dimension", f"--ri-seconds={value}"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("m2mpool: error: ri_seconds") and err.count("\n") == 1
+
     def test_missing_command(self):
         assert run_cli([])[0] == 1
 

@@ -11,7 +11,6 @@ from m2mpool import (
     ParameterError,
     SystemParams,
     build_pool_plan,
-    capacity_from_subframes,
     rbs_per_report,
 )
 
@@ -101,12 +100,6 @@ class TestBuildPoolPlan:
 
 
 class TestCapacityFromSubframes:
-    def test_zero(self):
-        assert capacity_from_subframes(0, five_mhz(), 3) == 0
-
-    def test_example(self):
-        assert capacity_from_subframes(10, five_mhz(), 3) == 83
-
     @given(
         st.integers(min_value=0, max_value=20_000),
         st.integers(min_value=1, max_value=100),
@@ -124,11 +117,8 @@ class TestCapacityFromSubframes:
         )
         assert rbs_per_report(profile) == rbs
         plan = build_pool_plan(SystemParams(10, 0.1, 5), profile, capacity)
-        assert capacity_from_subframes(plan.common_subframes, profile, rbs) >= capacity
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            capacity_from_subframes(-1, five_mhz(), 3)
+        # the shared subframes, packed with whole reports, carry at least C
+        assert plan.common_subframes * reserved // rbs >= capacity
 
 
 class TestProfileValidation:
@@ -139,3 +129,5 @@ class TestProfileValidation:
     def test_rejects_zero_counts(self):
         with pytest.raises(ParameterError):
             LteProfile(rbs_per_subframe_total=25, m2m_rbs_per_subframe=25, report_size_bits=0)
+        with pytest.raises(ParameterError):
+            LteProfile(True, True)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from m2mpool import ParameterError, RngStream, q_function, q_inverse, sample_attempts, sample_poisson
-from m2mpool.numerics import leading_failure_counts, poisson_counts
+from m2mpool import OnePerRI, ParameterError, RngStream, SystemParams, q_function, q_inverse, sample_demand
+from m2mpool.numerics import check_positive_int, leading_failure_counts, poisson_counts
 
 from oracles import q_reference, truncated_geometric_pmf
 
@@ -116,8 +116,8 @@ class TestSamplePoisson:
         assert abs(zero_fraction - E_INV) <= half_width
 
     def test_scalar_determinism(self):
-        first = [sample_poisson(RngStream(5, i), 1.0) for i in range(50)]
-        second = [sample_poisson(RngStream(5, i), 1.0) for i in range(50)]
+        first = [int(poisson_counts(RngStream(5, i).generator, 1.0, 1)[0]) for i in range(50)]
+        second = [int(poisson_counts(RngStream(5, i).generator, 1.0, 1)[0]) for i in range(50)]
         assert first == second
 
     def test_large_mean_chunking(self):
@@ -127,17 +127,19 @@ class TestSamplePoisson:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_mean(self, bad):
         with pytest.raises(ParameterError):
-            sample_poisson(RngStream(1, 0), bad)
+            poisson_counts(RngStream(1, 0).generator, bad, 1)
 
 
 class TestSampleAttempts:
     def test_error_free_channel_always_one(self):
-        rng = RngStream(2, 0)
-        assert all(sample_attempts(rng, 0.0, 10) == 1 for _ in range(100))
+        fails = leading_failure_counts(RngStream(2, 0).generator, 0.0, 100)
+        assert np.array_equal(fails, np.zeros(100))
 
     def test_cap_one_forces_one(self):
-        rng = RngStream(3, 0)
-        assert all(sample_attempts(rng, 0.9, 1) == 1 for _ in range(100))
+        # the retry limit is applied by the engine: 100 reports at p_e=0.9
+        # drawn from stream (3, 0), each capped at one attempt, charge nothing
+        hist = sample_demand(SystemParams(100, 0.9, 1, OnePerRI()), 1, seed=3)
+        assert (hist.offset, hist.counts.tolist()) == (0, [1])
 
     def test_first_attempt_mass(self):
         gen = RngStream(4, 0).generator
@@ -156,8 +158,10 @@ class TestSampleAttempts:
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
     def test_rejects_bad_probability(self, bad):
         with pytest.raises(ParameterError):
-            sample_attempts(RngStream(1, 0), bad, 5)
+            leading_failure_counts(RngStream(1, 0).generator, bad, 1)
 
     def test_rejects_bad_cap(self):
-        with pytest.raises(ParameterError):
-            sample_attempts(RngStream(1, 0), 0.1, 0)
+        # callers check the retry cap with the shared positive-integer rule
+        for bad in (0, True):
+            with pytest.raises(ParameterError):
+                check_positive_int("max_attempts", bad)

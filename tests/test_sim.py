@@ -46,13 +46,21 @@ class TestSampleDemand:
         assert abs(hist.mean() - summary.mean) <= 3.0 * summary.std / math.sqrt(hist.runs)
         assert hist.variance() == pytest.approx(summary.variance, rel=0.05)
 
+    def test_non_unit_load_matches_analytic(self):
+        params = SystemParams(100, 0.1, 10, PoissonPerRI(load=2.0))
+        hist = sample_demand(params, 20_000, seed=104)
+        summary = demand_summary(params)
+        assert abs(hist.mean() - summary.mean) <= 3.0 * summary.std / math.sqrt(hist.runs)
+        assert hist.variance() == pytest.approx(summary.variance, rel=0.05)
+
     def test_degenerate_concentrates_at_zero(self):
         hist = sample_demand(SystemParams(1, 0.0, 5, OnePerRI()), 200, seed=1)
-        assert hist.counts == {0: 200}
+        assert (hist.offset, hist.counts.tolist()) == (0, [200])
 
     def test_histogram_totals_runs(self):
         hist = sample_demand(SystemParams(10, 0.3, 4), 500, seed=7)
-        assert sum(hist.counts.values()) == hist.runs == 500
+        assert hist.counts.sum() == hist.runs == 500
+        assert hist.counts[0] > 0 and hist.counts[-1] > 0
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ParameterError):
@@ -63,8 +71,8 @@ class TestKsDistance:
     def test_gaussian_self_consistency(self):
         mean, std = 500.0, 30.0
         draws = np.rint(RngStream(9, 0).generator.normal(mean, std, 1_000_000)).astype(int)
-        values, counts = np.unique(draws, return_counts=True)
-        hist = DemandHistogram(dict(zip(values.tolist(), counts.tolist())), draws.size)
+        low = int(draws.min())
+        hist = DemandHistogram(np.bincount(draws - low), low)
         from m2mpool import DemandSummary
 
         assert ks_distance(hist, DemandSummary(mean, std**2)) < 0.005
@@ -81,7 +89,7 @@ class TestKsDistance:
     def test_rejects_zero_variance(self):
         from m2mpool import DemandSummary
 
-        hist = DemandHistogram({0: 5}, 5)
+        hist = DemandHistogram(np.array([5]))
         with pytest.raises(ParameterError):
             ks_distance(hist, DemandSummary(0.0, 0.0))
 
