@@ -3,10 +3,10 @@
 Massive fleets of periodically reporting devices share a recurring pool of
 uplink resources.  This package answers how large the shared part of the
 pool must be so every device delivers its reports within one interval with a
-target reliability: closed-form demand moments and a scheduler-independent
-Gaussian tail bound (`analytic`), the inverse dimensioning, a mapping onto
-the LTE resource grid (`lte`), and a seeded Monte Carlo engine that
-validates both the Gaussian approximation and the bound (`sim`).
+target reliability: closed-form demand moments and the per-report failure
+probability their Gaussian model gives (`analytic`), the inverse
+dimensioning, a mapping onto the LTE resource grid (`lte`), and a seeded
+Monte Carlo engine that checks both against simulated intervals (`sim`).
 """
 
 from .analytic import (

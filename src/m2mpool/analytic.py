@@ -15,9 +15,10 @@ A device's shared-pool demand is therefore
 
 and the pool sees R = sum_i R_i.  With N large, R is treated as Gaussian and
 characterized by its mean and variance alone.  This module provides those
-moments, the scheduler-independent bound on the per-report failure
-probability that this Gaussian model gives for a pool of capacity C
-transmissions, and the inverse problem: the smallest C meeting a target
+moments, the per-report failure probability that this Gaussian model gives
+for a pool of capacity C transmissions (its overflow term does not depend on
+the scheduler, but it is an approximation, not a bound, since the demand is
+right-skewed), and the inverse problem: the smallest C meeting a target
 failure probability.
 """
 

@@ -47,50 +47,27 @@ _MAX_RI_SECONDS = 86_400.0  # one day
 _MODULATION_BITS = {"qpsk": QPSK_BITS_PER_RE, "qam64": QAM64_BITS_PER_RE}
 
 
-def _choice(*allowed: str) -> Callable[[str], str]:
-    def convert(value: str) -> str:
-        if value not in allowed:
-            raise ParameterError(f"expected one of {', '.join(allowed)}, got {value!r}")
-        return value
-
-    return convert
-
-
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "devices": int,
-    "pe": float,
-    "max_attempts": int,
-    "target_eps": float,
-    "arrival": _choice("poisson", "one-per-ri"),
-    "load": float,
-    "report_bytes": int,
-    "modulation": _choice("qpsk", "qam64"),
-    "bandwidth_rbs": int,
-    "m2m_rbs": int,
-    "ri_seconds": float,
-    "runs": int,
-    "seed": int,
-    "policy": _choice("random", "fifo"),
-    "capacity": int,
+# key -> (converter, global default, metavar, help); a tuple converter lists
+# the allowed strings.  Each key is both a --flag and a config-file key.
+_OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str | None, str]] = {
+    "devices": (int, 30_000, "N", "number of reporting devices"),
+    "pe": (float, 0.1, "P", "per-transmission reception failure probability"),
+    "max_attempts": (int, 10, "L", "retry limit per report"),
+    "target_eps": (float, 1e-3, "E", "target report-failure probability"),
+    "arrival": (("poisson", "one-per-ri"), "poisson", None, "report arrival model per interval"),
+    "load": (float, 1.0, "X", "mean reports per interval for the poisson model"),
+    "report_bytes": (int, 100, "RS", "report size in bytes"),
+    "modulation": (tuple(_MODULATION_BITS), "qpsk", None, "uplink modulation"),
+    "bandwidth_rbs": (int, 25, "B", "system bandwidth in RBs per subframe"),
+    "m2m_rbs": (int, None, "Y", "RBs per subframe reserved for reporting (default: whole bandwidth)"),
+    "ri_seconds": (float, 60.0, "T", "reporting interval length in seconds (at most 86400)"),
+    "runs": (int, 100_000, "R", "simulation replications"),
+    "seed": (int, 1, "S", "master seed"),
+    "policy": (tuple(p.value for p in SchedulerPolicy), "random", None, "shared-pool scheduler"),
+    "capacity": (int, None, "C", "shared-pool capacity in transmissions (default: dimensioned)"),
 }
-
-GLOBAL_DEFAULTS: dict[str, object] = {
-    "devices": 30_000,
-    "pe": 0.1,
-    "max_attempts": 10,
-    "target_eps": 1e-3,
-    "arrival": "poisson",
-    "load": 1.0,
-    "report_bytes": 100,
-    "modulation": "qpsk",
-    "bandwidth_rbs": 25,
-    "m2m_rbs": None,
-    "ri_seconds": 60.0,
-    "runs": 100_000,
-    "seed": 1,
-    "policy": "random",
-    "capacity": None,
-}
+# keys that are flags of some commands only; every key stays a config-file key
+_FLAG_COMMANDS = {"policy": ("simulate", "sweep"), "capacity": ("simulate",)}
 
 COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
     "validate-clt": {"devices": 100},
@@ -105,70 +82,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--devices", type=int, metavar="N", help="number of reporting devices")
-    sub.add_argument("--pe", type=float, metavar="P", help="per-transmission reception failure probability")
-    sub.add_argument("--max-attempts", type=int, metavar="L", dest="max_attempts",
-                     help="retry limit per report")
-    sub.add_argument("--target-eps", type=float, metavar="E", dest="target_eps",
-                     help="target report-failure probability")
-    sub.add_argument("--arrival", choices=["poisson", "one-per-ri"],
-                     help="report arrival model per interval")
-    sub.add_argument("--load", type=float, metavar="X",
-                     help="mean reports per interval for the poisson model")
-    sub.add_argument("--report-bytes", type=int, metavar="RS", dest="report_bytes",
-                     help="report size in bytes")
-    sub.add_argument("--modulation", choices=["qpsk", "qam64"], help="uplink modulation")
-    sub.add_argument("--bandwidth-rbs", type=int, metavar="B", dest="bandwidth_rbs",
-                     help="system bandwidth in RBs per subframe")
-    sub.add_argument("--m2m-rbs", type=int, metavar="Y", dest="m2m_rbs",
-                     help="RBs per subframe reserved for reporting (default: whole bandwidth)")
-    sub.add_argument("--ri-seconds", type=float, metavar="T", dest="ri_seconds",
-                     help="reporting interval length in seconds (at most 86400)")
-    sub.add_argument("--runs", type=int, metavar="R", help="simulation replications")
-    sub.add_argument("--seed", type=int, metavar="S", help="master seed")
-    sub.add_argument("--out", metavar="PATH", help="CSV output path (default: stdout)")
-    sub.add_argument("--config", metavar="PATH", help="key=value config file")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="m2mpool", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    dim = commands.add_parser("dimension", help="dimension the shared pool and lay it out")
-    _add_common_flags(dim)
-
-    clt = commands.add_parser("validate-clt", help="compare sampled demand against its Gaussian model")
-    _add_common_flags(clt)
-
-    sim = commands.add_parser("simulate", help="estimate the empirical report-failure probability")
-    _add_common_flags(sim)
-    sim.add_argument("--policy", choices=["random", "fifo"], help="shared-pool scheduler")
-    sim.add_argument("--capacity", type=int, metavar="C",
-                     help="shared-pool capacity in transmissions (default: dimensioned)")
-
-    swp = commands.add_parser("sweep", help="dimension across a parameter range, one CSV row per point")
-    _add_common_flags(swp)
-    swp.add_argument("--sweep", metavar="VAR:START:STOP:STEP", dest="sweep",
-                     help="axis to sweep: devices or report-bytes")
-    swp.add_argument("--policy", choices=["random", "fifo"], help="scheduler for the optional simulation check")
+    for command, (_, command_help) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=command_help)
+        for key, (convert, _, metavar, help_text) in _OPTIONS.items():
+            if command not in _FLAG_COMMANDS.get(key, (command,)):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(convert, tuple):
+                sub.add_argument(flag, choices=convert, help=help_text)
+            else:
+                sub.add_argument(flag, type=convert, metavar=metavar, help=help_text)
+        sub.add_argument("--out", metavar="PATH", help="CSV output path (default: stdout)")
+        sub.add_argument("--config", metavar="PATH", help="key=value config file")
+        if command == "sweep":
+            sub.add_argument("--sweep", metavar="VAR:START:STOP:STEP",
+                             help="axis to sweep: devices or report-bytes")
     return parser
+
+
+def _convert(key: str, text: str) -> object:
+    convert = _OPTIONS[key][0]
+    if not isinstance(convert, tuple):
+        return convert(text)
+    if text not in convert:
+        raise ParameterError(f"expected one of {', '.join(convert)}, got {text!r}")
+    return text
 
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONVERTERS:
-                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: config file is not UTF-8 text: {exc.reason}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _OPTIONS:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -179,14 +140,14 @@ class _Config:
         file_values = _load_config(args.config) if args.config else {}
         overrides = COMMAND_DEFAULTS.get(args.command, {})
         self.explicit: set[str] = set()
-        for key, convert in _CONVERTERS.items():
+        for key, (_, default, _, _) in _OPTIONS.items():
             flag_value = getattr(args, key, None)
             if flag_value is not None:
                 value = flag_value
                 self.explicit.add(key)
             elif key in file_values:
                 try:
-                    value = convert(file_values[key])
+                    value = _convert(key, file_values[key])
                 except (TypeError, ValueError) as exc:
                     raise ParameterError(
                         f"invalid config value {key}={file_values[key]!r}: {exc}"
@@ -195,7 +156,7 @@ class _Config:
             elif key in overrides:
                 value = overrides[key]
             else:
-                value = GLOBAL_DEFAULTS[key]
+                value = default
             setattr(self, key, value)
         self.command: str = args.command
         self.out: str | None = args.out
@@ -233,9 +194,6 @@ class _Config:
             report_size_bits=8 * size,
             ri_subframes=ri_subframes,
         )
-
-    def scheduler(self) -> SchedulerPolicy:
-        return SchedulerPolicy.RANDOM_UNIFORM if self.policy == "random" else SchedulerPolicy.FIFO
 
     def say(self, message: str) -> None:
         print(message, file=sys.stdout if self.out else sys.stderr)
@@ -325,7 +283,8 @@ def cmd_simulate(cfg: _Config) -> int:
         raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
     capacity = cfg.capacity if cfg.capacity is not None else dimension_capacity(params)
-    estimate = estimate_failure_prob(params, capacity, cfg.scheduler(), cfg.runs, cfg.seed)
+    policy = SchedulerPolicy(cfg.policy)
+    estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound_text = _fmt(failure_bound(capacity, demand_summary(params), params.p_e, params.max_attempts))
     cfg.say(
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
@@ -363,6 +322,8 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
 
 def cmd_sweep(cfg: _Config) -> int:
     var, start, stop, step = _parse_sweep(cfg.sweep)
+    if cfg.runs < 0:
+        raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
     header = ["N", "rs_bytes", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C",
               "fraction", "p_hat", "ci_high"]
     rows: list[list[str]] = []
@@ -376,7 +337,9 @@ def cmd_sweep(cfg: _Config) -> int:
         plan = build_pool_plan(params, profile, capacity)
         p_hat_text = ci_high_text = ""
         if cfg.runs > 0:
-            estimate = estimate_failure_prob(params, capacity, cfg.scheduler(), cfg.runs, cfg.seed)
+            estimate = estimate_failure_prob(
+                params, capacity, SchedulerPolicy(cfg.policy), cfg.runs, cfg.seed
+            )
             p_hat_text = _fmt(estimate.p_hat)
             ci_high_text = _fmt(estimate.ci_high)
         rows.append([
@@ -393,10 +356,10 @@ def cmd_sweep(cfg: _Config) -> int:
 
 
 _COMMANDS = {
-    "dimension": cmd_dimension,
-    "validate-clt": cmd_validate_clt,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
+    "dimension": (cmd_dimension, "dimension the shared pool and lay it out"),
+    "validate-clt": (cmd_validate_clt, "compare sampled demand against its Gaussian model"),
+    "simulate": (cmd_simulate, "estimate the empirical report-failure probability"),
+    "sweep": (cmd_sweep, "dimension across a parameter range, one CSV row per point"),
 }
 
 
@@ -408,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _Config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ParameterError, IndeterminateEstimateError) as exc:
         print(f"m2mpool: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

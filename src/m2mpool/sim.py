@@ -40,6 +40,8 @@ from .analytic import DemandSummary, OnePerRI, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
 from .numerics import RngStream, leading_failure_counts, poisson_counts, q_function
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 Z95 = 1.959963984540054
 
 
@@ -129,7 +131,9 @@ def _draw_interval(gen: np.random.Generator, params: SystemParams) -> tuple[int,
         u = poisson_counts(gen, params.arrival.load, params.n_devices)
         n_active, n_reports = int(np.count_nonzero(u)), int(u.sum())
     fails = leading_failure_counts(gen, params.p_e, n_reports)
-    return n_active, fails, np.minimum(fails + 1, params.max_attempts)
+    # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
+    cap = min(params.max_attempts, _INT64_MAX)
+    return n_active, fails, np.minimum(fails + 1, cap)
 
 
 def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram:

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from m2mpool.cli import main
+from m2mpool.cli import _OPTIONS, _Config, build_parser, main
 
 
 def run_cli(args):
@@ -16,6 +16,10 @@ def run_cli(args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def resolve(args):
+    return _Config(build_parser().parse_args(args))
 
 
 def read_rows(path):
@@ -152,6 +156,13 @@ class TestSimulate:
         assert row["capacity"] == "30"
         assert row["policy"] == "fifo"
 
+    @pytest.mark.parametrize("command", ["simulate", "validate-clt"])
+    def test_retry_limit_beyond_int64_runs(self, command):
+        code, _, _ = run_cli(
+            [command, "--devices", "10", "--runs", "2", "--max-attempts", "100000000000000000000"]
+        )
+        assert code == 0
+
 
 class TestSweep:
     def test_devices_sweep_fraction_is_monotone(self, tmp_path):
@@ -182,7 +193,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
             ["sweep", "--sweep", "devices:50:100:50", "--runs", "200", "--seed", "3",
-             "--out", str(out)]
+             "--policy", "fifo", "--out", str(out)]
         )
         assert code == 0
         for row in read_rows(out):
@@ -193,6 +204,10 @@ class TestSweep:
         assert run_cli(["sweep", "--sweep", "bogus:1:2:1"])[0] == 1
         assert run_cli(["sweep", "--sweep", "devices:1:10:0"])[0] == 1
         assert run_cli(["sweep"])[0] == 1
+        code, out, err = run_cli(["sweep", "--sweep", "devices:1:3:1", "--runs", "-5"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("m2mpool: error: sweep needs runs >= 0") and err.count("\n") == 1
 
 
 class TestConfigFile:
@@ -232,6 +247,49 @@ class TestConfigFile:
         code, _, _ = run_cli(["dimension", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"devices=\xff\n")
+        out = tmp_path / "dim.csv"
+        code, _, err = run_cli(["dimension", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert err.startswith(f"m2mpool: error: {cfg}:") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _sample_text(convert):
+    return convert[-1] if isinstance(convert, tuple) else {int: "7", float: "0.25"}[convert]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("key", list(_OPTIONS))
+    def test_flag_and_config_file_agree(self, key, tmp_path):
+        convert, default = _OPTIONS[key][:2]
+        text = _sample_text(convert)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        by_flag = resolve(["simulate", "--" + key.replace("_", "-"), text])
+        assert getattr(by_flag, key) != default
+        assert key in by_flag.explicit
+        # every command accepts every config key, even one it does not use
+        for command in ["dimension", "validate-clt", "simulate", "sweep"]:
+            by_file = resolve([command, "--config", str(cfg)])
+            assert getattr(by_file, key) == getattr(by_flag, key)
+            assert type(getattr(by_file, key)) is type(getattr(by_flag, key))
+            assert key in by_file.explicit
+
+    @pytest.mark.parametrize("key", [k for k, row in _OPTIONS.items() if isinstance(row[0], tuple)])
+    def test_value_outside_choices_is_usage_error(self, key, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=bogus\n")
+        small = ["simulate", "--devices", "10", "--runs", "1"]
+        code, out, err = run_cli([*small, "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"m2mpool: error: invalid config value {key}='bogus'")
+        code, out, err = run_cli([*small, "--" + key.replace("_", "-"), "bogus"])
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'bogus'" in err
 
 
 class TestArrivalLoad:
