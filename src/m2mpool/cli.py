@@ -12,6 +12,7 @@ itself is stdout and the summary moves to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan
 from .numerics import q_function
-from .sim import SchedulerPolicy, estimate_failure_prob, ks_distance, sample_demand
+from .sim import MAX_LOAD, SchedulerPolicy, check_load, estimate_failure_prob, ks_distance, sample_demand
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,7 +56,8 @@ _OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str
     "max_attempts": (int, 10, "L", "retry limit per report"),
     "target_eps": (float, 1e-3, "E", "target report-failure probability"),
     "arrival": (("poisson", "one-per-ri"), "poisson", None, "report arrival model per interval"),
-    "load": (float, 1.0, "X", "mean reports per interval for the poisson model"),
+    "load": (float, 1.0, "X",
+             f"mean reports per interval for the poisson model (at most {MAX_LOAD:g} to simulate)"),
     "report_bytes": (int, 100, "RS", "report size in bytes"),
     "modulation": (tuple(_MODULATION_BITS), "qpsk", None, "uplink modulation"),
     "bandwidth_rbs": (int, 25, "B", "system bandwidth in RBs per subframe"),
@@ -82,6 +84,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# built once per process: parsing leaves the parser unchanged
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="m2mpool", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -161,6 +165,11 @@ class _Config:
         self.command: str = args.command
         self.out: str | None = args.out
         self.sweep: str | None = getattr(args, "sweep", None)
+        simulates = self.command in ("simulate", "validate-clt") or (
+            self.command == "sweep" and self.runs > 0
+        )
+        if simulates and self.arrival == "poisson":
+            check_load(self.load)
         if not (math.isfinite(self.ri_seconds) and self.ri_seconds <= _MAX_RI_SECONDS):
             raise ParameterError(
                 f"ri_seconds must be finite and at most {_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}"

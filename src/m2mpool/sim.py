@@ -17,12 +17,24 @@ when it accumulates L failed attempts, or when the pool ends while any of
 its transmissions is still waiting; the scheduler does not anticipate
 exhaustion.
 
-Implementation note: each report's run of leading failures is drawn up
-front, which fixes both the number of slots the report would occupy and
-whether it dies at the retry limit.  This is distribution-identical to
-drawing a Bernoulli outcome per served slot because no scheduling decision
-ever depends on a future outcome.  Whenever the realized demand fits the
-pool, scheduling order cannot matter at all and the slot loop is skipped.
+Implementation note: the engine draws counts, not devices or reports.  A
+block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
+(stream layout v2): the active devices are Bin(N, 1 - e^-load); the devices
+with at least k + 1 reports are a binomial thinning of those with at least k,
+by P[U >= k+1 | U >= k]; and, for the first reports and the excess reports
+separately, the reports that make attempt j + 1 are Bin(those that made
+attempt j, p_e), with one more thinning at attempt L for the retry-limit
+failures.  Demand and retry-limit failures follow for the whole block at
+once, at a cost that does not grow with N.  Only an interval whose demand
+exceeds the pool rebuilds per-report state from these class counts and
+replays the slots; reports of one kind are exchangeable, so FIFO sees each
+kind shuffled, and the random policy's law does not depend on order.
+Fixing each report's attempt count before serving is distribution-identical
+to drawing a Bernoulli outcome per served slot because no scheduling
+decision ever depends on a future outcome.  Reports still in flight after
+_CHAIN_STEPS attempts get per-report geometric draws for the rest, which
+keeps the law (the geometric is memoryless) and the chain short when p_e is
+near 1.
 """
 
 from __future__ import annotations
@@ -30,15 +42,20 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import DemandSummary, OnePerRI, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
-from .numerics import RngStream, leading_failure_counts, poisson_counts, q_function
+from .numerics import RngStream, leading_failure_counts, q_function
+
+# unused here since the engine draws counts, kept importable because the
+# benchmark tracer (perfbench/tracing.py) patches m2mpool.sim.poisson_counts
+from .numerics import poisson_counts  # noqa: F401
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -119,37 +136,196 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return low, high
 
 
-def _draw_interval(gen: np.random.Generator, params: SystemParams) -> tuple[int, np.ndarray, np.ndarray]:
-    """Active devices, then per report its leading failures and capped attempt count.
+BLOCK_INTERVALS = 1000
+# attempts drawn as binomial counts before the reports still in flight get
+# per-report geometric draws; keeps a block's cost bounded as p_e nears 1
+_CHAIN_STEPS = 64
+# largest Poisson load the engine draws: its tail table and excess-report
+# chain grow with the load, each about twice as long
+MAX_LOAD = 1_000.0
 
-    The first `n_active` reports are the active devices' first reports.  The
-    stream yields the report counts first, then one failure run per report.
+
+def check_load(load: float) -> None:
+    """Reject a Poisson arrival load above what the engine simulates."""
+    if not load <= MAX_LOAD:
+        raise ParameterError(f"load must be at most {MAX_LOAD:g} to simulate, got {load!r}")
+
+
+@lru_cache(maxsize=64)
+def _excess_ratios(load: float) -> np.ndarray:
+    """P[U >= k+1 | U >= k] for k = 1, 2, ... and U ~ Poisson(load).
+
+    The pmf is built outward from its mode, so neither e^-load nor
+    load^k / k! leaves double range, until the mass beyond is below ~1e-19;
+    the tails are summed from the top, where 1 - cdf would cancel.  The last
+    ratio is 0: no device reports past the table.
     """
+    check_load(load)
+    mode = int(load)
+    below = [1.0]
+    for k in range(mode, 0, -1):
+        below.append(below[-1] * k / load)
+    above = [1.0]
+    k = mode
+    while above[-1] > 1e-19 or k < 2 * load + 10:
+        k += 1
+        term = above[-1] * load / k
+        if term == 0.0:
+            break
+        above.append(term)
+    pmf = np.array(below[:0:-1] + above)
+    tail = np.cumsum(pmf[::-1])[::-1]
+    return np.append(tail[2:], 0.0) / tail[1:]
+
+
+class _Reports:
+    """One kind of report (first or excess) over a block of intervals, as counts.
+
+    ``reached[j, b]`` reports of interval b make attempt j + 1, and
+    ``beyond[b]`` of them also fail the last attempt drawn: at the retry
+    limit these are the exhausted reports, past `_CHAIN_STEPS` the ones still
+    in flight.
+    """
+
+    def __init__(self, gen: np.random.Generator, count: np.ndarray, p_e: float, steps: int) -> None:
+        reached = [count]
+        while len(reached) < steps and reached[-1].any():
+            reached.append(gen.binomial(reached[-1], p_e))
+        self.reached = np.array(reached)
+        self.beyond = gen.binomial(reached[-1], p_e)
+        self.attempts = self.reached.sum(axis=0)
+
+    def classes(
+        self, b: int, more: np.ndarray, exhausted: np.ndarray, preallocated: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pool slots needed, retry-limit flag and report count of each class in interval b.
+
+        One class per attempt count for the reports that succeeded within the
+        chain, one per report for the `beyond` ones (`more` attempts past the
+        chain each).
+        """
+        col = self.reached[:, b]
+        attempts = np.concatenate([np.arange(1, col.size + 1), col.size + more])
+        counts = np.concatenate([col - np.append(col[1:], more.size), np.ones(more.size, np.int64)])
+        flags = np.concatenate([np.zeros(col.size, dtype=bool), exhausted])
+        return attempts - preallocated, flags, counts
+
+
+def _finish(
+    gen: np.random.Generator, p_e: float, reports: int, remaining: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attempts past the chain, and retry-limit flags, of reports that failed its last attempt."""
+    if remaining == 0:
+        return np.zeros(reports, dtype=np.int64), np.ones(reports, dtype=bool)
+    fails = leading_failure_counts(gen, p_e, reports)
+    return np.minimum(fails + 1, remaining), fails >= remaining
+
+
+def _draw_block(
+    gen: np.random.Generator,
+    params: SystemParams,
+    size: int,
+    capacity: int,
+    policy: SchedulerPolicy,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reports, failures, demand and unserved failures of `size` intervals.
+
+    The stream yields, for the whole block: the active devices, the
+    excess-report chain, the first reports' attempt chain, the excess
+    reports' attempt chain.  Then, interval by interval, only where the chain
+    left reports in flight or the demand exceeds `capacity`: their
+    per-report draws, and the pool replay.
+    """
+    if capacity < 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    p_e = params.p_e
+    excess = np.zeros(size, dtype=np.int64)
     if isinstance(params.arrival, OnePerRI):
-        n_active = n_reports = params.n_devices
+        active = np.full(size, params.n_devices, dtype=np.int64)
     else:
-        u = poisson_counts(gen, params.arrival.load, params.n_devices)
-        n_active, n_reports = int(np.count_nonzero(u)), int(u.sum())
-    fails = leading_failure_counts(gen, params.p_e, n_reports)
+        load = params.arrival.load
+        ratios = _excess_ratios(load).tolist()
+        active = gen.binomial(params.n_devices, -math.expm1(-load), size)
+        # devices with at least k + 1 reports, thinned from those with at least k
+        reaching = active
+        for ratio in ratios:
+            reaching = gen.binomial(reaching, ratio)
+            if not reaching.any():
+                break
+            excess += reaching
+    steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
-    cap = min(params.max_attempts, _INT64_MAX)
-    return n_active, fails, np.minimum(fails + 1, cap)
+    remaining = min(params.max_attempts - steps, _INT64_MAX)
+    kinds = (_Reports(gen, active, p_e, steps), _Reports(gen, excess, p_e, steps))
+    demand = kinds[0].attempts - active + kinds[1].attempts
+    failures = kinds[0].beyond + kinds[1].beyond
+    unserved = np.zeros(size, dtype=np.int64)
+    special = demand > capacity
+    if remaining:
+        special |= failures > 0
+    for b in np.flatnonzero(special).tolist():
+        finished = [_finish(gen, p_e, int(kind.beyond[b]), remaining) for kind in kinds]
+        demand[b] += sum(int(more.sum()) for more, _ in finished)
+        failures[b] = sum(int(flags.sum()) for _, flags in finished)
+        if demand[b] > capacity:
+            failures[b], unserved[b] = _replay(gen, kinds, finished, b, capacity, policy)
+    return active + excess, failures, demand, unserved
+
+
+def _replay(
+    gen: np.random.Generator,
+    kinds: tuple[_Reports, _Reports],
+    finished: list[tuple[np.ndarray, np.ndarray]],
+    b: int,
+    capacity: int,
+    policy: SchedulerPolicy,
+) -> tuple[int, int]:
+    """Rebuild interval b's per-report state from its class counts and serve the pool.
+
+    Reports of one kind are exchangeable, so FIFO sees each kind in a
+    uniformly shuffled order, first reports ahead of excess ones; the random
+    policy's law does not depend on the order.
+    """
+    parts = [kind.classes(b, *done, preallocated)
+             for kind, done, preallocated in zip(kinds, finished, (1, 0))]
+    pending, flags, counts = (np.concatenate(column) for column in zip(*parts))
+    # a report done after its preallocated slot needs no pool; it fails only at the retry limit
+    idle = pending == 0
+    failures = int(counts[idle & flags].sum())
+    counts[idle] = 0
+    cls = np.repeat(np.arange(counts.size), counts)
+    if policy is SchedulerPolicy.FIFO:
+        split = int(counts[: parts[0][2].size].sum())
+        gen.shuffle(cls[:split])
+        gen.shuffle(cls[split:])
+    served, unserved = _serve_oversubscribed(gen, pending[cls], flags[cls], capacity, policy)
+    return failures + served, unserved
+
+
+def _blocks(
+    params: SystemParams,
+    runs: int,
+    seed: int,
+    capacity: int,
+    policy: SchedulerPolicy,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """`_draw_block` over `runs` intervals; block k draws from stream (seed, k)."""
+    for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
+        gen = RngStream(seed, index).generator
+        yield _draw_block(gen, params, min(BLOCK_INTERVALS, runs - start), capacity, policy)
 
 
 def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram:
     """Histogram of the shared-pool demand R over independent interval replays.
 
-    Replication i consumes stream (seed, i): per device draw the report
-    count, per report the truncated-geometric attempt count, and charge
-    everything beyond each active device's preallocated first transmission
-    to the pool.
+    The demands of `runs` intervals drawn as counts (see `_draw_block`)
+    against a pool no demand exceeds, so nothing is served; interval i lies
+    in block i // BLOCK_INTERVALS.
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs!r}")
-    demands = np.empty(runs, dtype=np.int64)
-    for i in range(runs):
-        n_active, _, attempts = _draw_interval(RngStream(seed, i).generator, params)
-        demands[i] = int(attempts.sum()) - n_active
+    blocks = _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
+    demands = np.concatenate([demand for _, _, demand, _ in blocks])
     low = int(demands.min())
     return DemandHistogram(counts=np.bincount(demands - low), offset=low)
 
@@ -182,23 +358,11 @@ def simulate_interval(
 
     Returns total reports, failed reports, the realized shared-pool demand,
     and how many of the failures were reports left unserved at pool end
-    (zero whenever demand fits the pool).
+    (zero whenever demand fits the pool).  The one-interval case of
+    `_draw_block`, drawn from `rng`.
     """
-    if capacity < 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    gen = rng.generator
-    n_active, fails, pending = _draw_interval(gen, params)
-    n_reports = fails.size
-    if n_reports == 0:
-        return IntervalResult(0, 0, 0, 0)
-    exhausted = fails >= params.max_attempts
-    # slots each report still needs from the shared pool
-    pending[:n_active] -= 1
-    demand = int(pending.sum())
-    if demand <= capacity:
-        return IntervalResult(n_reports, int(exhausted.sum()), demand, 0)
-    failures, unserved = _serve_oversubscribed(gen, pending, exhausted, capacity, policy)
-    return IntervalResult(n_reports, failures, demand, unserved)
+    results = _draw_block(rng.generator, params, 1, capacity, policy)
+    return IntervalResult(*(int(values[0]) for values in results))
 
 
 def _serve_oversubscribed(
@@ -249,17 +413,17 @@ def estimate_failure_prob(
 ) -> FailureEstimate:
     """Aggregate failure statistics over independent interval replays.
 
-    Interval i consumes its own stream (seed, i) and the reduction is a plain
-    ordered sum, so the estimate does not depend on execution interleaving.
+    Block k of BLOCK_INTERVALS intervals consumes its own stream (seed, k)
+    and the reduction is a plain ordered sum, so the estimate depends on
+    (seed, intervals) only.
     """
     if intervals < 1:
         raise ParameterError(f"intervals must be positive, got {intervals!r}")
     total = 0
     failed = 0
-    for i in range(intervals):
-        result = simulate_interval(params, capacity, policy, RngStream(seed, i))
-        total += result.reports
-        failed += result.failures
+    for reports, failures, _, _ in _blocks(params, intervals, seed, capacity, policy):
+        total += int(reports.sum())
+        failed += int(failures.sum())
     if total == 0:
         raise IndeterminateEstimateError(
             f"no reports generated over {intervals} intervals; estimate undefined"

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from m2mpool import cli
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
+from m2mpool.sim import MAX_LOAD
 
 
 def run_cli(args):
@@ -156,6 +159,16 @@ class TestSimulate:
         assert row["capacity"] == "30"
         assert row["policy"] == "fifo"
 
+    def test_near_certain_errors_and_huge_retry_limit_finish(self):
+        # a binomial attempt chain alone would run about 5e6 steps here
+        start = time.perf_counter()
+        code, _, _ = run_cli(
+            ["simulate", "--devices", "100", "--pe", "0.999999", "--max-attempts", "1000000000",
+             "--runs", "3"]
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 30.0
+
     @pytest.mark.parametrize("command", ["simulate", "validate-clt"])
     def test_retry_limit_beyond_int64_runs(self, command):
         code, _, _ = run_cli(
@@ -298,6 +311,65 @@ class TestArrivalLoad:
         code, out, _ = run_cli(["simulate", "--load", "2", "--runs", "5"])
         assert code == 0
         assert out.splitlines()[1].split(",")[-1] != ""  # the bound column is filled
+
+
+class TestSimulatedLoadLimit:
+    SIMULATING = [
+        ["simulate", "--runs", "5"],
+        ["validate-clt", "--runs", "5"],
+        ["sweep", "--sweep", "devices:100:200:100", "--runs", "5"],
+    ]
+
+    @pytest.mark.parametrize("args", SIMULATING, ids=lambda args: args[0])
+    def test_load_above_limit_is_usage_error(self, args, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("load=1e12\n")
+        out = tmp_path / "out.csv"
+        for route in (["--load", "1e12"], ["--config", str(cfg)]):
+            code, stdout, err = run_cli([*args, *route, "--out", str(out)])
+            assert (code, stdout) == (1, "")
+            assert err.startswith(f"m2mpool: error: load must be at most {MAX_LOAD:g}")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("args", SIMULATING, ids=lambda args: args[0])
+    def test_load_at_limit_runs(self, args):
+        assert run_cli([*args, "--devices", "10", "--load", f"{MAX_LOAD:g}"])[0] == 0
+
+    def test_limit_is_in_the_help(self):
+        text = " ".join(run_cli(["simulate", "--help"])[1].split())
+        assert f"at most {MAX_LOAD:g} to simulate" in text
+
+    def test_one_per_ri_ignores_the_load(self):
+        assert run_cli(["simulate", "--arrival", "one-per-ri", "--load", "1e12", "--runs", "2"])[0] == 0
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["simulate", "--devices", "50", "--policy", "fifo", "--capacity", "7", "--runs", "3"],
+        ["dimension"],
+        ["sweep", "--sweep", "devices:100:200:100", "--policy", "random", "--runs", "2"],
+        ["validate-clt", "--pe", "0.2", "--runs", "5"],
+        ["dimension", "--devices", "many"],
+        ["simulate", "--help"],
+        ["sweep", "--capacity", "5"],
+        ["simulate", "--runs", "2", "--devices", "20"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_match_fresh_parsers(self, monkeypatch):
+        reused = [run_cli(args) for args in self.SEQUENCE]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [run_cli(args) for args in self.SEQUENCE]
+        assert reused == fresh
+
+    def test_no_flag_leaks_into_the_next_call(self):
+        build_parser().parse_args(["simulate", "--devices", "5", "--policy", "fifo", "--capacity", "9"])
+        args = build_parser().parse_args(["dimension"])
+        assert vars(args) == vars(build_parser.__wrapped__().parse_args(["dimension"]))
+        assert args.devices is None and not hasattr(args, "policy") and not hasattr(args, "capacity")
 
 
 class TestUsage:

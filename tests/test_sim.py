@@ -28,7 +28,40 @@ from m2mpool import (
 )
 from m2mpool.sim import Z95
 
-from oracles import truncated_geometric_pmf
+from oracles import one_per_ri_demand_pmf, poisson_demand_pmf, truncated_geometric_pmf
+
+
+def exact_demand_law(device_pmf: dict[int, float], n_devices: int) -> np.ndarray:
+    """pmf of R, the sum of n independent device demands, by n-fold convolution."""
+    device = np.zeros(max(device_pmf) + 1)
+    for value, prob in device_pmf.items():
+        device[value] = prob
+    law = np.ones(1)
+    for _ in range(n_devices):
+        law = np.convolve(law, device)
+        law = law[: np.flatnonzero(law > 1e-30)[-1] + 1]  # drop the negligible upper tail
+    return law
+
+
+def pooled_chisquare_pvalue(hist: DemandHistogram, law: np.ndarray, least: float = 20.0) -> float:
+    """Chi-square p-value of a demand histogram against a pmf, adjacent values
+    pooled until each bin expects at least `least` counts."""
+    size = max(law.size, hist.offset + hist.counts.size)
+    observed = np.zeros(size)
+    observed[hist.values] = hist.counts
+    expected = np.zeros(size)
+    expected[: law.size] = law * hist.runs / law.sum()
+    bins_observed, bins_expected = [], []
+    o = e = 0.0
+    for oi, ei in zip(observed.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= least:
+            bins_observed.append(o)
+            bins_expected.append(e)
+            o = e = 0.0
+    bins_observed[-1] += o
+    bins_expected[-1] += e
+    return stats.chisquare(bins_observed, bins_expected).pvalue
 
 
 class TestSampleDemand:
@@ -65,6 +98,31 @@ class TestSampleDemand:
     def test_rejects_zero_runs(self):
         with pytest.raises(ParameterError):
             sample_demand(SystemParams(10, 0.1, 5), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "arrival,p_e,cap,seed",
+        [
+            pytest.param(PoissonPerRI(), 0.1, 10, 110, id="load1-pe0.1"),
+            pytest.param(PoissonPerRI(), 0.4, 10, 111, id="load1-pe0.4"),
+            pytest.param(PoissonPerRI(load=2.0), 0.1, 10, 112, id="load2-pe0.1"),
+            pytest.param(PoissonPerRI(load=2.0), 0.4, 10, 113, id="load2-pe0.4"),
+            # L beyond the binomial chain: reports still in flight get per-report draws
+            pytest.param(OnePerRI(), 0.97, 100, 114, id="one-per-ri-pe0.97-L100"),
+        ],
+    )
+    def test_histogram_matches_exact_law(self, arrival, p_e, cap, seed):
+        if isinstance(arrival, OnePerRI):
+            device = one_per_ri_demand_pmf(p_e, cap)
+        else:
+            device = poisson_demand_pmf(p_e, cap, load=arrival.load)
+        hist = sample_demand(SystemParams(100, p_e, cap, arrival), 100_000, seed=seed)
+        law = exact_demand_law(device, 100)
+        assert pooled_chisquare_pvalue(hist, law) > 0.001
+        # the pooled chi-square is weak against a small shift; the mean is not
+        values = np.arange(law.size)
+        mean = values @ law / law.sum()
+        std = math.sqrt((values - mean) ** 2 @ law / law.sum())
+        assert abs(hist.mean() - mean) <= 5.0 * std / math.sqrt(hist.runs)
 
 
 class TestKsDistance:
@@ -131,14 +189,13 @@ class TestSimulateInterval:
         assert saw_both_sides == {"fits", "overflows"}
 
     def test_attempt_distribution_through_the_engine(self):
-        # with one device, one report and an unbounded pool, demand + 1 is the
-        # report's served attempt count; it must follow the truncated geometric
+        # with one device and one report, demand + 1 is the report's attempt
+        # count; over 10^6 batched intervals it must follow the truncated geometric
         p_e, cap = 0.4, 8
         params = SystemParams(1, p_e, cap, OnePerRI())
+        hist = sample_demand(params, 1_000_000, seed=14)
         counts = np.zeros(cap + 1, dtype=np.int64)
-        for i in range(1_000_000):
-            result = simulate_interval(params, 10_000, SchedulerPolicy.FIFO, RngStream(14, i))
-            counts[result.common_demand + 1] += 1
+        counts[hist.values + 1] = hist.counts
         expected = np.array(truncated_geometric_pmf(p_e, cap)) * counts.sum()
         assert stats.chisquare(counts[1:], expected).pvalue > 0.001
 
@@ -190,11 +247,34 @@ class TestEstimateFailureProb:
             assert lo.p_hat <= hi.p_hat + fuzz
 
     def test_indeterminate_without_reports(self):
-        # seed frozen so the single unit-load device draws zero reports
+        # the single device reports with probability 1 - e^-1e-13 < 1e-12,
+        # so no stream layout draws a report
         with pytest.raises(IndeterminateEstimateError):
             estimate_failure_prob(
-                SystemParams(1, 0.1, 5, PoissonPerRI()), 10, SchedulerPolicy.FIFO, 1, seed=9
+                SystemParams(1, 0.1, 5, PoissonPerRI(load=1e-13)), 10, SchedulerPolicy.FIFO, 1, seed=9
             )
+
+    # at L=65 a report still in flight after the binomial chain has exactly one attempt left
+    @pytest.mark.parametrize("p_e,cap,seed", [(0.5, 4, 115), (0.95, 65, 116)])
+    def test_ample_capacity_fails_at_the_retry_limit(self, p_e, cap, seed):
+        # no interval overflows, so each report fails independently with p_e^L
+        estimate = estimate_failure_prob(
+            SystemParams(100, p_e, cap), 10**9, SchedulerPolicy.RANDOM_UNIFORM, 20_000, seed=seed
+        )
+        floor = p_e**cap
+        se = math.sqrt(floor * (1.0 - floor) / estimate.reports_total)
+        assert abs(estimate.p_hat - floor) <= 5.0 * se
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    def test_overloaded_pool_matches_reference(self, policy):
+        # N=1000, p_e=0.4, L=10, C=926 (mu - 2 sigma): about 98% of intervals
+        # overflow.  Reference p_hat from 1000 commands of 100 intervals each
+        # under the per-device engine, with the sd of one command's p_hat.
+        reference, sd_command, commands = 0.06547, 0.00293, 1_000
+        intervals = 5_000
+        estimate = estimate_failure_prob(SystemParams(1000, 0.4, 10), 926, policy, intervals, seed=117)
+        se = sd_command * math.sqrt(100 / intervals + 1 / commands)
+        assert abs(estimate.p_hat - reference) <= 5.0 * se
 
     def test_rejects_zero_intervals(self):
         with pytest.raises(ParameterError):
