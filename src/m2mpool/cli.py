@@ -35,7 +35,15 @@ from .errors import (
 )
 from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan
 from .numerics import q_function
-from .sim import MAX_LOAD, SchedulerPolicy, check_load, estimate_failure_prob, ks_distance, sample_demand
+from .sim import (
+    MAX_HISTOGRAM_WIDTH,
+    MAX_LOAD,
+    SchedulerPolicy,
+    check_simulable,
+    estimate_failure_prob,
+    ks_distance,
+    sample_demand,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +98,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="m2mpool", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, (_, command_help) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=command_help)
+        sub = commands.add_parser(command, help=command_help, description=command_help)
         for key, (convert, _, metavar, help_text) in _OPTIONS.items():
             if command not in _FLAG_COMMANDS.get(key, (command,)):
                 continue
@@ -168,8 +176,8 @@ class _Config:
         simulates = self.command in ("simulate", "validate-clt") or (
             self.command == "sweep" and self.runs > 0
         )
-        if simulates and self.arrival == "poisson":
-            check_load(self.load)
+        if simulates:
+            check_simulable(self.devices, self.load if self.arrival == "poisson" else None)
         if not (math.isfinite(self.ri_seconds) and self.ri_seconds <= _MAX_RI_SECONDS):
             raise ParameterError(
                 f"ri_seconds must be finite and at most {_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}"
@@ -263,10 +271,11 @@ def cmd_validate_clt(cfg: _Config) -> int:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
     header = ["pe", "value", "empirical_pdf", "empirical_cdf", "gaussian_pdf", "gaussian_cdf"]
+    all_params = [cfg.system_params(pe=pe) for pe in pe_values]
+    # every histogram is drawn, so its width is checked, before anything is said or built
+    hists = [sample_demand(params, cfg.runs, cfg.seed) for params in all_params]
     rows: list[list[str]] = []
-    for pe in pe_values:
-        params = cfg.system_params(pe=pe)
-        hist = sample_demand(params, cfg.runs, cfg.seed)
+    for pe, params, hist in zip(pe_values, all_params, hists):
         summary = demand_summary(params)
         distance = ks_distance(hist, summary)
         cfg.say(
@@ -366,7 +375,8 @@ def cmd_sweep(cfg: _Config) -> int:
 
 _COMMANDS = {
     "dimension": (cmd_dimension, "dimension the shared pool and lay it out"),
-    "validate-clt": (cmd_validate_clt, "compare sampled demand against its Gaussian model"),
+    "validate-clt": (cmd_validate_clt, "compare sampled demand against its Gaussian model "
+                     f"(one CSV row per demand value, at most {MAX_HISTOGRAM_WIDTH} per p_e)"),
     "simulate": (cmd_simulate, "estimate the empirical report-failure probability"),
     "sweep": (cmd_sweep, "dimension across a parameter range, one CSV row per point"),
 }

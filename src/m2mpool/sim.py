@@ -19,29 +19,48 @@ exhaustion.
 
 Implementation note: the engine draws counts, not devices or reports.  A
 block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
-(stream layout v2): the active devices are Bin(N, 1 - e^-load); the devices
+(stream layout v3): the active devices are Bin(N, 1 - e^-load); the devices
 with at least k + 1 reports are a binomial thinning of those with at least k,
 by P[U >= k+1 | U >= k]; and, for the first reports and the excess reports
 separately, the reports that make attempt j + 1 are Bin(those that made
 attempt j, p_e), with one more thinning at attempt L for the retry-limit
 failures.  Demand and retry-limit failures follow for the whole block at
-once, at a cost that does not grow with N.  Only an interval whose demand
-exceeds the pool rebuilds per-report state from these class counts and
-replays the slots; reports of one kind are exchangeable, so FIFO sees each
-kind shuffled, and the random policy's law does not depend on order.
-Fixing each report's attempt count before serving is distribution-identical
-to drawing a Bernoulli outcome per served slot because no scheduling
-decision ever depends on a future outcome.  Reports still in flight after
-_CHAIN_STEPS attempts get per-report geometric draws for the rest, which
-keeps the law (the geometric is memoryless) and the chain short when p_e is
-near 1.
+once, at a cost that does not grow with N.  Fixing each report's attempt
+count before serving is distribution-identical to drawing a Bernoulli
+outcome per served slot because no scheduling decision ever depends on a
+future outcome.  Reports still in flight after _CHAIN_STEPS attempts get
+per-report geometric draws for the rest, which keeps the law (the geometric
+is memoryless) and the chain short when p_e is near 1.
+
+Only an interval whose demand exceeds the pool is served, and it is served
+from its class table (pool slots needed, retry-limit flag, report count), in
+closed form rather than slot by slot:
+
+- FIFO serves the pending queue round robin: a report whose transmission
+  fails goes to the back, behind every report still waiting.  So after K
+  full rounds it has used sum_c n_c min(p_c, K) slots, and the pool ends
+  inside round K + 1 for the largest K at which that fits.  The s slots left
+  go to the first s reports in queue order among those needing more than K.
+  Reports of one kind are exchangeable and the queue holds the first reports
+  ahead of the excess ones, each kind in uniformly random order, so how many
+  of each kind's reports needing exactly K + 1 get one of those slots is a
+  hypergeometric draw (and, of those, how many carry the retry-limit flag,
+  another).  Every other report is served whole or not at all by then.
+- The random policy picks a uniformly random live report at each slot.  That
+  is the law of independent rate-1 exponential clocks, one per live report,
+  with a slot served at each ring: by memorylessness the next ring comes
+  from each live report with equal probability.  Report j rings p_j times,
+  at the partial sums of p_j standard exponentials, and the pool ends at the
+  C-th ring overall, so report j completes iff its last ring is among the
+  first C.  Exactly C rings are served even where ring times tie (such ties
+  go either way), and a report completes iff none of its rings is left out,
+  which keeps the count exact when two rings of one report tie.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -143,11 +162,25 @@ _CHAIN_STEPS = 64
 # largest Poisson load the engine draws: its tail table and excess-report
 # chain grow with the load, each about twice as long
 MAX_LOAD = 1_000.0
+# widest demand histogram `sample_demand` builds, in values (CSV rows of validate-clt)
+MAX_HISTOGRAM_WIDTH = 1_000_000
+# rings drawn in one pass of the random policy's clocks
+_RING_GROUP = 1 << 13
+# most rings the random policy draws for one overflowing interval (about
+# 64 MB of each float array), and fewest reports of one kind FIFO cannot
+# serve (numpy's hypergeometric takes populations below 10**9)
+_MAX_RINGS = 1 << 23
+_MAX_QUEUED = 10**9
+# largest device count the engine draws: numpy's binomial counts are int64
+MAX_DEVICES = _INT64_MAX
 
 
-def check_load(load: float) -> None:
-    """Reject a Poisson arrival load above what the engine simulates."""
-    if not load <= MAX_LOAD:
+def check_simulable(n_devices: int, load: float | None) -> None:
+    """Reject a device count, or a Poisson load (None: no Poisson arrivals),
+    beyond what the engine simulates."""
+    if n_devices > MAX_DEVICES:
+        raise ParameterError(f"devices must be at most {MAX_DEVICES} to simulate, got {n_devices!r}")
+    if load is not None and not load <= MAX_LOAD:
         raise ParameterError(f"load must be at most {MAX_LOAD:g} to simulate, got {load!r}")
 
 
@@ -160,7 +193,6 @@ def _excess_ratios(load: float) -> np.ndarray:
     the tails are summed from the top, where 1 - cdf would cancel.  The last
     ratio is 0: no device reports past the table.
     """
-    check_load(load)
     mode = int(load)
     below = [1.0]
     for k in range(mode, 0, -1):
@@ -196,19 +228,32 @@ class _Reports:
         self.attempts = self.reached.sum(axis=0)
 
     def classes(
-        self, b: int, more: np.ndarray, exhausted: np.ndarray, preallocated: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pool slots needed, retry-limit flag and report count of each class in interval b.
+        self,
+        cols: np.ndarray,
+        more: np.ndarray,
+        exhausted: np.ndarray,
+        tail: np.ndarray,
+        preallocated: int,
+    ) -> _Table:
+        """Class table of the intervals `cols`, one column each.
 
         One class per attempt count for the reports that succeeded within the
-        chain, one per report for the `beyond` ones (`more` attempts past the
-        chain each).
+        chain, then the `beyond` ones: ``tail[k]`` reports with ``more[k]``
+        attempts past the chain and retry-limit flag ``exhausted[k]``.
         """
-        col = self.reached[:, b]
-        attempts = np.concatenate([np.arange(1, col.size + 1), col.size + more])
-        counts = np.concatenate([col - np.append(col[1:], more.size), np.ones(more.size, np.int64)])
-        flags = np.concatenate([np.zeros(col.size, dtype=bool), exhausted])
-        return attempts - preallocated, flags, counts
+        reached = self.reached[:, cols]
+        steps = len(reached)
+        done = reached - np.vstack([reached[1:], self.beyond[cols]])
+        return (
+            np.concatenate([np.arange(1, steps + 1), steps + more]) - preallocated,
+            np.concatenate([np.zeros(steps, dtype=bool), exhausted]),
+            np.vstack([done, tail]),
+        )
+
+
+# (pool slots needed, retry-limit flag) of each class, and its report count
+# in each interval: one row per class, one column per interval
+_Table = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _finish(
@@ -233,17 +278,19 @@ def _draw_block(
     The stream yields, for the whole block: the active devices, the
     excess-report chain, the first reports' attempt chain, the excess
     reports' attempt chain.  Then, interval by interval, only where the chain
-    left reports in flight or the demand exceeds `capacity`: their
-    per-report draws, and the pool replay.
+    left reports in flight: their per-report draws, and the pool service if
+    the demand exceeds `capacity`.  Last, the pool service of every other
+    interval whose demand exceeds `capacity`, all at once.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    load = None if isinstance(params.arrival, OnePerRI) else params.arrival.load
+    check_simulable(params.n_devices, load)
     p_e = params.p_e
     excess = np.zeros(size, dtype=np.int64)
-    if isinstance(params.arrival, OnePerRI):
+    if load is None:
         active = np.full(size, params.n_devices, dtype=np.int64)
     else:
-        load = params.arrival.load
         ratios = _excess_ratios(load).tolist()
         active = gen.binomial(params.n_devices, -math.expm1(-load), size)
         # devices with at least k + 1 reports, thinned from those with at least k
@@ -260,46 +307,148 @@ def _draw_block(
     demand = kinds[0].attempts - active + kinds[1].attempts
     failures = kinds[0].beyond + kinds[1].beyond
     unserved = np.zeros(size, dtype=np.int64)
-    special = demand > capacity
-    if remaining:
-        special |= failures > 0
-    for b in np.flatnonzero(special).tolist():
+    in_flight = np.flatnonzero(failures) if remaining else np.empty(0, dtype=np.int64)
+    for b in in_flight.tolist():
         finished = [_finish(gen, p_e, int(kind.beyond[b]), remaining) for kind in kinds]
         demand[b] += sum(int(more.sum()) for more, _ in finished)
         failures[b] = sum(int(flags.sum()) for _, flags in finished)
         if demand[b] > capacity:
-            failures[b], unserved[b] = _replay(gen, kinds, finished, b, capacity, policy)
+            tables = [kind.classes([b], more, flags, np.ones((more.size, 1), dtype=np.int64), pre)
+                      for kind, (more, flags), pre in zip(kinds, finished, (1, 0))]
+            failures[b : b + 1], unserved[b : b + 1] = _serve(gen, *tables, capacity, policy)
+    over = demand > capacity
+    over[in_flight] = False
+    cols = np.flatnonzero(over)
+    if cols.size:
+        # none of these has reports in flight: the `beyond` ones are exhausted at attempt L
+        at_limit = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+        tables = [kind.classes(cols, *at_limit, kind.beyond[None, cols], pre)
+                  for kind, pre in zip(kinds, (1, 0))]
+        failures[cols], unserved[cols] = _serve(gen, *tables, capacity, policy)
     return active + excess, failures, demand, unserved
 
 
-def _replay(
+def _serve(
     gen: np.random.Generator,
-    kinds: tuple[_Reports, _Reports],
-    finished: list[tuple[np.ndarray, np.ndarray]],
-    b: int,
+    first: _Table,
+    excess: _Table,
     capacity: int,
     policy: SchedulerPolicy,
-) -> tuple[int, int]:
-    """Rebuild interval b's per-report state from its class counts and serve the pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Failures and unserved reports of each interval of a class table whose
+    demand exceeds `capacity`, the first reports' classes ahead of the excess
+    reports'.
 
-    Reports of one kind are exchangeable, so FIFO sees each kind in a
-    uniformly shuffled order, first reports ahead of excess ones; the random
-    policy's law does not depend on the order.
+    A report fails if it is flagged or left unserved; a report done after
+    its preallocated slot needs no pool, and fails only if flagged.
     """
-    parts = [kind.classes(b, *done, preallocated)
-             for kind, done, preallocated in zip(kinds, finished, (1, 0))]
-    pending, flags, counts = (np.concatenate(column) for column in zip(*parts))
-    # a report done after its preallocated slot needs no pool; it fails only at the retry limit
-    idle = pending == 0
-    failures = int(counts[idle & flags].sum())
-    counts[idle] = 0
-    cls = np.repeat(np.arange(counts.size), counts)
+    pending, flags, counts = (np.concatenate(column) for column in zip(first, excess))
     if policy is SchedulerPolicy.FIFO:
-        split = int(counts[: parts[0][2].size].sum())
-        gen.shuffle(cls[:split])
-        gen.shuffle(cls[split:])
-    served, unserved = _serve_oversubscribed(gen, pending[cls], flags[cls], capacity, policy)
-    return failures + served, unserved
+        unserved, unflagged = _fifo_unserved(gen, pending, flags, counts, first[0].size, capacity)
+    elif policy is SchedulerPolicy.RANDOM_UNIFORM:
+        unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
+    else:
+        raise ParameterError(f"unknown scheduler policy: {policy!r}")
+    return counts[flags].sum(axis=0) + unflagged, unserved
+
+
+def _fifo_unserved(
+    gen: np.random.Generator,
+    pending: np.ndarray,
+    flags: np.ndarray,
+    counts: np.ndarray,
+    split: int,
+    capacity: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved reports, and how many of them carry no flag, under FIFO.
+
+    Classes before `split` are first reports, queued ahead of the rest.
+    """
+    order = np.argsort(pending, kind="stable")
+    # an empty class needing no slot first, so that K = 0 is always a candidate
+    slots = np.append(0, pending[order])[:, None]
+    sorted_counts = np.vstack([np.zeros_like(counts[:1]), counts[order]])
+    later = sorted_counts[::-1].cumsum(axis=0)[::-1] - sorted_counts
+    # slots used by as many full rounds as the class at each row needs
+    used = (sorted_counts * slots).cumsum(axis=0) + slots * later
+    row = (used <= capacity).sum(axis=0) - 1
+    col = np.arange(counts.shape[1])
+    # reports needing more than `rounds` share the `left` slots of the last round
+    spare, waiting = capacity - used[row, col], later[row, col]
+    rounds = slots[row, 0] + spare // waiting
+    left = spare % waiting
+    queued = counts * (pending[:, None] > rounds)
+    last = queued * (pending[:, None] == rounds + 1)
+    # per kind (first, then excess): the reports queued for the last round,
+    # those it completes if they get a slot, and the flagged ones among these
+    queued_kinds, last_kinds, flagged_kinds = (
+        np.stack([part[:split].sum(axis=0), part[split:].sum(axis=0)])
+        for part in (queued, last, last * flags[:, None])
+    )
+    if queued_kinds.max() >= _MAX_QUEUED:
+        raise ParameterError(
+            f"an overflowing interval queues {queued_kinds.max()} reports of one kind, "
+            f"FIFO serves fewer than {_MAX_QUEUED}"
+        )
+    taken_first = np.minimum(left, queued_kinds[0])
+    completed = gen.hypergeometric(last_kinds, queued_kinds - last_kinds,
+                                   np.stack([taken_first, left - taken_first]))
+    completed_flagged = gen.hypergeometric(flagged_kinds, last_kinds - flagged_kinds, completed)
+    unserved = queued.sum(axis=0) - completed.sum(axis=0)
+    unflagged = queued[~flags].sum(axis=0) - (completed - completed_flagged).sum(axis=0)
+    return unserved, unflagged
+
+
+def _random_unserved(
+    gen: np.random.Generator,
+    pending: np.ndarray,
+    flags: np.ndarray,
+    counts: np.ndarray,
+    capacity: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved reports, and how many of them carry no flag, under the random policy."""
+    live = pending > 0
+    pending, flags, counts = pending[live], flags[live], counts[live]
+    if capacity == 0:
+        return counts.sum(axis=0), counts[~flags].sum(axis=0)
+    # a report's rings past the pool's last slot are never served, so each
+    # report rings at most capacity + 1 times, and one that would ring more
+    # stays unserved as it should
+    pending = np.minimum(pending, capacity + 1)
+    demand = pending @ counts
+    if demand.max() > _MAX_RINGS:
+        raise ParameterError(
+            f"an overflowing interval needs {demand.max()} rings under the random policy, "
+            f"more than the {_MAX_RINGS} it may draw"
+        )
+    unserved = np.empty(counts.shape[1], dtype=np.int64)
+    unflagged = np.empty(counts.shape[1], dtype=np.int64)
+    # intervals in groups of about _RING_GROUP rings, which bounds the memory of one pass
+    group = (np.cumsum(demand) - demand) // _RING_GROUP
+    for cols in np.split(np.arange(demand.size), np.flatnonzero(np.diff(group)) + 1):
+        # reports interval by interval, class by class; rings report by report
+        reports = counts[:, cols].T.ravel()
+        rings = np.repeat(np.tile(pending, cols.size), reports)
+        ends = np.cumsum(rings)
+        times = gen.standard_exponential(int(ends[-1]))
+        np.cumsum(times, out=times)
+        # each report's ring times: the clock since the ring before its first
+        since = times[ends - rings - 1]
+        since[0] = 0.0
+        times -= np.repeat(since, rings)
+        bounds = np.cumsum(demand[cols])
+        # the rings after the first `capacity` of each interval; ties go either way
+        late = np.concatenate([low + np.argpartition(times[low:high], capacity - 1)[capacity:]
+                               for low, high in zip((bounds - demand[cols]).tolist(), bounds.tolist())])
+        # a report is unserved iff any of its rings is late; asking that of every
+        # ring, not just its last, stays exact when rings of one report tie
+        left = np.zeros(rings.size, dtype=bool)
+        left[np.searchsorted(ends, late, side="right")] = True
+        per_interval = counts[:, cols].sum(axis=0)
+        firsts = np.cumsum(per_interval) - per_interval
+        unserved[cols] = np.add.reduceat(left, firsts)
+        unflagged[cols] = np.add.reduceat(left & ~np.repeat(np.tile(flags, cols.size), reports), firsts)
+    return unserved, unflagged
 
 
 def _blocks(
@@ -320,13 +469,20 @@ def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram
 
     The demands of `runs` intervals drawn as counts (see `_draw_block`)
     against a pool no demand exceeds, so nothing is served; interval i lies
-    in block i // BLOCK_INTERVALS.
+    in block i // BLOCK_INTERVALS.  Demands spread over more than
+    MAX_HISTOGRAM_WIDTH values are refused before the histogram is built.
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs!r}")
     blocks = _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
     demands = np.concatenate([demand for _, _, demand, _ in blocks])
     low = int(demands.min())
+    width = int(demands.max()) - low + 1
+    if width > MAX_HISTOGRAM_WIDTH:
+        raise ParameterError(
+            f"sampled demand at p_e={params.p_e:g} spans {width} values, "
+            f"more than the {MAX_HISTOGRAM_WIDTH} a histogram may hold"
+        )
     return DemandHistogram(counts=np.bincount(demands - low), offset=low)
 
 
@@ -363,45 +519,6 @@ def simulate_interval(
     """
     results = _draw_block(rng.generator, params, 1, capacity, policy)
     return IntervalResult(*(int(values[0]) for values in results))
-
-
-def _serve_oversubscribed(
-    gen: np.random.Generator,
-    pending: np.ndarray,
-    exhausted: np.ndarray,
-    capacity: int,
-    policy: SchedulerPolicy,
-) -> tuple[int, int]:
-    """Serve exactly `capacity` slots of a pool with more work than slots."""
-    live = np.flatnonzero(pending)
-    # reports already complete after the preallocated slot fail only at the retry limit
-    failures = int(exhausted[pending == 0].sum())
-    remaining = pending[live].tolist()
-    flags = exhausted[live].tolist()
-    if policy is SchedulerPolicy.RANDOM_UNIFORM:
-        count = len(remaining)
-        picks = gen.random(capacity)
-        for t in range(capacity):
-            j = int(picks[t] * count)
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                if flags[j]:
-                    failures += 1
-                count -= 1
-                remaining[j] = remaining[count]
-                flags[j] = flags[count]
-        return failures + count, count
-    if policy is SchedulerPolicy.FIFO:
-        queue = deque(zip(remaining, flags))
-        for _ in range(capacity):
-            left, flag = queue.popleft()
-            if left == 1:
-                if flag:
-                    failures += 1
-            else:
-                queue.append((left - 1, flag))
-        return failures + len(queue), len(queue)
-    raise ParameterError(f"unknown scheduler policy: {policy!r}")
 
 
 def estimate_failure_prob(

@@ -6,6 +6,8 @@ closed-form result is checked against.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import mpmath
@@ -64,3 +66,72 @@ def pmf_moments(pmf: dict[int, float]) -> tuple[float, float]:
     mean = sum(value * prob for value, prob in pmf.items())
     var = sum((value - mean) ** 2 * prob for value, prob in pmf.items())
     return mean, var
+
+
+def serve_slots(
+    pending: list[int], exhausted: list[bool], capacity: int, policy: str, rng=None
+) -> tuple[int, int]:
+    """(failures, unserved) of a pool served slot by slot, one pending
+    transmission per slot for `capacity` slots.
+
+    `policy` is "fifo" (round robin in the given order: a report with
+    transmissions left goes to the back of the queue) or "random" (each slot
+    serves a uniformly random live report; `rng` is a numpy Generator).  A
+    report fails when it is left unserved, or when it completes with its
+    retry-limit flag set; a report pending nothing needs no slot.
+    """
+    failures = sum(flag for left, flag in zip(pending, exhausted) if left == 0)
+    live = [[left, flag] for left, flag in zip(pending, exhausted) if left > 0]
+    for _ in range(capacity):
+        if not live:
+            break
+        index = 0 if policy == "fifo" else int(rng.integers(len(live)))
+        report = live.pop(index)
+        report[0] -= 1
+        if report[0]:
+            live.insert(len(live) if policy == "fifo" else index, report)
+        else:
+            failures += report[1]
+    return failures + len(live), len(live)
+
+
+def fifo_law(
+    first: list[tuple[int, bool]], excess: list[tuple[int, bool]], capacity: int
+) -> dict[tuple[int, int], float]:
+    """Exact law of (failures, unserved) under FIFO, by enumerating every
+    within-kind order (each kind uniformly shuffled, first reports ahead).
+
+    Reports are (pending transmissions, retry-limit flag) pairs.
+    """
+    law: dict[tuple[int, int], float] = {}
+    orders = list(itertools.product(itertools.permutations(first), itertools.permutations(excess)))
+    for head, tail in orders:
+        queue = list(head) + list(tail)
+        outcome = serve_slots([p for p, _ in queue], [f for _, f in queue], capacity, "fifo")
+        law[outcome] = law.get(outcome, 0.0) + 1.0 / len(orders)
+    return law
+
+
+def random_law(reports: list[tuple[int, bool]], capacity: int) -> dict[tuple[int, int], float]:
+    """Exact law of (failures, unserved) under the random policy, by recursion
+    over the multiset of live reports and the slots left."""
+
+    @functools.lru_cache(maxsize=None)
+    def law(live: tuple[tuple[int, bool], ...], slots: int) -> dict[tuple[int, int], float]:
+        if not live or slots == 0:
+            return {(len(live), len(live)): 1.0}
+        result: dict[tuple[int, int], float] = {}
+        for index, (left, flag) in enumerate(live):
+            rest = live[:index] + live[index + 1:]
+            done = int(flag) if left == 1 else 0
+            if left > 1:
+                rest = tuple(sorted(rest + ((left - 1, flag),)))
+            for (failures, unserved), prob in law(rest, slots - 1).items():
+                key = (failures + done, unserved)
+                result[key] = result.get(key, 0.0) + prob / len(live)
+        return result
+
+    idle_failures = sum(flag for left, flag in reports if left == 0)
+    live = tuple(sorted((left, flag) for left, flag in reports if left > 0))
+    return {(failures + idle_failures, unserved): prob
+            for (failures, unserved), prob in law(live, capacity).items()}

@@ -11,7 +11,7 @@ import pytest
 
 from m2mpool import cli
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
-from m2mpool.sim import MAX_LOAD
+from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD
 
 
 def run_cli(args):
@@ -165,6 +165,17 @@ class TestSimulate:
         code, _, _ = run_cli(
             ["simulate", "--devices", "100", "--pe", "0.999999", "--max-attempts", "1000000000",
              "--runs", "3"]
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("policy", ["random", "fifo"])
+    def test_huge_pending_against_a_small_pool_finishes(self, policy):
+        # reports needing about 10^6 pool slots each, against 1000 slots
+        start = time.perf_counter()
+        code, _, _ = run_cli(
+            ["simulate", "--devices", "100", "--pe", "0.999999", "--max-attempts", "1000000000",
+             "--capacity", "1000", "--runs", "3", "--policy", policy]
         )
         assert code == 0
         assert time.perf_counter() - start < 30.0
@@ -342,6 +353,46 @@ class TestSimulatedLoadLimit:
 
     def test_one_per_ri_ignores_the_load(self):
         assert run_cli(["simulate", "--arrival", "one-per-ri", "--load", "1e12", "--runs", "2"])[0] == 0
+
+
+class TestSimulatedDeviceLimit:
+    SIMULATING = [
+        ["simulate", "--runs", "5"],
+        ["validate-clt", "--runs", "5"],
+        ["sweep", "--sweep", "report-bytes:100:200:100", "--runs", "5"],
+    ]
+
+    @pytest.mark.parametrize("args", SIMULATING, ids=lambda args: args[0])
+    def test_devices_beyond_int64_is_usage_error(self, args, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("devices=300000000000000000000000\n")
+        out = tmp_path / "out.csv"
+        for route in (["--devices", "300000000000000000000000"], ["--config", str(cfg)]):
+            code, stdout, err = run_cli([*args, *route, "--out", str(out)])
+            assert (code, stdout) == (1, "")
+            assert err == (f"m2mpool: error: devices must be at most {MAX_DEVICES} to simulate, "
+                           "got 300000000000000000000000\n")
+            assert not out.exists()
+
+
+class TestHistogramWidthLimit:
+    def test_wide_histogram_is_refused_quickly(self, tmp_path):
+        # about 9.6 million demand values wide: the rows alone would take gigabytes
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["validate-clt", "--pe", "0.999999", "--max-attempts", "1000000000", "--runs", "3",
+             "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (code, stdout) == (1, "")
+        assert err.startswith("m2mpool: error: sampled demand at p_e=0.999999 spans ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_limit_is_in_the_help(self):
+        text = " ".join(run_cli(["validate-clt", "--help"])[1].split())
+        assert f"at most {MAX_HISTOGRAM_WIDTH} per p_e" in text
 
 
 class TestParserReuse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -26,9 +27,16 @@ from m2mpool import (
     simulate_interval,
     wilson_interval,
 )
-from m2mpool.sim import Z95
+from m2mpool.sim import Z95, _serve
 
-from oracles import one_per_ri_demand_pmf, poisson_demand_pmf, truncated_geometric_pmf
+from oracles import (
+    fifo_law,
+    one_per_ri_demand_pmf,
+    poisson_demand_pmf,
+    random_law,
+    serve_slots,
+    truncated_geometric_pmf,
+)
 
 
 def exact_demand_law(device_pmf: dict[int, float], n_devices: int) -> np.ndarray:
@@ -279,6 +287,175 @@ class TestEstimateFailureProb:
     def test_rejects_zero_intervals(self):
         with pytest.raises(ParameterError):
             estimate_failure_prob(SystemParams(10, 0.1, 5), 10, SchedulerPolicy.FIFO, 0, seed=1)
+
+
+def class_table(reports: list[tuple[int, bool]], columns: int = 1):
+    """Class table (pending, flags, counts) of per-report (pending, flag) pairs, repeated over columns."""
+    classes = collections.Counter(reports)
+    keys = sorted(classes)
+    return (
+        np.array([p for p, _ in keys], dtype=np.int64),
+        np.array([f for _, f in keys], dtype=bool),
+        np.array([[classes[k]] * columns for k in keys], dtype=np.int64).reshape(len(keys), columns),
+    )
+
+
+def law_pvalue(outcomes, law: dict[tuple[int, int], float]) -> float:
+    """Chi-square p-value of observed (failures, unserved) pairs against an
+    exact law; outcomes expecting fewer than 5 draws share one bin, which is
+    folded into the smallest other bin if it still expects fewer than 5."""
+    observed = collections.Counter(outcomes)
+    assert set(observed) <= {k for k, p in law.items() if p > 0}, "an outcome the law rules out"
+    n = sum(observed.values())
+    keys = sorted(law, key=law.get, reverse=True)
+    big = [k for k in keys if law[k] * n >= 5]
+    bins_observed = [observed[k] for k in big]
+    bins_expected = [law[k] * n for k in big]
+    rest_observed, rest_expected = n - sum(bins_observed), n - sum(bins_expected)
+    if rest_expected >= 5:
+        bins_observed.append(rest_observed)
+        bins_expected.append(rest_expected)
+    elif bins_observed:
+        bins_observed[-1] += rest_observed
+        bins_expected[-1] += rest_expected
+    if len(bins_observed) < 2:
+        return 1.0  # one outcome carries the law; the support check above decides
+    return stats.chisquare(bins_observed, bins_expected).pvalue
+
+
+# (first reports, excess reports, capacities): each report is (pool slots
+# needed, retry-limit flag); a first report needing 0 slots was done after
+# its preallocated slot
+SERVING_CASES = [
+    ([(1, False), (2, False), (3, False)], [(1, False), (2, False)], [2, 4, 6]),
+    ([(0, True), (2, False), (2, True), (1, False)], [(2, False), (3, True)], [1, 6, 8]),
+    ([], [(1, False), (1, True), (2, False), (2, True), (3, False), (1, False)], [2, 3, 7]),
+    ([(2, False), (2, False), (2, True), (3, False), (1, True), (0, False)], [], [4, 7]),
+    ([(1, False), (2, False), (2, True), (3, True)], [(2, False), (3, False)], [7, 10]),
+    ([(0, True), (2, False), (2, True), (3, False)], [(2, False), (2, True), (4, False)], [7, 11]),
+    ([(3, False), (3, True)], [(3, False), (3, True), (1, False)], [3, 12]),
+    # reports needing more slots than the pool holds
+    ([(5, False), (1, False), (2, True)], [(4, True), (1, False)], [2, 4]),
+]
+SERVING_PARAMS = [
+    pytest.param(first, excess, capacity, 200 + 10 * i + capacity, id=f"case{i}-C{capacity}")
+    for i, (first, excess, capacities) in enumerate(SERVING_CASES)
+    for capacity in capacities
+]
+DRAWS = 10_000
+
+
+def exact_law(policy: SchedulerPolicy, first, excess, capacity):
+    if policy is SchedulerPolicy.FIFO:
+        return fifo_law(first, excess, capacity)
+    return random_law(first + excess, capacity)
+
+
+class TestServingRules:
+    """The closed-form serving rules against the exact law of the slot-by-slot pool."""
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    @pytest.mark.parametrize("first,excess,capacity,seed", SERVING_PARAMS)
+    def test_closed_form_follows_the_exact_law(self, policy, first, excess, capacity, seed):
+        failures, unserved = _serve(
+            RngStream(seed, 0 if policy is SchedulerPolicy.FIFO else 1).generator,
+            class_table(first, DRAWS), class_table(excess, DRAWS), capacity, policy,
+        )
+        law = exact_law(policy, first, excess, capacity)
+        assert law_pvalue(zip(failures.tolist(), unserved.tolist()), law) > 0.001
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    @pytest.mark.parametrize("first,excess,capacity,seed", SERVING_PARAMS[::3])
+    def test_slot_loop_follows_the_exact_law(self, policy, first, excess, capacity, seed):
+        # ties the enumeration and the recursion to the slot-by-slot reference
+        gen = RngStream(seed, 2).generator
+        outcomes = []
+        for _ in range(DRAWS):
+            if policy is SchedulerPolicy.FIFO:
+                queue = [first[i] for i in gen.permutation(len(first))]
+                queue += [excess[i] for i in gen.permutation(len(excess))]
+            else:
+                queue = first + excess
+            outcomes.append(serve_slots([p for p, _ in queue], [f for _, f in queue],
+                                        capacity, policy.value, gen))
+        assert law_pvalue(outcomes, exact_law(policy, first, excess, capacity)) > 0.001
+
+    @pytest.mark.parametrize("kind", ["first", "excess"])
+    def test_fifo_leaves_the_round_robin_remainder(self, kind):
+        # n reports needing r slots each: C // n full rounds, then C % n of
+        # them get one more slot, which completes them only if r = C // n + 1
+        gen = RngStream(301, 0).generator
+        for n in range(1, 8):
+            for r in range(1, 6):
+                table, empty = class_table([(r, False)] * n), class_table([])
+                tables = (table, empty) if kind == "first" else (empty, table)
+                for capacity in range(n * r):
+                    expected = n - capacity % n if capacity // n == r - 1 else n
+                    failures, unserved = _serve(gen, *tables, capacity, SchedulerPolicy.FIFO)
+                    assert (failures.tolist(), unserved.tolist()) == ([expected], [expected])
+                    assert serve_slots([r] * n, [False] * n, capacity, "fifo") == (expected, expected)
+
+    def test_tied_clocks_serve_exactly_capacity_rings(self):
+        # clocks that all tick 1 apart ring in rounds: ring k of every report
+        # ties at time k, so exactly `capacity` rings leave the round robin count
+        class TiedClocks:
+            def standard_exponential(self, size):
+                return np.ones(size)
+
+        cases = [(n, r, capacity) for n in range(1, 6) for r in range(1, 5) for capacity in range(n * r)]
+        # long reports, most of them needing more rings than the pool has slots
+        cases += [(3, 300, capacity) for capacity in (0, 1, 598, 599, 600, 601, 897, 898, 899)]
+        for n, r, capacity in cases:
+            expected = n - capacity % n if capacity // n == r - 1 else n
+            _, unserved = _serve(TiedClocks(), class_table([(r, False)] * n, 3), class_table([], 3),
+                                 capacity, SchedulerPolicy.RANDOM_UNIFORM)
+            assert unserved.tolist() == [expected] * 3
+
+    def test_tied_rings_of_one_report(self):
+        # report A rings twice at time 2 (its second clock step is 0), B once
+        # at 2, and two more reports once at 1; three slots serve two of the
+        # three rings at time 2, so A completes only if both of its own do
+        class Clocks:
+            def standard_exponential(self, size):
+                return np.array([2.0, 0.0, 2.0, 1.0, 1.0])
+
+        table = (np.array([2, 1, 1]), np.array([False, True, False]), np.array([[1], [1], [2]]))
+        failures, unserved = _serve(Clocks(), table, class_table([]), 3, SchedulerPolicy.RANDOM_UNIFORM)
+        # B (flagged) fails either way; A fails unless both its rings are served
+        assert (failures.tolist(), unserved.tolist()) in [([2], [1]), ([2], [2])]
+
+    @pytest.mark.parametrize("policy,reports", [
+        (SchedulerPolicy.RANDOM_UNIFORM, 3),  # 3 * 2**22 rings
+        (SchedulerPolicy.FIFO, 10**9),  # beyond numpy's hypergeometric
+    ])
+    def test_oversized_interval_is_refused_before_drawing(self, policy, reports):
+        capacity = 2**22 if policy is SchedulerPolicy.RANDOM_UNIFORM else 10**9
+        table = (np.array([2**22]), np.array([False]), np.array([[reports]]))
+        with pytest.raises(ParameterError, match="an overflowing interval"):
+            _serve(None, table, class_table([]), capacity, policy)
+
+
+class TestOverflowBeyondTheChain:
+    """Overflowing intervals whose reports outlast the binomial chain are served
+    one at a time, after per-report draws; the slot loop over directly drawn
+    attempt counts is the reference."""
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    def test_engine_matches_the_slot_loop(self, policy):
+        n_devices, p_e, cap, capacity, intervals = 20, 0.97, 100, 500, 2_000
+        gen = RngStream(400, 0).generator
+        failures = []
+        for _ in range(intervals):
+            trials = gen.geometric(1.0 - p_e, n_devices)  # attempts up to the first success
+            pending = (np.minimum(trials, cap) - 1).tolist()
+            failures.append(serve_slots(pending, (trials > cap).tolist(), capacity, policy.value, gen)[0])
+        reference = np.mean(failures) / n_devices
+        estimate = estimate_failure_prob(
+            SystemParams(n_devices, p_e, cap, OnePerRI()), capacity, policy, intervals, seed=401
+        )
+        se = np.std(failures) / n_devices * math.sqrt(2.0 / intervals)
+        assert 0.05 < reference < 0.95  # the pool, not the retry limit, decides most failures
+        assert abs(estimate.p_hat - reference) <= 5.0 * se
 
 
 class TestWilsonInterval:
