@@ -344,20 +344,27 @@ def cmd_sweep(cfg: _Config) -> int:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
     header = ["N", "rs_bytes", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C",
               "fraction", "p_hat", "ci_high"]
+    # each step is recomputed only when its input changes, so what the swept
+    # value leaves alone (the LTE profile across devices; the dimensioning
+    # and the simulation across report sizes) is computed at the first point
+    # only, and errors still surface in the per-point order
+    last = functools.lru_cache(maxsize=1)
+    params_for = last(lambda devices: cfg.system_params(devices=devices))
+    profile_for = last(lambda size: cfg.lte_profile(report_bytes=size))
+    dimensioned = last(lambda params: (demand_summary(params), dimension_capacity(params)))
+    simulated = last(lambda params, capacity: estimate_failure_prob(
+        params, capacity, SchedulerPolicy(cfg.policy), cfg.runs, cfg.seed))
     rows: list[list[str]] = []
     for value in range(start, stop + 1, step):
         devices = value if var == "devices" else None
         report_bytes = value if var == "report-bytes" else None
-        params = cfg.system_params(devices=devices)
-        profile = cfg.lte_profile(report_bytes=report_bytes)
-        summary = demand_summary(params)
-        capacity = dimension_capacity(params)
+        params = params_for(devices)
+        profile = profile_for(report_bytes)
+        summary, capacity = dimensioned(params)
         plan = build_pool_plan(params, profile, capacity)
         p_hat_text = ci_high_text = ""
         if cfg.runs > 0:
-            estimate = estimate_failure_prob(
-                params, capacity, SchedulerPolicy(cfg.policy), cfg.runs, cfg.seed
-            )
+            estimate = simulated(params, capacity)
             p_hat_text = _fmt(estimate.p_hat)
             ci_high_text = _fmt(estimate.ci_high)
         rows.append([

@@ -173,15 +173,31 @@ _MAX_RINGS = 1 << 23
 _MAX_QUEUED = 10**9
 # largest device count the engine draws: numpy's binomial counts are int64
 MAX_DEVICES = _INT64_MAX
+# largest mean report count per interval, N x load (N for one report per
+# interval), the engine draws.  Its int64 sums reach at most 64 times an
+# interval's reports (the attempts of one kind drawn along the chain) and
+# BLOCK_INTERVALS = 1000 times them (a block's report and failure sums),
+# so every interval needs fewer than 2**63 / 1000, about 9.2e15, reports.
+# An interval's reports are at most Poisson(N x load) (the excess chain
+# truncates it).  With the mean at most 1e15, 9.2e15 is at least 9.2 times
+# the mean, and the Chernoff bound puts the tail beyond it below
+# exp(-1e16); a block sum at the mean is at most 1e18.
+MAX_MEAN_REPORTS = 10**15
 
 
 def check_simulable(n_devices: int, load: float | None) -> None:
-    """Reject a device count, or a Poisson load (None: no Poisson arrivals),
-    beyond what the engine simulates."""
+    """Reject a device count, a Poisson load (None: no Poisson arrivals), or
+    their product, beyond what the engine simulates."""
     if n_devices > MAX_DEVICES:
         raise ParameterError(f"devices must be at most {MAX_DEVICES} to simulate, got {n_devices!r}")
     if load is not None and not load <= MAX_LOAD:
         raise ParameterError(f"load must be at most {MAX_LOAD:g} to simulate, got {load!r}")
+    load = 1.0 if load is None else load
+    if n_devices * load > MAX_MEAN_REPORTS:
+        raise ParameterError(
+            f"devices x load must be at most {MAX_MEAN_REPORTS:g} reports per interval "
+            f"to simulate, got {n_devices} x {load:g}"
+        )
 
 
 @lru_cache(maxsize=64)

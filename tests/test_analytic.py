@@ -234,3 +234,44 @@ class TestDimensionCapacity:
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
             dimension_capacity(SystemParams(100, 0.4, 2, target_failure=1e-3))
+
+
+def smallest_feasible_capacity(params):
+    """Smallest C with failure_bound(C) <= eps, by integer bisection on [0, ceil(mu + 50 sigma)]."""
+    summary = demand_summary(params)
+    eps = params.target_failure
+
+    def meets(c):
+        return failure_bound(c, summary, params.p_e, params.max_attempts) <= eps
+
+    low, high = -1, math.ceil(summary.mean + 50.0 * summary.std)
+    assert meets(high)
+    while high - low > 1:  # meets(high) and, for low >= 0, not meets(low)
+        mid = (low + high) // 2
+        if meets(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+@st.composite
+def dimensionable(draw):
+    p_e = draw(st.floats(min_value=0.0, max_value=0.95))
+    cap = draw(st.integers(min_value=1, max_value=64))
+    floor = p_e**cap
+    # a target strictly above the floor p_e^L, so some capacity reaches it
+    eps = floor + (1.0 - floor) * 10.0 ** draw(st.floats(min_value=-12.0, max_value=-0.01))
+    arrival = draw(st.one_of(
+        st.just(OnePerRI()),
+        st.floats(min_value=1e-3, max_value=1e3).map(PoissonPerRI),
+    ))
+    devices = draw(st.integers(min_value=1, max_value=10**9))
+    return SystemParams(devices, p_e, cap, arrival, target_failure=eps)
+
+
+class TestDimensionCapacityOracle:
+    @given(dimensionable())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_bisection_of_the_failure_bound(self, params):
+        assert dimension_capacity(params) == smallest_feasible_capacity(params)

@@ -11,7 +11,7 @@ import pytest
 
 from m2mpool import cli
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
-from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD
+from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS
 
 
 def run_cli(args):
@@ -224,6 +224,40 @@ class TestSweep:
             assert row["p_hat"] != ""
             assert float(row["ci_high"]) >= float(row["p_hat"])
 
+    # what the swept value leaves alone is computed once; every row must still
+    # be what `dimension` gives at that point
+    @pytest.mark.parametrize("axis", ["devices:1000:30000:7000", "report-bytes:100:1000:300"])
+    @pytest.mark.parametrize(
+        "model",
+        # 1000-byte QPSK reports need 28 RBs per subframe, more than 5 MHz has
+        [["--arrival", "poisson", "--modulation", "qpsk", "--bandwidth-rbs", "50"],
+         ["--arrival", "one-per-ri", "--modulation", "qam64"]],
+        ids=["poisson-qpsk", "one-per-ri-qam64"],
+    )
+    def test_every_point_matches_dimension(self, axis, model, tmp_path):
+        sweep_out, point_out = tmp_path / "sweep.csv", tmp_path / "point.csv"
+        assert run_cli(["sweep", "--sweep", axis, *model, "--out", str(sweep_out)])[0] == 0
+        rows = read_rows(sweep_out)
+        assert len(rows) == (5 if axis.startswith("devices") else 4)
+        fields = ["N", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C", "fraction"]
+        for row in rows:
+            args = ["dimension", "--devices", row["N"], "--report-bytes", row["rs_bytes"], *model]
+            assert run_cli([*args, "--out", str(point_out)])[0] == 0
+            (point,) = read_rows(point_out)
+            assert [row[k] for k in fields] == [point[k] for k in fields]
+
+    def test_report_bytes_sweep_simulates_each_point_alike(self, tmp_path):
+        sweep_out, point_out = tmp_path / "sweep.csv", tmp_path / "point.csv"
+        common = ["--devices", "500", "--runs", "300", "--seed", "4", "--policy", "fifo"]
+        assert run_cli(["sweep", "--sweep", "report-bytes:100:700:300", *common,
+                        "--out", str(sweep_out)])[0] == 0
+        rows = read_rows(sweep_out)
+        assert run_cli(["simulate", *common, "--capacity", rows[0]["C_min"],
+                        "--out", str(point_out)])[0] == 0
+        (point,) = read_rows(point_out)
+        assert len(rows) == 3
+        assert all((row["p_hat"], row["ci_high"]) == (point["p_hat"], point["ci_high"]) for row in rows)
+
     def test_bad_axis_is_usage_error(self):
         assert run_cli(["sweep", "--sweep", "bogus:1:2:1"])[0] == 1
         assert run_cli(["sweep", "--sweep", "devices:1:10:0"])[0] == 1
@@ -373,6 +407,37 @@ class TestSimulatedDeviceLimit:
             assert err == (f"m2mpool: error: devices must be at most {MAX_DEVICES} to simulate, "
                            "got 300000000000000000000000\n")
             assert not out.exists()
+
+
+class TestSimulatedReportLimit:
+    # N x load beyond the limit would wrap the int64 count sums
+    SIMULATING = TestSimulatedDeviceLimit.SIMULATING
+    BEYOND = [({"devices": "9223372036854775807"}, "9223372036854775807 x 1"),
+              ({"devices": "10000000000000000", "load": "1000"}, "10000000000000000 x 1000")]
+
+    @pytest.mark.parametrize("values, product", BEYOND, ids=["int64-devices", "huge-load"])
+    @pytest.mark.parametrize("args", SIMULATING, ids=lambda args: args[0])
+    def test_product_beyond_limit_is_usage_error(self, args, values, product, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        flags = [part for key, value in values.items() for part in (f"--{key}", value)]
+        out = tmp_path / "out.csv"
+        for route in (flags, ["--config", str(cfg)]):
+            code, stdout, err = run_cli([*args, *route, "--out", str(out)])
+            assert (code, stdout) == (1, "")
+            assert err == (f"m2mpool: error: devices x load must be at most {MAX_MEAN_REPORTS:g} "
+                           f"reports per interval to simulate, got {product}\n")
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_product_at_limit_runs(self, tmp_path):
+        out = tmp_path / "out.csv"
+        for model in (["--load", "1000", "--devices", str(MAX_MEAN_REPORTS // 1000)],
+                      ["--arrival", "one-per-ri", "--load", "1000", "--devices", str(MAX_MEAN_REPORTS)]):
+            code, _, _ = run_cli(["simulate", *model, "--runs", "3",
+                                  "--capacity", str(10**20), "--out", str(out)])
+            assert code == 0
+            (row,) = read_rows(out)
+            assert 2 * MAX_MEAN_REPORTS < int(row["reports"]) < 4 * MAX_MEAN_REPORTS
 
 
 class TestHistogramWidthLimit:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from m2mpool import numerics
 from m2mpool import OnePerRI, ParameterError, RngStream, SystemParams, q_function, q_inverse, sample_demand
 from m2mpool.numerics import check_positive_int, leading_failure_counts, poisson_counts
 
@@ -87,6 +88,46 @@ class TestQInverse:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ParameterError):
             q_inverse(bad)
+
+
+# upper-tail targets from 1e-300 to 1/2, 50 to a decade
+TAIL_GRID = np.logspace(-300.0, math.log10(0.5), 15_000).tolist()
+
+
+class TestQInverseTails:
+    def test_strictly_decreasing(self):
+        xs = [q_inverse(p) for p in TAIL_GRID]
+        assert all(a > b for a, b in zip(xs, xs[1:]))
+
+    def test_relative_residual_in_the_upper_tail(self):
+        worst = max(abs(q_function(q_inverse(p)) - p) / p for p in TAIL_GRID)
+        assert worst <= 1e-12
+
+    def test_absolute_residual_in_the_lower_tail(self):
+        grid = np.linspace(0.5, 1.0 - 1e-12, 20_001).tolist()
+        worst = max(abs(q_function(q_inverse(p)) - p) for p in grid)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 2.2e-308, 1.0 - 2.0**-53])
+    def test_finite_at_the_ends_of_double_range(self, p):
+        x = q_inverse(p)
+        assert math.isfinite(x)
+        assert (x > 37.0) if p < 0.5 else (x < -8.0)
+
+    def test_at_most_four_q_function_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return q_function(x)
+
+        monkeypatch.setattr(numerics, "q_function", counted)
+        subnormal = [5e-324 * k for k in (1, 2, 3, 1000)]
+        near_one = [1.0 - 2.0**-k for k in range(1, 54)]
+        for p in [*subnormal, *TAIL_GRID[::50], 0.5, 0.7, 0.99, *near_one]:
+            calls.clear()
+            q_inverse(p)
+            assert len(calls) <= 4, p
 
 
 class TestRngStream:
