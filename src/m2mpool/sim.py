@@ -19,18 +19,18 @@ exhaustion.
 
 Implementation note: the engine draws counts, not devices or reports.  A
 block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
-(stream layout v3): the active devices are Bin(N, 1 - e^-load); the devices
-with at least k + 1 reports are a binomial thinning of those with at least k,
-by P[U >= k+1 | U >= k]; and, for the first reports and the excess reports
-separately, the reports that make attempt j + 1 are Bin(those that made
-attempt j, p_e), with one more thinning at attempt L for the retry-limit
-failures.  Demand and retry-limit failures follow for the whole block at
-once, at a cost that does not grow with N.  Fixing each report's attempt
-count before serving is distribution-identical to drawing a Bernoulli
-outcome per served slot because no scheduling decision ever depends on a
-future outcome.  Reports still in flight after _CHAIN_STEPS attempts get
-per-report geometric draws for the rest, which keeps the law (the geometric
-is memoryless) and the chain short when p_e is near 1.
+(stream layout v4) as two multinomial draws, one numpy call each for the
+whole block (see _drawn_in_order for the category order): the N devices of
+each interval by report count, over the Poisson pmf (all at one report
+without Poisson arrivals); then each interval's first and excess reports,
+as two rows, by outcome: done at attempt j <= _CHAIN_STEPS, or failing
+every attempt drawn (`beyond`).  Demand and retry-limit failures follow for
+the whole block at once, at a cost that does not grow with N.  Fixing each
+report's attempt count before serving is distribution-identical to drawing
+a Bernoulli outcome per served slot because no scheduling decision ever
+depends on a future outcome.  Reports still in flight after _CHAIN_STEPS
+attempts get per-report geometric draws for the rest, which keeps the law
+(the geometric is memoryless) and the categories few when p_e is near 1.
 
 Only an interval whose demand exceeds the pool is served, and it is served
 from its class table (pool slots needed, retry-limit flag, report count), in
@@ -156,33 +156,36 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 BLOCK_INTERVALS = 1000
-# attempts drawn as binomial counts before the reports still in flight get
-# per-report geometric draws; keeps a block's cost bounded as p_e nears 1
+# attempts drawn as multinomial categories before the reports still in flight
+# get per-report geometric draws; keeps a block's cost bounded as p_e nears 1
 _CHAIN_STEPS = 64
-# largest Poisson load the engine draws: its tail table and excess-report
-# chain grow with the load, each about twice as long
+# largest Poisson load the engine draws: its report-count categories, about
+# twice the load, grow with it
 MAX_LOAD = 1_000.0
 # widest demand histogram `sample_demand` builds, in values (CSV rows of validate-clt)
 MAX_HISTOGRAM_WIDTH = 1_000_000
 # rings drawn in one pass of the random policy's clocks
 _RING_GROUP = 1 << 13
-# most rings the random policy draws for one overflowing interval (about
-# 64 MB of each float array), and fewest reports of one kind FIFO cannot
-# serve (numpy's hypergeometric takes populations below 10**9)
+# most rings the random policy draws for one overflowing interval, and most
+# reports one interval may hold in flight past the chain (about 64 MB of each
+# float array either way); fewest reports of one kind FIFO cannot serve
+# (numpy's hypergeometric takes populations below 10**9)
 _MAX_RINGS = 1 << 23
 _MAX_QUEUED = 10**9
-# largest device count the engine draws: numpy's binomial counts are int64
+# largest device count the engine draws: numpy's multinomial counts are int64
 MAX_DEVICES = _INT64_MAX
 # largest mean report count per interval, N x load (N for one report per
 # interval), the engine draws.  Its int64 sums reach at most 64 times an
-# interval's reports (the attempts of one kind drawn along the chain) and
+# interval's reports (the attempts of one kind, summed over its outcomes) and
 # BLOCK_INTERVALS = 1000 times them (a block's report and failure sums),
 # so every interval needs fewer than 2**63 / 1000, about 9.2e15, reports.
-# An interval's reports are at most Poisson(N x load) (the excess chain
-# truncates it).  With the mean at most 1e15, 9.2e15 is at least 9.2 times
-# the mean, and the Chernoff bound puts the tail beyond it below
+# An interval's reports are at most Poisson(N x load) (the report-count
+# categories truncate it).  With the mean at most 1e15, 9.2e15 is at least 9.2
+# times the mean, and the Chernoff bound puts the tail beyond it below
 # exp(-1e16); a block sum at the mean is at most 1e18.
 MAX_MEAN_REPORTS = 10**15
+# mass left after the categories a multinomial draws largest first (see _drawn_in_order)
+_TAIL_MASS = 1e-3
 
 
 def check_simulable(n_devices: int, load: float | None) -> None:
@@ -200,71 +203,43 @@ def check_simulable(n_devices: int, load: float | None) -> None:
         )
 
 
+def _drawn_in_order(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`pmf` in the order `Generator.multinomial` should draw its categories,
+    and the permutation that puts a draw back in category order.
+
+    numpy draws category j as Bin(n left, pmf[j] / (1 - the earlier pmf)),
+    that remainder formed by subtraction from 1.  Largest first lets a row
+    stop once it has no count left, but in the far tail the remainder falls
+    to its own rounding error (at p_e = 0.1, 10^15 reports: attempt 17 comes
+    26% short and 18 never).  So the categories go largest first only while
+    more than _TAIL_MASS of the mass stays after them, then smallest first.
+    """
+    order = np.argsort(-pmf, kind="stable")
+    after = np.cumsum(pmf[order][::-1])[::-1]
+    head = np.count_nonzero(after[1:] > _TAIL_MASS)
+    order = np.concatenate([order[:head], order[head:][::-1]])
+    return pmf[order], np.argsort(order)
+
+
 @lru_cache(maxsize=64)
-def _excess_ratios(load: float) -> np.ndarray:
-    """P[U >= k+1 | U >= k] for k = 1, 2, ... and U ~ Poisson(load).
-
-    The pmf is built outward from its mode, so neither e^-load nor
-    load^k / k! leaves double range, until the mass beyond is below ~1e-19;
-    the tails are summed from the top, where 1 - cdf would cancel.  The last
-    ratio is 0: no device reports past the table.
-    """
-    mode = int(load)
-    below = [1.0]
-    for k in range(mode, 0, -1):
-        below.append(below[-1] * k / load)
-    above = [1.0]
-    k = mode
-    while above[-1] > 1e-19 or k < 2 * load + 10:
-        k += 1
-        term = above[-1] * load / k
-        if term == 0.0:
-            break
-        above.append(term)
-    pmf = np.array(below[:0:-1] + above)
-    tail = np.cumsum(pmf[::-1])[::-1]
-    return np.append(tail[2:], 0.0) / tail[1:]
+def _report_count_law(load: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """P[U = k], k = 0, 1, ..., `_drawn_in_order`, for U ~ Poisson(load), or
+    U = 1 if load is None.  In logs no term leaves double range; the table
+    ends where the mass beyond falls below 1e-19 (by k = 2 load + 40), and no
+    device reports past it."""
+    if load is None:
+        return _drawn_in_order(np.array([0.0, 1.0]))
+    k = np.arange(int(2 * load) + 41)
+    pmf = np.exp(k * math.log(load) - load - np.append(0.0, np.log(k[1:]).cumsum()))
+    pmf = pmf[np.cumsum(pmf[::-1])[::-1] > 1e-19]
+    return _drawn_in_order(pmf / pmf.sum())
 
 
-class _Reports:
-    """One kind of report (first or excess) over a block of intervals, as counts.
-
-    ``reached[j, b]`` reports of interval b make attempt j + 1, and
-    ``beyond[b]`` of them also fail the last attempt drawn: at the retry
-    limit these are the exhausted reports, past `_CHAIN_STEPS` the ones still
-    in flight.
-    """
-
-    def __init__(self, gen: np.random.Generator, count: np.ndarray, p_e: float, steps: int) -> None:
-        reached = [count]
-        while len(reached) < steps and reached[-1].any():
-            reached.append(gen.binomial(reached[-1], p_e))
-        self.reached = np.array(reached)
-        self.beyond = gen.binomial(reached[-1], p_e)
-        self.attempts = self.reached.sum(axis=0)
-
-    def classes(
-        self,
-        cols: np.ndarray,
-        more: np.ndarray,
-        exhausted: np.ndarray,
-        tail: np.ndarray,
-        preallocated: int,
-    ) -> _Table:
-        """Class table of the intervals `cols`, one column each.
-
-        One class per attempt count for the reports that succeeded within the
-        chain, then the `beyond` ones: ``tail[k]`` reports with ``more[k]``
-        attempts past the chain and retry-limit flag ``exhausted[k]``.
-        """
-        reached = self.reached[:, cols]
-        steps = len(reached)
-        done = reached - np.vstack([reached[1:], self.beyond[cols]])
-        return (
-            np.concatenate([np.arange(1, steps + 1), steps + more]) - preallocated,
-            np.concatenate([np.zeros(steps, dtype=bool), exhausted]),
-            np.vstack([done, tail]),
-        )
+@lru_cache(maxsize=64)
+def _outcome_law(p_e: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """P[done at attempt j] = p_e^(j-1) (1 - p_e) for j = 1..steps, then
+    P[beyond] = p_e^steps, `_drawn_in_order`."""
+    return _drawn_in_order(np.append(p_e ** np.arange(steps) * (1.0 - p_e), p_e**steps))
 
 
 # (pool slots needed, retry-limit flag) of each class, and its report count
@@ -272,12 +247,34 @@ class _Reports:
 _Table = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _classes(
+    outcomes: np.ndarray,
+    cols: np.ndarray,
+    more: np.ndarray,
+    exhausted: np.ndarray,
+    tail: np.ndarray,
+    preallocated: int,
+) -> _Table:
+    """Class table of one kind of report (first or excess) in the intervals `cols`.
+
+    `outcomes[b]` counts the reports of interval b done at each attempt of
+    the chain, then the `beyond` ones.  One class per attempt count for the
+    done ones, then the `beyond` ones: ``tail[k]`` reports with ``more[k]``
+    attempts past the chain and retry-limit flag ``exhausted[k]``.
+    """
+    steps = outcomes.shape[1] - 1
+    return (
+        np.concatenate([np.arange(1, steps + 1), steps + more]) - preallocated,
+        np.concatenate([np.zeros(steps, dtype=bool), exhausted]),
+        np.vstack([outcomes[cols, :steps].T, tail]),
+    )
+
+
 def _finish(
     gen: np.random.Generator, p_e: float, reports: int, remaining: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attempts past the chain, and retry-limit flags, of reports that failed its last attempt."""
-    if remaining == 0:
-        return np.zeros(reports, dtype=np.int64), np.ones(reports, dtype=bool)
+    """Attempts past the chain, and retry-limit flags, of reports that failed
+    its last attempt, with `remaining` > 0 attempts left."""
     fails = leading_failure_counts(gen, p_e, reports)
     return np.minimum(fails + 1, remaining), fails >= remaining
 
@@ -291,46 +288,45 @@ def _draw_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reports, failures, demand and unserved failures of `size` intervals.
 
-    The stream yields, for the whole block: the active devices, the
-    excess-report chain, the first reports' attempt chain, the excess
-    reports' attempt chain.  Then, interval by interval, only where the chain
-    left reports in flight: their per-report draws, and the pool service if
-    the demand exceeds `capacity`.  Last, the pool service of every other
-    interval whose demand exceeds `capacity`, all at once.
+    The stream yields, for the whole block: the devices by report count (one
+    multinomial), then the first and the excess reports by outcome (one
+    multinomial).  Then, interval by interval, only where reports outlast
+    the chain: their per-report draws, and the pool service if the demand
+    exceeds `capacity`.  Last, the pool service of every other interval
+    whose demand exceeds `capacity`, all at once.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     load = None if isinstance(params.arrival, OnePerRI) else params.arrival.load
     check_simulable(params.n_devices, load)
     p_e = params.p_e
-    excess = np.zeros(size, dtype=np.int64)
-    if load is None:
-        active = np.full(size, params.n_devices, dtype=np.int64)
-    else:
-        ratios = _excess_ratios(load).tolist()
-        active = gen.binomial(params.n_devices, -math.expm1(-load), size)
-        # devices with at least k + 1 reports, thinned from those with at least k
-        reaching = active
-        for ratio in ratios:
-            reaching = gen.binomial(reaching, ratio)
-            if not reaching.any():
-                break
-            excess += reaching
+    pmf, back = _report_count_law(load)
+    devices = gen.multinomial(params.n_devices, pmf, size)[:, back]
+    active = params.n_devices - devices[:, 0]
+    excess = devices @ np.arange(devices.shape[1]) - active
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
     remaining = min(params.max_attempts - steps, _INT64_MAX)
-    kinds = (_Reports(gen, active, p_e, steps), _Reports(gen, excess, p_e, steps))
-    demand = kinds[0].attempts - active + kinds[1].attempts
-    failures = kinds[0].beyond + kinds[1].beyond
+    pmf, back = _outcome_law(p_e, steps)
+    # [kind (first, excess), interval, outcome (done at attempt 1..steps, beyond)]
+    outcomes = gen.multinomial(np.stack([active, excess]), pmf)[..., back]
+    beyond = outcomes[..., steps]
+    demand = (outcomes @ np.append(np.arange(1, steps + 1), steps)).sum(axis=0) - active
+    failures = beyond.sum(axis=0)
     unserved = np.zeros(size, dtype=np.int64)
     in_flight = np.flatnonzero(failures) if remaining else np.empty(0, dtype=np.int64)
+    if in_flight.size and failures.max() > _MAX_RINGS:
+        raise ParameterError(
+            f"an interval holds {failures.max()} reports in flight after {_CHAIN_STEPS} attempts, "
+            f"more than the {_MAX_RINGS} it may draw one by one"
+        )
     for b in in_flight.tolist():
-        finished = [_finish(gen, p_e, int(kind.beyond[b]), remaining) for kind in kinds]
+        finished = [_finish(gen, p_e, n, remaining) for n in beyond[:, b].tolist()]
         demand[b] += sum(int(more.sum()) for more, _ in finished)
         failures[b] = sum(int(flags.sum()) for _, flags in finished)
         if demand[b] > capacity:
-            tables = [kind.classes([b], more, flags, np.ones((more.size, 1), dtype=np.int64), pre)
-                      for kind, (more, flags), pre in zip(kinds, finished, (1, 0))]
+            tables = [_classes(kind, [b], more, flags, np.ones((more.size, 1), dtype=np.int64), pre)
+                      for kind, (more, flags), pre in zip(outcomes, finished, (1, 0))]
             failures[b : b + 1], unserved[b : b + 1] = _serve(gen, *tables, capacity, policy)
     over = demand > capacity
     over[in_flight] = False
@@ -338,8 +334,8 @@ def _draw_block(
     if cols.size:
         # none of these has reports in flight: the `beyond` ones are exhausted at attempt L
         at_limit = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
-        tables = [kind.classes(cols, *at_limit, kind.beyond[None, cols], pre)
-                  for kind, pre in zip(kinds, (1, 0))]
+        tables = [_classes(kind, cols, *at_limit, kind[None, cols, steps], pre)
+                  for kind, pre in zip(outcomes, (1, 0))]
         failures[cols], unserved[cols] = _serve(gen, *tables, capacity, policy)
     return active + excess, failures, demand, unserved
 
@@ -502,22 +498,26 @@ def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram
     return DemandHistogram(counts=np.bincount(demands - low), offset=low)
 
 
-def ks_distance(hist: DemandHistogram, summary: DemandSummary) -> float:
-    """Max gap between the empirical demand CDF and the matched Gaussian.
-
-    The Gaussian CDF is read at r + 1/2, the continuity correction for an
-    integer-valued quantity, and the gap is scanned over the demand values
-    the histogram actually holds.
-    """
+def gaussian_cdf(hist: DemandHistogram, summary: DemandSummary) -> list[float]:
+    """The matched Gaussian CDF at v + 1/2 (the continuity correction for an
+    integer-valued quantity) for v from hist.offset - 1 to the largest demand,
+    one Q evaluation each: entry k + 1 is read at demand offset + k, and entry
+    k at its lower edge offset + k - 1/2 (the same double below 2**53)."""
     if summary.variance <= 0.0:
         raise ParameterError("zero-variance summary has no Gaussian comparison")
     sigma = summary.std
-    cumulative = np.cumsum(hist.counts).tolist()
-    worst = 0.0
-    for k in np.flatnonzero(hist.counts).tolist():
-        gauss = 1.0 - q_function((hist.offset + k + 0.5 - summary.mean) / sigma)
-        worst = max(worst, abs(cumulative[k] / hist.runs - gauss))
-    return worst
+    return [1.0 - q_function((value + 0.5 - summary.mean) / sigma)
+            for value in range(hist.offset - 1, hist.offset + hist.counts.size)]
+
+
+def ks_distance(hist: DemandHistogram, summary: DemandSummary, cdf: list[float] | None = None) -> float:
+    """Max gap between the empirical demand CDF and the matched Gaussian one,
+    `cdf` or else `gaussian_cdf(hist, summary)`, over the demand values the
+    histogram actually holds."""
+    if cdf is None:
+        cdf = gaussian_cdf(hist, summary)
+    gaps = np.abs(np.cumsum(hist.counts) / hist.runs - np.array(cdf[1:]))
+    return float(gaps[hist.counts > 0].max())
 
 
 def simulate_interval(
@@ -561,11 +561,4 @@ def estimate_failure_prob(
         raise IndeterminateEstimateError(
             f"no reports generated over {intervals} intervals; estimate undefined"
         )
-    low, high = wilson_interval(failed, total)
-    return FailureEstimate(
-        reports_total=total,
-        reports_failed=failed,
-        p_hat=failed / total,
-        ci_low=low,
-        ci_high=high,
-    )
+    return FailureEstimate(total, failed, failed / total, *wilson_interval(failed, total))

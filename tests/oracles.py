@@ -19,6 +19,17 @@ def q_reference(x: float) -> float:
         return float(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
 
 
+def attempts_second_moment_reference(p_e: float, cap: int) -> float:
+    """E[W^2] of the truncated-geometric attempt count from its closed form,
+    evaluated with 80 digits, where its cancellation near p_e = 1 costs nothing."""
+    with mpmath.workdps(80):
+        p = mpmath.mpf(p_e)
+        if p == 0:
+            return 1.0
+        closed = ((2 * cap - 1) * p ** (cap + 1) - (2 * cap + 1) * p**cap + p + 1) / (1 - p) ** 2
+        return float(closed)
+
+
 def truncated_geometric_pmf(p_e: float, cap: int) -> list[float]:
     """Attempt-count pmf: geometric in p_e with the tail folded into the cap."""
     pmf = [p_e ** (k - 1) * (1.0 - p_e) for k in range(1, cap)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,12 @@ from m2mpool import (
     failure_bound,
 )
 
-from oracles import one_per_ri_demand_pmf, pmf_moments, poisson_demand_pmf
+from oracles import (
+    attempts_second_moment_reference,
+    one_per_ri_demand_pmf,
+    pmf_moments,
+    poisson_demand_pmf,
+)
 
 E_INV = math.exp(-1.0)
 PE_GRID = [0.0, 0.1, 0.4, 0.9]
@@ -81,6 +87,28 @@ class TestAttemptMoments:
             1.0 - p_e
         ) ** 2
         assert closed == pytest.approx(attempts_second_moment(p_e, cap), abs=1e-10)
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.1, 0.9, 0.999, 1.0 - 1e-6])
+    @pytest.mark.parametrize("cap", [1, 2, 10, 64, 10**6])
+    def test_second_moment_matches_the_high_precision_closed_form(self, p_e, cap):
+        # the double closed form is 1.5e-6 off at p_e = 1 - 1e-6, L = 10
+        exact = attempts_second_moment_reference(p_e, cap)
+        assert abs(attempts_second_moment(p_e, cap) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("arrival", ["poisson", "one-per-ri"])
+    def test_huge_retry_limit_is_fast(self, arrival):
+        # summing L terms took 15 s for one dimension run at L = 10^7
+        start = time.perf_counter()
+        model = OnePerRI() if arrival == "one-per-ri" else PoissonPerRI()
+        for cap in (10**7, 10**12, 10**18):
+            for p_e in (0.1, 1.0 - 1e-12):
+                assert math.isfinite(demand_summary(SystemParams(30_000, p_e, cap, model)).variance)
+        assert time.perf_counter() - start < 0.5
+
+    def test_second_moment_rejects_a_boolean_limit_even_when_cached(self):
+        assert attempts_second_moment(0.1, 1) == 1.0
+        with pytest.raises(ParameterError):
+            attempts_second_moment(0.1, True)
 
 
 class TestDemandSummary:

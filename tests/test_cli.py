@@ -9,9 +9,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from m2mpool import cli
+from m2mpool import SystemParams, cli, demand_summary, sim
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
-from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS
+from m2mpool.numerics import q_function
+from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS, _MAX_RINGS
 
 
 def run_cli(args):
@@ -132,6 +133,38 @@ class TestValidateClt:
         assert empirical == sorted(empirical)
         assert gaussian == sorted(gaussian)
         assert empirical[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_gaussian_columns_take_one_q_evaluation_per_value(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return q_function(x)
+
+        monkeypatch.setattr(sim, "q_function", counted)
+        out = tmp_path / "clt.csv"
+        code, summary, _ = run_cli(["validate-clt", "--runs", "3000", "--seed", "12", "--out", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        # one evaluation per row, and one for the lower edge of each p_e's first row
+        assert len(calls) == len(rows) + 2
+        # every Gaussian column, and the KS distance, as three evaluations per value give them
+        for pe, line in zip(("0.1", "0.4"), summary.splitlines()):
+            summary_pe = demand_summary(SystemParams(100, float(pe), 10))
+            mean, sigma = summary_pe.mean, summary_pe.std
+            pe_rows = [row for row in rows if row["pe"] == pe]
+            worst = 0.0
+            cumulative = 0
+            for row in pe_rows:
+                value = int(row["value"])
+                cdf_lo = 1.0 - q_function((value - 0.5 - mean) / sigma)
+                cdf_hi = 1.0 - q_function((value + 0.5 - mean) / sigma)
+                assert (row["gaussian_pdf"], row["gaussian_cdf"]) == (cli._fmt(cdf_hi - cdf_lo), cli._fmt(cdf_hi))
+                count = round(float(row["empirical_pdf"]) * 3000)
+                cumulative += count
+                if count:
+                    worst = max(worst, abs(cumulative / 3000 - cdf_hi))
+            assert line.startswith(f"pe={pe}: ks={worst:.5f},")
 
 
 class TestSimulate:
@@ -438,6 +471,29 @@ class TestSimulatedReportLimit:
             assert code == 0
             (row,) = read_rows(out)
             assert 2 * MAX_MEAN_REPORTS < int(row["reports"]) < 4 * MAX_MEAN_REPORTS
+
+
+class TestInFlightLimit:
+    def test_reports_outlasting_the_chain_are_refused_before_drawing_them(self, tmp_path, monkeypatch):
+        # about 3.7e10 reports per interval outlast the 64 attempts drawn as
+        # counts; drawing them one by one would take about 177 GiB
+        def per_report_draw(*args):
+            raise AssertionError("per-report draws started before the limit was checked")
+
+        monkeypatch.setattr(sim, "leading_failure_counts", per_report_draw)
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["simulate", "--devices", "1000000000000", "--pe", "0.95", "--max-attempts", "100",
+             "--runs", "1", "--capacity", "100000000000000000000", "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (1, "")
+        assert err.startswith("m2mpool: error: an interval holds ")
+        assert err.endswith(f"reports in flight after 64 attempts, more than the {_MAX_RINGS} "
+                            "it may draw one by one\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHistogramWidthLimit:

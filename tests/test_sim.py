@@ -27,7 +27,15 @@ from m2mpool import (
     simulate_interval,
     wilson_interval,
 )
-from m2mpool.sim import Z95, _serve
+from m2mpool.sim import (
+    _INT64_MAX,
+    Z95,
+    _draw_block,
+    _finish,
+    _outcome_law,
+    _report_count_law,
+    _serve,
+)
 
 from oracles import (
     fifo_law,
@@ -131,6 +139,92 @@ class TestSampleDemand:
         mean = values @ law / law.sum()
         std = math.sqrt((values - mean) ** 2 @ law / law.sum())
         assert abs(hist.mean() - mean) <= 5.0 * std / math.sqrt(hist.runs)
+
+
+class RecordingGenerator:
+    """A Generator that records the name of every method called on it."""
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen = gen
+        self.calls: list[str] = []
+
+    def __getattr__(self, name: str):
+        method = getattr(self.gen, name)
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return record
+
+
+def by_category(gen, counts, law, size=None) -> np.ndarray:
+    """A multinomial draw over the categories of one of the engine's laws, as
+    `_draw_block` makes it, put back in category order."""
+    pmf, back = law
+    return gen.multinomial(counts, pmf, size)[..., back]
+
+
+def attempt_counts(gen, p_e: float, cap: int, first: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """Reports by attempt count (index 1..cap) as `_draw_block` draws them:
+    one multinomial over the outcomes, then per-report draws past the chain."""
+    steps = min(cap, 64)
+    outcomes = by_category(gen, np.stack([first, excess]), _outcome_law(p_e, steps)).sum(axis=(0, 1))
+    counts = np.zeros(cap + 1, dtype=np.int64)
+    counts[1 : steps + 1] = outcomes[:steps]
+    if cap == steps:
+        counts[cap] += outcomes[steps]  # exhausted at the retry limit
+    else:
+        more, _ = _finish(gen, p_e, int(outcomes[steps]), cap - steps)
+        np.add.at(counts, steps + more, 1)
+    return counts
+
+
+class TestBlockDraws:
+    """The two multinomial draws of a block against the laws they stand for."""
+
+    @pytest.mark.parametrize("load,seed", [(1.0, 500), (1000.0, 501)])
+    def test_devices_by_report_count_are_poisson(self, load, seed):
+        devices = by_category(RngStream(seed, 0).generator, 1000, _report_count_law(load), 1000)
+        totals = devices.sum(axis=0)
+        assert totals.sum() == 10**6
+        law = stats.poisson.pmf(np.arange(totals.size), load)
+        assert pooled_chisquare_pvalue(DemandHistogram(totals), law) > 0.001
+        mean = np.arange(totals.size) @ totals / 10**6
+        assert abs(mean - load) <= 5.0 * math.sqrt(load / 10**6)
+
+    @pytest.mark.parametrize("p_e,cap,seed", [(0.4, 10, 502), (0.1, 10, 503), (0.97, 100, 504)])
+    def test_reports_by_attempt_count_are_truncated_geometric(self, p_e, cap, seed):
+        # at L = 100 the 14% of reports that fail all 64 attempts drawn as
+        # counts finish by per-report draws
+        gen = RngStream(seed, 0).generator
+        first, excess = gen.integers(0, 200, 1000), gen.integers(0, 100, 1000)
+        counts = attempt_counts(gen, p_e, cap, first, excess)
+        assert counts.sum() == first.sum() + excess.sum()
+        law = np.array([0.0, *truncated_geometric_pmf(p_e, cap)])
+        assert pooled_chisquare_pvalue(DemandHistogram(counts), law) > 0.001
+
+    def test_deep_tail_keeps_the_law(self):
+        # numpy forms each category's conditional probability against
+        # 1 - (the earlier ones) by subtraction; drawn largest first, that
+        # remainder falls to its own rounding error by attempt 17 at
+        # p_e = 0.1, which then comes 26% short and 18 never comes
+        n, p_e, rows = 10**15, 0.1, 200_000
+        outcomes = by_category(RngStream(505, 0).generator, np.full(rows, n), _outcome_law(p_e, 20))
+        for attempt in range(14, 19):
+            expected = rows * n * p_e ** (attempt - 1) * (1.0 - p_e)
+            assert abs(outcomes[:, attempt - 1].sum() - expected) <= 5.0 * math.sqrt(expected), attempt
+
+    @pytest.mark.parametrize("arrival", [PoissonPerRI(), PoissonPerRI(0.05), PoissonPerRI(1000.0), OnePerRI()])
+    @pytest.mark.parametrize("n_devices", [1, 30_000, 10**12])
+    @pytest.mark.parametrize("cap", [1, 10, 64])
+    def test_a_block_takes_a_fixed_number_of_draw_calls(self, arrival, n_devices, cap):
+        # one multinomial for the devices, one for the reports, whatever the
+        # counts: a per-step chain of draws fails this
+        gen = RecordingGenerator(RngStream(506, cap).generator)
+        _draw_block(gen, SystemParams(n_devices, 0.4, cap, arrival), 50, _INT64_MAX,
+                    SchedulerPolicy.RANDOM_UNIFORM)
+        assert gen.calls == ["multinomial", "multinomial"]
 
 
 class TestKsDistance:
