@@ -52,6 +52,16 @@ class OnePerRI:
 ArrivalModel = Union[PoissonPerRI, OnePerRI]
 
 
+def _all_fail(p_e: float, attempts: int) -> float:
+    """p_e^attempts, the chance that `attempts` transmissions all fail.
+
+    An int beyond about 1.8e308 does not convert to a float, so the exponent
+    is capped at 2**64, past which it changes no result: p^(2**64) is 0.0 for
+    every double p < 1 (1 - 2**-53 gives about e^-2048).
+    """
+    return p_e ** min(attempts, 2**64)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full input to analysis and simulation."""
@@ -74,7 +84,7 @@ class SystemParams:
     @property
     def failure_floor(self) -> float:
         """p_e^L, the failure probability no amount of capacity removes."""
-        return self.p_e**self.max_attempts
+        return _all_fail(self.p_e, self.max_attempts)
 
 
 @dataclass(frozen=True)
@@ -106,15 +116,15 @@ def attempts_pmf(k: int, p_e: float, max_attempts: int) -> float:
     if not isinstance(k, int) or not 1 <= k <= max_attempts:
         raise ParameterError(f"k must be an integer in [1, {max_attempts}], got {k!r}")
     if k < max_attempts:
-        return p_e ** (k - 1) * (1.0 - p_e)
-    return p_e ** (max_attempts - 1)
+        return _all_fail(p_e, k - 1) * (1.0 - p_e)
+    return _all_fail(p_e, max_attempts - 1)
 
 
 def expected_attempts(p_e: float, max_attempts: int) -> float:
     """E[W] = (1 - p_e^L) / (1 - p_e), the truncated geometric series in closed form."""
     check_error_prob(p_e)
     check_positive_int("max_attempts", max_attempts)
-    return (1.0 - p_e**max_attempts) / (1.0 - p_e)
+    return (1.0 - _all_fail(p_e, max_attempts)) / (1.0 - p_e)
 
 
 # a sweep reaches this twice per point with the same arguments; typed, so
@@ -197,7 +207,7 @@ def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempt
     check_positive_int("max_attempts", max_attempts)
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    floor = p_e**max_attempts
+    floor = _all_fail(p_e, max_attempts)
     if summary.variance == 0.0:
         return floor if capacity >= summary.mean else 1.0
     z = (capacity - summary.mean) / summary.std

@@ -3,18 +3,42 @@ parameter validators every module shares.
 
 Everything here is deterministic given an :class:`RngStream`, so simulation
 replications can be farmed out to workers and still reduce to bit-identical
-results.
+results.  ``np`` here, which ``sim`` shares, imports numpy on its first use,
+so the analytic commands start without it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from types import ModuleType
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+
+def _lazy_numpy() -> ModuleType:
+    """numpy itself if it is imported, else a module that imports it on its
+    first attribute access, so a run that draws nothing never loads it."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.loader is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _lazy_numpy()
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

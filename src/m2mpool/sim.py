@@ -64,19 +64,17 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import NamedTuple, TypeAlias
 
 from .analytic import DemandSummary, OnePerRI, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
-from .numerics import RngStream, leading_failure_counts, q_function
+from .numerics import RngStream, leading_failure_counts, np, q_function
 
 # unused here since the engine draws counts, kept importable because the
 # benchmark tracer (perfbench/tracing.py) patches m2mpool.sim.poisson_counts
 from .numerics import poisson_counts  # noqa: F401
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1  # np.iinfo(np.int64).max, without loading numpy
 
 Z95 = 1.959963984540054
 
@@ -243,8 +241,9 @@ def _outcome_law(p_e: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # (pool slots needed, retry-limit flag) of each class, and its report count
-# in each interval: one row per class, one column per interval
-_Table = tuple[np.ndarray, np.ndarray, np.ndarray]
+# in each interval: one row per class, one column per interval (a string, so
+# that importing this module does not load numpy)
+_Table: TypeAlias = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
 def _classes(

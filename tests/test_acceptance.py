@@ -194,19 +194,21 @@ def _assert_capacity_sufficiency():
             assert result.unserved_failures == 0
 
 
+GOLDEN_SWEEPS = [
+    ("sweep_devices_qpsk_5mhz.csv", ["sweep", "--sweep", "devices:1000:30000:1000"]),
+    (
+        "sweep_devices_qam64_5mhz.csv",
+        ["sweep", "--sweep", "devices:1000:30000:1000", "--modulation", "qam64"],
+    ),
+    (
+        "sweep_report_bytes_qam64_5mhz.csv",
+        ["sweep", "--sweep", "report-bytes:100:1000:100", "--modulation", "qam64"],
+    ),
+]
+
+
 def _assert_golden_sweeps(tmp_path: Path):
-    jobs = [
-        ("sweep_devices_qpsk_5mhz.csv", ["sweep", "--sweep", "devices:1000:30000:1000"]),
-        (
-            "sweep_devices_qam64_5mhz.csv",
-            ["sweep", "--sweep", "devices:1000:30000:1000", "--modulation", "qam64"],
-        ),
-        (
-            "sweep_report_bytes_qam64_5mhz.csv",
-            ["sweep", "--sweep", "report-bytes:100:1000:100", "--modulation", "qam64"],
-        ),
-    ]
-    for name, args in jobs:
+    for name, args in GOLDEN_SWEEPS:
         regenerated = tmp_path / name
         assert cli_main([*args, "--out", str(regenerated)]) == 0
         golden = GOLDEN_DIR / name

@@ -105,6 +105,18 @@ class TestAttemptMoments:
                 assert math.isfinite(demand_summary(SystemParams(30_000, p_e, cap, model)).variance)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("arrival", [PoissonPerRI(), OnePerRI()], ids=["poisson", "one-per-ri"])
+    def test_retry_limit_beyond_float_range_matches_a_large_one(self, arrival):
+        # 10**309 does not convert to a float
+        huge, large = SystemParams(30_000, 0.1, 10**309, arrival), SystemParams(30_000, 0.1, 10**6, arrival)
+        assert huge.failure_floor == 0.0
+        assert expected_attempts(0.1, 10**309) == expected_attempts(0.1, 10**6)
+        assert attempts_pmf(10**309, 0.1, 10**309) == 0.0
+        assert demand_summary(huge) == demand_summary(large)
+        assert dimension_capacity(huge) == dimension_capacity(large)
+        summary = demand_summary(huge)
+        assert failure_bound(14_000, summary, 0.1, 10**309) == failure_bound(14_000, summary, 0.1, 10**6)
+
     def test_second_moment_rejects_a_boolean_limit_even_when_cached(self):
         assert attempts_second_moment(0.1, 1) == 1.0
         with pytest.raises(ParameterError):

@@ -560,3 +560,15 @@ class TestUsage:
 
     def test_non_numeric_flag(self):
         assert run_cli(["dimension", "--devices", "many"])[0] == 1
+
+    # an L past about 1.8e308 does not convert to a float
+    @pytest.mark.parametrize("command", [
+        ["dimension"],
+        ["simulate", "--devices", "100", "--runs", "20"],
+        ["sweep", "--sweep", "devices:1000:3000:1000", "--runs", "10"],
+        ["validate-clt", "--runs", "50"],
+    ], ids=lambda command: command[0])
+    def test_retry_limit_beyond_float_range_ends_cleanly(self, command, tmp_path):
+        code, _, err = run_cli([*command, "--max-attempts", "1" + "0" * 309,
+                                "--out", str(tmp_path / "out.csv")])
+        assert (code, err) == (0, "")
