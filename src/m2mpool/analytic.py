@@ -25,8 +25,8 @@ failure probability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import InfeasibleTargetError, ParameterError
@@ -127,9 +127,6 @@ def expected_attempts(p_e: float, max_attempts: int) -> float:
     return (1.0 - _all_fail(p_e, max_attempts)) / (1.0 - p_e)
 
 
-# a sweep reaches this twice per point with the same arguments; typed, so
-# that True is not taken for a cached max_attempts of 1
-@lru_cache(maxsize=64, typed=True)
 def attempts_second_moment(p_e: float, max_attempts: int) -> float:
     """E[W^2] = sum_{k<L} (2k + 1) p_e^k, since P[W > k] = p_e^k below L.
 
@@ -160,12 +157,12 @@ def attempts_second_moment(p_e: float, max_attempts: int) -> float:
     return a + 2.0 * b
 
 
-def demand_summary(params: SystemParams) -> DemandSummary:
-    """Moments of the shared-pool demand R for the given system.
+def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tuple[float, float]:
+    """Mean and variance of one device's shared-pool demand R_i.
 
     Poisson arrivals with mean lambda: a device's demand is its attempt total
     S over U reports, less the preallocated slot when U >= 1.  Conditioning
-    on U gives, per device,
+    on U gives
 
         E[R_i]   = lambda E[W] - (1 - e^-lambda)
         Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
@@ -173,22 +170,47 @@ def demand_summary(params: SystemParams) -> DemandSummary:
 
     which at lambda = 1 is the published dimensioning rule.  One report per
     interval: R_i = W - 1 exactly, so the moments are the truncated-geometric
-    ones shifted.  Both scale linearly with N because devices are
-    independent and identically distributed.
+    ones shifted.  A variance that rounds below 0 is taken as 0.
     """
-    e_w = expected_attempts(params.p_e, params.max_attempts)
-    e_w2 = attempts_second_moment(params.p_e, params.max_attempts)
-    if isinstance(params.arrival, OnePerRI):
+    e_w = expected_attempts(p_e, max_attempts)
+    e_w2 = attempts_second_moment(p_e, max_attempts)
+    if isinstance(arrival, OnePerRI):
         mean1 = e_w - 1.0
         var1 = e_w2 - e_w * e_w
     else:
-        load = params.arrival.load
+        load = arrival.load
         silent = math.exp(-load)
         # grouped so that load 1 repeats the published rule's arithmetic exactly
         mean1 = load * e_w - (1.0 - silent)
         var1 = load * e_w2 + silent * (1.0 - 2.0 * load * e_w - silent)
-    n = params.n_devices
-    return DemandSummary(mean=n * mean1, variance=n * max(var1, 0.0))
+    return mean1, max(var1, 0.0)
+
+
+def scaled_summary(n_devices: int, moments: tuple[float, float]) -> DemandSummary:
+    """Moments of the demand of `n_devices` independent devices with the
+    per-device `moments` (device_moments): mu = N m_1, sigma^2 = N v_1."""
+    try:
+        n = float(n_devices)
+    except OverflowError:
+        raise ParameterError(
+            f"n_devices must be at most {sys.float_info.max:g}, the largest double, "
+            f"got an integer of {n_devices.bit_length()} bits"
+        ) from None
+    mean1, var1 = moments
+    return DemandSummary(mean=n * mean1, variance=n * var1)
+
+
+def demand_summary(params: SystemParams) -> DemandSummary:
+    """Moments of the shared-pool demand R = sum_i R_i for the given system;
+    both scale linearly with N because devices are independent and
+    identically distributed."""
+    moments = device_moments(params.p_e, params.max_attempts, params.arrival)
+    return scaled_summary(params.n_devices, moments)
+
+
+def _gaussian_term(capacity: int, mean: float, std: float, floor: float) -> float:
+    """Q((C - mu) / sigma) (1 - p_e^L) + p_e^L, for sigma > 0."""
+    return q_function((capacity - mean) / std) * (1.0 - floor) + floor
 
 
 def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempts: int) -> float:
@@ -210,19 +232,49 @@ def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempt
     floor = _all_fail(p_e, max_attempts)
     if summary.variance == 0.0:
         return floor if capacity >= summary.mean else 1.0
-    z = (capacity - summary.mean) / summary.std
-    return q_function(z) * (1.0 - floor) + floor
+    return _gaussian_term(capacity, summary.mean, summary.std, floor)
 
 
-def dimension_capacity(params: SystemParams) -> int:
-    """Smallest integer pool capacity whose failure bound meets the target.
+@dataclass(frozen=True)
+class CapacityRule:
+    """The target side of dimensioning, fixed by (p_e, L, eps, arrival) and
+    the same at every device count: the floor p_e^L, the target eps, and
+    z = Q^-1((eps - p_e^L) / (1 - p_e^L)), or None where the demand has no
+    variance.  `smallest_capacity` then dimensions any demand of that
+    parameter set from its moments alone."""
 
-    Closed form first (invert the Gaussian tail), then a local integer scan
-    so that failure_bound(C) <= target < failure_bound(C - 1) holds exactly.
-    From 2**53 on, C and C - 1 round to the same double, so the scan could
-    never move; such a closed-form capacity is returned without it.
+    target: float
+    floor: float
+    z: float | None
+
+    def smallest_capacity(self, summary: DemandSummary) -> int:
+        """Smallest integer C whose failure bound meets the target.
+
+        Closed form first (mu + sigma z, rounded up), then a local integer
+        scan so that failure_bound(C) <= target < failure_bound(C - 1) holds
+        exactly.  From 2**53 on, C and C - 1 round to the same double, so the
+        scan could never move; such a closed-form capacity is returned
+        without it.  Without variance the demand is its mean.
+        """
+        if self.z is None:
+            return max(0, math.ceil(summary.mean))
+        mean, std, floor, eps = summary.mean, summary.std, self.floor, self.target
+        cap = max(0, math.ceil(mean + std * self.z))
+        if cap >= 2**53:
+            return cap
+        while cap > 0 and _gaussian_term(cap - 1, mean, std, floor) <= eps:
+            cap -= 1
+        while _gaussian_term(cap, mean, std, floor) > eps:
+            cap += 1
+        return cap
+
+
+def capacity_rule(params: SystemParams, summary: DemandSummary) -> CapacityRule:
+    """The CapacityRule of `params`, whose demand moments are `summary`.
+
+    Raises InfeasibleTargetError when the target is at or below the floor
+    p_e^L, which no capacity lowers.
     """
-    summary = demand_summary(params)
     floor = params.failure_floor
     eps = params.target_failure
     if eps <= floor:
@@ -231,14 +283,11 @@ def dimension_capacity(params: SystemParams) -> int:
             "no capacity can reach it"
         )
     if summary.variance == 0.0:
-        return max(0, math.ceil(summary.mean))
-    cap = math.ceil(summary.mean + summary.std * q_inverse((eps - floor) / (1.0 - floor)))
-    cap = max(0, cap)
-    if cap >= 2**53:
-        return cap
-    while cap > 0 and failure_bound(cap - 1, summary, params.p_e, params.max_attempts) <= eps:
-        cap -= 1
-    while failure_bound(cap, summary, params.p_e, params.max_attempts) > eps:
-        cap += 1
-    return cap
+        return CapacityRule(eps, floor, None)
+    return CapacityRule(eps, floor, q_inverse((eps - floor) / (1.0 - floor)))
 
+
+def dimension_capacity(params: SystemParams) -> int:
+    """Smallest integer pool capacity whose failure bound meets the target."""
+    summary = demand_summary(params)
+    return capacity_rule(params, summary).smallest_capacity(summary)

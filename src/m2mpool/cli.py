@@ -23,9 +23,12 @@ from .analytic import (
     OnePerRI,
     PoissonPerRI,
     SystemParams,
+    capacity_rule,
     demand_summary,
+    device_moments,
     dimension_capacity,
     failure_bound,
+    scaled_summary,
 )
 from .errors import (
     IndeterminateEstimateError,
@@ -33,11 +36,11 @@ from .errors import (
     InfeasibleTargetError,
     ParameterError,
 )
-from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan
-# unused here since validate-clt reads its Gaussian column from
+from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan, rbs_per_report
+# q_function is unused here since validate-clt reads its Gaussian column from
 # sim.gaussian_cdf, kept importable because the benchmark tracer
 # (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
-from .numerics import q_function  # noqa: F401
+from .numerics import check_positive_int, q_function  # noqa: F401
 from .sim import (
     MAX_HISTOGRAM_WIDTH,
     MAX_LOAD,
@@ -58,6 +61,8 @@ EXIT_IO = 4
 _SUBFRAME_SECONDS = 1e-3
 _MAX_RI_SECONDS = 86_400.0  # one day
 _MODULATION_BITS = {"qpsk": QPSK_BITS_PER_RE, "qam64": QAM64_BITS_PER_RE}
+# a sweep holds every row in memory: the row limit validate-clt has per p_e
+MAX_SWEEP_POINTS = MAX_HISTOGRAM_WIDTH
 
 
 # key -> (converter, global default, metavar, help); a tuple converter lists
@@ -115,7 +120,8 @@ def build_parser() -> _Parser:
         sub.add_argument("--config", metavar="PATH", help="key=value config file")
         if command == "sweep":
             sub.add_argument("--sweep", metavar="VAR:START:STOP:STEP",
-                             help="axis to sweep: devices or report-bytes")
+                             help="axis to sweep: devices or report-bytes "
+                                  f"(at most {MAX_SWEEP_POINTS} points)")
     return parser
 
 
@@ -174,6 +180,7 @@ class _Config:
             else:
                 value = default
             setattr(self, key, value)
+        self.pe += 0.0  # -0.0 would print as "-0"
         self.command: str = args.command
         self.out: str | None = args.out
         self.sweep: str | None = getattr(args, "sweep", None)
@@ -201,9 +208,7 @@ class _Config:
         )
 
     def lte_profile(self, *, report_bytes: int | None = None) -> LteProfile:
-        size = self.report_bytes if report_bytes is None else report_bytes
-        if size < 1:
-            raise ParameterError(f"report_bytes must be positive, got {size!r}")
+        size_bits = _report_bits(self.report_bytes if report_bytes is None else report_bytes)
         ri_subframes = round(self.ri_seconds / _SUBFRAME_SECONDS)
         if ri_subframes < 1:
             raise ParameterError(f"ri_seconds too small: {self.ri_seconds!r}")
@@ -212,12 +217,18 @@ class _Config:
             rbs_per_subframe_total=bandwidth,
             m2m_rbs_per_subframe=self.m2m_rbs if self.m2m_rbs is not None else bandwidth,
             bits_per_re=_MODULATION_BITS[self.modulation],
-            report_size_bits=8 * size,
+            report_size_bits=size_bits,
             ri_subframes=ri_subframes,
         )
 
     def say(self, message: str) -> None:
         print(message, file=sys.stdout if self.out else sys.stderr)
+
+
+def _report_bits(size: int) -> int:
+    if size < 1:
+        raise ParameterError(f"report_bytes must be positive, got {size!r}")
+    return 8 * size
 
 
 def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -248,7 +259,7 @@ def cmd_dimension(cfg: _Config) -> int:
     profile = cfg.lte_profile()
     summary = demand_summary(params)
     capacity = dimension_capacity(params)
-    plan = build_pool_plan(params, profile, capacity)
+    plan = build_pool_plan(params.n_devices, profile, capacity)
     cfg.say(
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
         f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
@@ -337,7 +348,52 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
         raise ParameterError(f"sweep bounds must be integers: {text!r}") from exc
     if step <= 0:
         raise ParameterError(f"sweep step must be positive, got {step}")
+    # len(range(...)) raises OverflowError past sys.maxsize
+    points = max(0, (stop - start) // step + 1)
+    if points > MAX_SWEEP_POINTS:
+        raise ParameterError(f"a sweep may have at most {MAX_SWEEP_POINTS} points, got {points}")
     return var, start, stop, step
+
+
+def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[list[str]]:
+    # what the swept value leaves alone is computed at the first point, in the
+    # order every point is checked in: parameters, profile, dimensioning,
+    # plan, simulation; a point then computes only what its value changes
+    first = values[0]
+    params = cfg.system_params(devices=first if by_devices else None)
+    profile = cfg.lte_profile(report_bytes=None if by_devices else first)
+    moments = device_moments(params.p_e, params.max_attempts, params.arrival)
+    summary = scaled_summary(params.n_devices, moments)
+    rule = capacity_rule(params, summary)
+    capacity = rule.smallest_capacity(summary)
+    n_devices, report_bytes, rbs = params.n_devices, cfg.report_bytes, rbs_per_report(profile)
+    policy = SchedulerPolicy(cfg.policy)
+    estimate = None
+    rows: list[list[str]] = []
+    for value in values:
+        if by_devices:
+            check_positive_int("n_devices", value)
+            n_devices = value
+            summary = scaled_summary(value, moments)
+            capacity = rule.smallest_capacity(summary)
+        else:
+            rbs = rbs_per_report(profile, _report_bits(value))
+            report_bytes = value
+        plan = build_pool_plan(n_devices, profile, capacity, rbs)
+        p_hat_text = ci_high_text = ""
+        if cfg.runs > 0:
+            if by_devices or estimate is None:
+                point = cfg.system_params(devices=value) if by_devices else params
+                estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
+            p_hat_text = _fmt(estimate.p_hat)
+            ci_high_text = _fmt(estimate.ci_high)
+        rows.append([
+            str(n_devices), str(report_bytes), f"{summary.mean:.6f}", f"{summary.std:.6f}",
+            str(capacity), str(rbs), str(plan.preallocated_subframes),
+            str(plan.common_subframes), f"{plan.capacity_fraction:.6f}",
+            p_hat_text, ci_high_text,
+        ])
+    return rows
 
 
 def cmd_sweep(cfg: _Config) -> int:
@@ -346,37 +402,8 @@ def cmd_sweep(cfg: _Config) -> int:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
     header = ["N", "rs_bytes", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C",
               "fraction", "p_hat", "ci_high"]
-    # each step is recomputed only when its input changes, so what the swept
-    # value leaves alone (the LTE profile across devices; the dimensioning
-    # and the simulation across report sizes) is computed at the first point
-    # only, and errors still surface in the per-point order
-    last = functools.lru_cache(maxsize=1)
-    params_for = last(lambda devices: cfg.system_params(devices=devices))
-    profile_for = last(lambda size: cfg.lte_profile(report_bytes=size))
-    dimensioned = last(lambda params: (demand_summary(params), dimension_capacity(params)))
-    simulated = last(lambda params, capacity: estimate_failure_prob(
-        params, capacity, SchedulerPolicy(cfg.policy), cfg.runs, cfg.seed))
-    rows: list[list[str]] = []
-    for value in range(start, stop + 1, step):
-        devices = value if var == "devices" else None
-        report_bytes = value if var == "report-bytes" else None
-        params = params_for(devices)
-        profile = profile_for(report_bytes)
-        summary, capacity = dimensioned(params)
-        plan = build_pool_plan(params, profile, capacity)
-        p_hat_text = ci_high_text = ""
-        if cfg.runs > 0:
-            estimate = simulated(params, capacity)
-            p_hat_text = _fmt(estimate.p_hat)
-            ci_high_text = _fmt(estimate.ci_high)
-        rows.append([
-            str(params.n_devices),
-            str(report_bytes if report_bytes is not None else cfg.report_bytes),
-            f"{summary.mean:.6f}", f"{summary.std:.6f}", str(capacity),
-            str(plan.rbs_per_report), str(plan.preallocated_subframes),
-            str(plan.common_subframes), f"{plan.capacity_fraction:.6f}",
-            p_hat_text, ci_high_text,
-        ])
+    values = range(start, stop + 1, step)
+    rows = _sweep_rows(cfg, var == "devices", values) if values else []
     cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")
     _write_csv(cfg.out, header, rows)
     return EXIT_OK

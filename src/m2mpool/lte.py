@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .analytic import SystemParams
 from .errors import InfeasibleGeometryError, ParameterError
 from .numerics import check_positive_int
 
@@ -54,9 +54,9 @@ class LteProfile:
             raise ParameterError(f"subframe_seconds must be positive, got {self.subframe_seconds!r}")
 
 
-@dataclass(frozen=True)
-class PoolPlan:
-    """A dimensioned pool laid out on the grid."""
+class PoolPlan(NamedTuple):
+    """A dimensioned pool laid out on the grid (a named tuple: a sweep builds
+    one per point, at a quarter of a frozen dataclass's cost)."""
 
     rbs_per_report: int
     alpha: float
@@ -68,30 +68,36 @@ class PoolPlan:
     worst_case_delay_seconds: float
 
 
-def rbs_per_report(profile: LteProfile) -> int:
-    """Resource blocks needed to carry one report at the profile's modulation."""
+def rbs_per_report(profile: LteProfile, report_size_bits: int | None = None) -> int:
+    """Resource blocks needed to carry one report at the profile's modulation,
+    of the profile's size unless `report_size_bits` is given."""
+    bits = profile.report_size_bits if report_size_bits is None else report_size_bits
     bits_per_rb = profile.data_res_per_rb * profile.bits_per_re
-    return -(-profile.report_size_bits // bits_per_rb)
+    return -(-bits // bits_per_rb)
 
 
-def build_pool_plan(params: SystemParams, profile: LteProfile, capacity: int) -> PoolPlan:
+def build_pool_plan(
+    n_devices: int, profile: LteProfile, capacity: int, rbs: int | None = None
+) -> PoolPlan:
     """Lay out a pool carrying N preallocated reports plus C shared transmissions.
 
     Preallocated and shared subframe counts are rounded up independently
     (physical allocation is whole subframes).  The capacity fraction counts
     the RBs actually consumed, r (N + C), against everything the system
     offers over one interval, B times the interval length, so it does not
-    depend on how many RBs per subframe the pool happens to occupy.
+    depend on how many RBs per subframe the pool happens to occupy.  `rbs`,
+    the RBs per report, defaults to `rbs_per_report(profile)`.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    rbs = rbs_per_report(profile)
+    if rbs is None:
+        rbs = rbs_per_report(profile)
     y = profile.m2m_rbs_per_subframe
     if rbs > y:
         raise InfeasibleGeometryError(
             f"a report needs {rbs} RBs but only {y} are reserved per subframe"
         )
-    preallocated = -(-params.n_devices * rbs // y)
+    preallocated = -(-n_devices * rbs // y)
     common = -(-capacity * rbs // y)
     total = preallocated + common
     if total > profile.ri_subframes:
@@ -99,7 +105,7 @@ def build_pool_plan(params: SystemParams, profile: LteProfile, capacity: int) ->
             f"pool needs {total} subframes but the interval has only {profile.ri_subframes}"
         )
     fraction = (
-        rbs * (params.n_devices + capacity) / (profile.rbs_per_subframe_total * profile.ri_subframes)
+        rbs * (n_devices + capacity) / (profile.rbs_per_subframe_total * profile.ri_subframes)
     )
     delay = (profile.ri_subframes + total) * profile.subframe_seconds
     return PoolPlan(

@@ -223,14 +223,26 @@ def _drawn_in_order(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _report_count_law(load: float | None) -> tuple[np.ndarray, np.ndarray]:
     """P[U = k], k = 0, 1, ..., `_drawn_in_order`, for U ~ Poisson(load), or
     U = 1 if load is None.  In logs no term leaves double range; the table
-    ends where the mass beyond falls below 1e-19 (by k = 2 load + 40), and no
-    device reports past it."""
+    keeps the counts from the first to the last where the mass beyond falls
+    below 1e-19 (by k = 2 load + 40), and no device reports outside them.
+
+    Above load 43.7 (e^-load < 1e-19) the left end is cut too, which at load
+    1000 leaves 570 of 1299 counts for the multinomial to walk.  The counts
+    below the first kept one then share one zero-probability category, drawn
+    first (numpy's binomial returns 0 at p = 0 without a draw), so that the
+    permutation still puts a draw in category order k = 0, 1, ...: column 0
+    reads 0, and every device is active.
+    """
     if load is None:
         return _drawn_in_order(np.array([0.0, 1.0]))
     k = np.arange(int(2 * load) + 41)
     pmf = np.exp(k * math.log(load) - load - np.append(0.0, np.log(k[1:]).cumsum()))
-    pmf = pmf[np.cumsum(pmf[::-1])[::-1] > 1e-19]
-    return _drawn_in_order(pmf / pmf.sum())
+    kept = (np.cumsum(pmf) > 1e-19) & (np.cumsum(pmf[::-1])[::-1] > 1e-19)
+    first = int(kept.argmax())
+    pmf, back = _drawn_in_order(pmf[kept] / pmf[kept].sum())
+    if first == 0:
+        return pmf, back
+    return np.append(0.0, pmf), np.append(np.zeros(first, dtype=back.dtype), back + 1)
 
 
 @lru_cache(maxsize=64)

@@ -85,7 +85,7 @@ def test_criterion_2_headline_dimensioning():
         assert summary.std == pytest.approx(152.3, abs=0.1)
         capacity = dimension_capacity(params)
         assert abs(capacity - 14841) <= 1
-        plan = build_pool_plan(params, five_mhz(), capacity)
+        plan = build_pool_plan(params.n_devices, five_mhz(), capacity)
         assert plan.capacity_fraction == pytest.approx(0.090, abs=0.005)
 
 
@@ -93,9 +93,9 @@ def test_criterion_3_modulation_and_report_size():
     with criterion(3, "64-QAM capacity fractions at 100 B and 1000 B", 1.0):
         params = SystemParams(30_000, 0.1, 10, target_failure=1e-3)
         capacity = dimension_capacity(params)
-        small = build_pool_plan(params, five_mhz(bits_per_re=6), capacity)
+        small = build_pool_plan(params.n_devices, five_mhz(bits_per_re=6), capacity)
         assert small.capacity_fraction == pytest.approx(0.030, abs=0.005)
-        large = build_pool_plan(params, five_mhz(bits_per_re=6, report_size_bits=8000), capacity)
+        large = build_pool_plan(params.n_devices, five_mhz(bits_per_re=6, report_size_bits=8000), capacity)
         assert large.capacity_fraction == pytest.approx(0.300, abs=0.015)
 
 

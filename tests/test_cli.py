@@ -259,19 +259,25 @@ class TestSweep:
 
     # what the swept value leaves alone is computed once; every row must still
     # be what `dimension` gives at that point
-    @pytest.mark.parametrize("axis", ["devices:1000:30000:7000", "report-bytes:100:1000:300"])
-    @pytest.mark.parametrize(
-        "model",
+    @pytest.mark.parametrize("axis, model", [
+        pytest.param(axis, model, id=f"{name}-{axis}")
         # 1000-byte QPSK reports need 28 RBs per subframe, more than 5 MHz has
-        [["--arrival", "poisson", "--modulation", "qpsk", "--bandwidth-rbs", "50"],
-         ["--arrival", "one-per-ri", "--modulation", "qam64"]],
-        ids=["poisson-qpsk", "one-per-ri-qam64"],
-    )
+        for name, model in [("poisson-qpsk", ["--arrival", "poisson", "--modulation", "qpsk",
+                                              "--bandwidth-rbs", "50"]),
+                            ("one-per-ri-qam64", ["--arrival", "one-per-ri", "--modulation", "qam64"])]
+        for axis in ["devices:1000:30000:7000", "report-bytes:100:1000:300"]
+    ] + [
+        # C_min from 4.8e14 to 4.8e16: 82 of the 100 closed forms land past
+        # 2**53, where the capacity comes without the integer scan
+        pytest.param("devices:1000000000000000:100000000000000000:1000000000000000",
+                     ["--ri-seconds", "86400", "--bandwidth-rbs", "1000000000000000"], id="past-2**53"),
+    ])
     def test_every_point_matches_dimension(self, axis, model, tmp_path):
         sweep_out, point_out = tmp_path / "sweep.csv", tmp_path / "point.csv"
         assert run_cli(["sweep", "--sweep", axis, *model, "--out", str(sweep_out)])[0] == 0
         rows = read_rows(sweep_out)
-        assert len(rows) == (5 if axis.startswith("devices") else 4)
+        start, stop, step = (int(bound) for bound in axis.split(":")[1:])
+        assert len(rows) == len(range(start, stop + 1, step))
         fields = ["N", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C", "fraction"]
         for row in rows:
             args = ["dimension", "--devices", row["N"], "--report-bytes", row["rs_bytes"], *model]
@@ -299,6 +305,34 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err.startswith("m2mpool: error: sweep needs runs >= 0") and err.count("\n") == 1
+
+
+class TestSweepErrors:
+    """A failing sweep point ends the run in the per-point check order:
+    parameters, profile, dimensioning, plan."""
+
+    CASES = [
+        (["devices:0:10:5"], 1,
+         "m2mpool: error: n_devices must be a positive integer, got 0"),
+        (["devices:1000:3000:1000", "--target-eps", "1e-12"], 2,
+         "m2mpool: infeasible reliability target: target failure 1e-12 is at or below the "
+         "floor p_e^L = 1e-10; no capacity can reach it"),
+        # the profile is checked before the dimensioning
+        (["devices:1000:3000:1000", "--report-bytes", "0", "--target-eps", "1e-12"], 1,
+         "m2mpool: error: report_bytes must be positive, got 0"),
+        # the first point fits; the second does not
+        (["devices:1000:100000000:10000000", "--ri-seconds", "10"], 3,
+         "m2mpool: infeasible geometry: pool needs 1775998 subframes but the interval has only 10000"),
+        (["report-bytes:100:2000:500"], 3,
+         "m2mpool: infeasible geometry: a report needs 31 RBs but only 25 are reserved per subframe"),
+    ]
+
+    @pytest.mark.parametrize("args, code, message", CASES)
+    def test_exit_code_and_message(self, args, code, message, tmp_path):
+        out = tmp_path / "out.csv"
+        result = run_cli(["sweep", "--sweep", *args, "--out", str(out)])
+        assert result == (code, "", message + "\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -572,3 +606,101 @@ class TestUsage:
         code, _, err = run_cli([*command, "--max-attempts", "1" + "0" * 309,
                                 "--out", str(tmp_path / "out.csv")])
         assert (code, err) == (0, "")
+
+
+class TestNegativeZeroErrorProb:
+    # -0.0 passes the range check but printed as "-0"
+    COMMANDS = [
+        ["dimension"],
+        ["simulate", "--devices", "100", "--runs", "50", "--seed", "3"],
+        ["validate-clt", "--runs", "200", "--seed", "3"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_minus_zero_gives_the_bytes_of_zero(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pe=-0.0\n")
+        results = []
+        for route in (["--pe", "0"], ["--pe", "-0.0"], ["--config", str(cfg)]):
+            out = tmp_path / "out.csv"
+            code, stdout, err = run_cli([*command, *route, "--out", str(out)])
+            results.append((code, stdout, err, out.read_bytes()))
+            out.unlink()
+        assert results[0][0] == 0
+        assert "pe=0" in results[0][1] and "pe=-0" not in results[0][1]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+
+class TestDeviceCountBeyondDoubleRange:
+    HUGE = "1" + "0" * 400
+    MESSAGE = ("m2mpool: error: n_devices must be at most 1.79769e+308, the largest double, "
+               "got an integer of 1329 bits\n")
+
+    @pytest.mark.parametrize("command", [["dimension"], ["sweep", "--sweep", f"devices:{HUGE}:{HUGE}:1"]],
+                             ids=lambda command: command[0])
+    def test_exits_with_one_line(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"devices={self.HUGE}\n")
+        out = tmp_path / "out.csv"
+        routes = [["--devices", self.HUGE], ["--config", str(cfg)]] if command == ["dimension"] else [[]]
+        for route in routes:
+            assert run_cli([*command, *route, "--out", str(out)]) == (1, "", self.MESSAGE)
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_by_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"devices={self.HUGE}\n")
+        out = tmp_path / "out.csv"
+        result = run_cli(["sweep", "--sweep", "report-bytes:100:200:100", "--config", str(cfg),
+                          "--out", str(out)])
+        assert result == (1, "", self.MESSAGE)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_fails_at_the_first_point_past_the_limit(self, tmp_path):
+        # 1e308 devices fit a double (and, on 1e310 RBs per subframe, the grid); 2e308 do not
+        step = 10**308
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(["sweep", "--sweep", f"devices:{step}:{3 * step}:{step}",
+                                     "--bandwidth-rbs", str(10**310), "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err == "m2mpool: error: n_devices must be at most 1.79769e+308, the largest double, " \
+                      "got an integer of 1025 bits\n"
+        assert list(tmp_path.iterdir()) == []
+        code, _, _ = run_cli(["sweep", "--sweep", f"devices:{step}:{step}:{step}",
+                              "--bandwidth-rbs", str(10**310), "--out", str(out)])
+        assert code == 0
+        assert len(read_rows(out)) == 1
+
+
+class TestSweepPointLimit:
+    def test_long_range_is_refused_before_any_point(self, tmp_path):
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, stdout, err = run_cli(["sweep", "--sweep", "devices:1:100000000000:1", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (1, "")
+        assert err == f"m2mpool: error: a sweep may have at most {cli.MAX_SWEEP_POINTS} points, got 100000000000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_count_beyond_machine_integers_is_refused(self):
+        code, _, err = run_cli(["sweep", "--sweep", f"devices:1:{10**30}:1"])
+        assert code == 1
+        assert err == f"m2mpool: error: a sweep may have at most {cli.MAX_SWEEP_POINTS} points, got {10**30}\n"
+
+    def test_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+        out = tmp_path / "out.csv"
+        for axis in ("devices:1000:5000:1000", "devices:1000:5999:1000", "report-bytes:100:500:100"):
+            assert run_cli(["sweep", "--sweep", axis, "--out", str(out)])[0] == 0
+            assert len(read_rows(out)) == 5
+        out.unlink()
+        for axis in ("devices:1000:6000:1000", "report-bytes:100:600:100"):
+            assert run_cli(["sweep", "--sweep", axis, "--out", str(out)]) == \
+                (1, "", "m2mpool: error: a sweep may have at most 5 points, got 6\n")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_limit_is_in_the_help(self):
+        assert cli.MAX_SWEEP_POINTS == MAX_HISTOGRAM_WIDTH
+        text = " ".join(run_cli(["sweep", "--help"])[1].split())
+        assert f"(at most {cli.MAX_SWEEP_POINTS} points)" in text

@@ -9,12 +9,11 @@ from m2mpool import (
     InfeasibleGeometryError,
     LteProfile,
     ParameterError,
-    SystemParams,
     build_pool_plan,
     rbs_per_report,
 )
 
-HEADLINE = SystemParams(30_000, 0.1, 10)
+HEADLINE_DEVICES = 30_000
 
 
 def five_mhz(**overrides) -> LteProfile:
@@ -36,67 +35,67 @@ class TestRbsPerReport:
 
 class TestBuildPoolPlan:
     def test_headline_fraction(self):
-        plan = build_pool_plan(HEADLINE, five_mhz(), 14841)
+        plan = build_pool_plan(HEADLINE_DEVICES, five_mhz(), 14841)
         assert plan.capacity_fraction == pytest.approx(3 * 44841 / 1_500_000, abs=1e-12)
         assert plan.capacity_fraction == pytest.approx(0.0897, abs=0.0001)
 
     def test_large_report_fraction(self):
-        plan = build_pool_plan(HEADLINE, five_mhz(bits_per_re=6, report_size_bits=8000), 14841)
+        plan = build_pool_plan(HEADLINE_DEVICES, five_mhz(bits_per_re=6, report_size_bits=8000), 14841)
         assert plan.capacity_fraction == pytest.approx(10 * 44841 / 1_500_000, abs=1e-12)
 
     def test_single_device(self):
         profile = LteProfile(
             rbs_per_subframe_total=1, m2m_rbs_per_subframe=1, report_size_bits=100, ri_subframes=10
         )
-        plan = build_pool_plan(SystemParams(1, 0.1, 2), profile, 0)
+        plan = build_pool_plan(1, profile, 0)
         assert plan.rbs_per_report == 1
         assert (plan.preallocated_subframes, plan.common_subframes, plan.total_subframes) == (1, 0, 1)
 
     def test_partition_and_packing_invariants(self):
         for capacity in (0, 1, 97, 14841):
-            plan = build_pool_plan(HEADLINE, five_mhz(), capacity)
+            plan = build_pool_plan(HEADLINE_DEVICES, five_mhz(), capacity)
             assert plan.total_subframes == plan.preallocated_subframes + plan.common_subframes
             assert plan.total_subframes * 25 >= plan.rbs_per_report * (30_000 + capacity)
             assert 0.0 < plan.alpha <= 1.0
 
     def test_worst_case_delay(self):
-        plan = build_pool_plan(HEADLINE, five_mhz(), 14841)
+        plan = build_pool_plan(HEADLINE_DEVICES, five_mhz(), 14841)
         assert plan.worst_case_delay_seconds == (60_000 + plan.total_subframes) * 1e-3
 
     def test_doubling_bandwidth_halves_fraction(self):
-        narrow = build_pool_plan(HEADLINE, five_mhz(), 14841)
-        wide = build_pool_plan(HEADLINE, five_mhz(rbs_per_subframe_total=50), 14841)
+        narrow = build_pool_plan(HEADLINE_DEVICES, five_mhz(), 14841)
+        wide = build_pool_plan(HEADLINE_DEVICES, five_mhz(rbs_per_subframe_total=50), 14841)
         assert wide.capacity_fraction == pytest.approx(narrow.capacity_fraction / 2.0, rel=1e-12)
 
     def test_fraction_monotone_in_report_size(self):
         fractions = [
-            build_pool_plan(HEADLINE, five_mhz(bits_per_re=6, report_size_bits=8 * size), 14841).capacity_fraction
+            build_pool_plan(HEADLINE_DEVICES, five_mhz(bits_per_re=6, report_size_bits=8 * size), 14841).capacity_fraction
             for size in range(100, 1001, 100)
         ]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
     def test_fraction_monotone_in_devices_and_capacity(self):
         by_devices = [
-            build_pool_plan(SystemParams(n, 0.1, 10), five_mhz(), 1000).capacity_fraction
+            build_pool_plan(n, five_mhz(), 1000).capacity_fraction
             for n in (100, 1_000, 10_000)
         ]
         by_capacity = [
-            build_pool_plan(HEADLINE, five_mhz(), c).capacity_fraction for c in (0, 500, 5_000)
+            build_pool_plan(HEADLINE_DEVICES, five_mhz(), c).capacity_fraction for c in (0, 500, 5_000)
         ]
         assert by_devices == sorted(by_devices)
         assert by_capacity == sorted(by_capacity)
 
     def test_report_wider_than_reserved_rbs(self):
         with pytest.raises(InfeasibleGeometryError):
-            build_pool_plan(HEADLINE, five_mhz(report_size_bits=8000), 100)
+            build_pool_plan(HEADLINE_DEVICES, five_mhz(report_size_bits=8000), 100)
 
     def test_pool_exceeding_interval(self):
         with pytest.raises(InfeasibleGeometryError):
-            build_pool_plan(HEADLINE, five_mhz(ri_subframes=1000), 14841)
+            build_pool_plan(HEADLINE_DEVICES, five_mhz(ri_subframes=1000), 14841)
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ParameterError):
-            build_pool_plan(HEADLINE, five_mhz(), -1)
+            build_pool_plan(HEADLINE_DEVICES, five_mhz(), -1)
 
 
 class TestCapacityFromSubframes:
@@ -116,7 +115,7 @@ class TestCapacityFromSubframes:
             ri_subframes=10**7,
         )
         assert rbs_per_report(profile) == rbs
-        plan = build_pool_plan(SystemParams(10, 0.1, 5), profile, capacity)
+        plan = build_pool_plan(10, profile, capacity)
         # the shared subframes, packed with whole reports, carry at least C
         assert plan.common_subframes * reserved // rbs >= capacity
 

@@ -204,6 +204,36 @@ class TestBlockDraws:
         law = np.array([0.0, *truncated_geometric_pmf(p_e, cap)])
         assert pooled_chisquare_pvalue(DemandHistogram(counts), law) > 0.001
 
+    @pytest.mark.parametrize("load", [0.05, 1.0, 40.0])
+    def test_report_count_table_keeps_its_right_cut_only_at_low_loads(self, load):
+        # e^-load >= 1e-19 up to load 43.7: nothing is cut on the left
+        k = np.arange(int(2 * load) + 41)
+        pmf = np.exp(k * math.log(load) - load - np.append(0.0, np.log(k[1:]).cumsum()))
+        pmf = pmf[np.cumsum(pmf[::-1])[::-1] > 1e-19]
+        order = np.argsort(-pmf, kind="stable")
+        after = np.cumsum(pmf[order][::-1])[::-1]
+        head = np.count_nonzero(after[1:] > 1e-3)
+        order = np.concatenate([order[:head], order[head:][::-1]])
+        drawn, back = _report_count_law(load)
+        assert np.array_equal(drawn, (pmf / pmf.sum())[order])
+        assert np.array_equal(back, np.argsort(order))
+
+    @pytest.mark.parametrize("load,counts", [(50.0, 125), (1000.0, 570)])
+    def test_report_count_table_cuts_both_tails_below_1e_19(self, load, counts):
+        drawn, back = _report_count_law(load)
+        # one zero category stands for every count below the first kept one
+        assert drawn.size == counts + 1
+        assert drawn[0] == 0.0
+        law = drawn[back]
+        first, last = np.flatnonzero(law)[[0, -1]]
+        assert last == law.size - 1 and last - first + 1 == counts
+        assert np.all(law[:first] == 0.0)
+        assert stats.poisson.cdf(first - 1, load) < 1e-19 <= stats.poisson.cdf(first, load)
+        assert stats.poisson.sf(last, load) < 1e-19 <= stats.poisson.sf(last - 1, load)
+        assert law.sum() == pytest.approx(1.0, abs=1e-15)
+        devices = by_category(RngStream(507, 0).generator, 10**6, (drawn, back), 100)
+        assert not devices[:, :first].any()
+
     def test_deep_tail_keeps_the_law(self):
         # numpy forms each category's conditional probability against
         # 1 - (the earlier ones) by subtraction; drawn largest first, that
