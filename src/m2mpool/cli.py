@@ -231,8 +231,9 @@ def _report_bits(size: int) -> int:
     return 8 * size
 
 
-def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    text = "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
+    """Write the header and the rows, each already one comma-joined line, as one CSV."""
+    text = "\n".join([header, *lines, ""])
     if path is None:
         sys.stdout.write(text)
         return
@@ -267,17 +268,16 @@ def cmd_dimension(cfg: _Config) -> int:
         f"X_C={plan.common_subframes}), fraction={plan.capacity_fraction:.4f}, "
         f"worst-case delay {plan.worst_case_delay_seconds:.3f} s"
     )
-    header = ["N", "pe", "L", "eps", "mu", "sigma", "C_min", "r_rbs", "alpha",
-              "X_P", "X_C", "X", "fraction", "delay_s"]
-    row = [
+    header = "N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s"
+    line = ",".join([
         str(params.n_devices), _fmt(params.p_e), str(params.max_attempts),
         _fmt(params.target_failure), f"{summary.mean:.6f}", f"{summary.std:.6f}",
         str(capacity), str(plan.rbs_per_report), f"{plan.alpha:.6f}",
         str(plan.preallocated_subframes), str(plan.common_subframes),
         str(plan.total_subframes), f"{plan.capacity_fraction:.6f}",
         f"{plan.worst_case_delay_seconds:.3f}",
-    ]
-    _write_csv(cfg.out, header, [row])
+    ])
+    _write_csv(cfg.out, header, [line])
     return EXIT_OK
 
 
@@ -285,11 +285,11 @@ def cmd_validate_clt(cfg: _Config) -> int:
     if cfg.runs < 1:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
-    header = ["pe", "value", "empirical_pdf", "empirical_cdf", "gaussian_pdf", "gaussian_cdf"]
+    header = "pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf"
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
     # every histogram is drawn, so its width is checked, before anything is said or built
     hists = [sample_demand(params, cfg.runs, cfg.seed) for params in all_params]
-    rows: list[list[str]] = []
+    rows: list[str] = []
     for pe, params, hist in zip(pe_values, all_params, hists):
         summary = demand_summary(params)
         cdf = gaussian_cdf(hist, summary)
@@ -301,10 +301,10 @@ def cmd_validate_clt(cfg: _Config) -> int:
         cumulative = 0
         for value, count, cdf_lo, cdf_hi in zip(hist.values.tolist(), hist.counts.tolist(), cdf, cdf[1:]):
             cumulative += count
-            rows.append([
+            rows.append(",".join([
                 _fmt(pe), str(value), _fmt(count / hist.runs), _fmt(cumulative / hist.runs),
                 _fmt(cdf_hi - cdf_lo), _fmt(cdf_hi),
-            ])
+            ]))
     _write_csv(cfg.out, header, rows)
     return EXIT_OK
 
@@ -322,14 +322,13 @@ def cmd_simulate(cfg: _Config) -> int:
         f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
         f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound_text}"
     )
-    header = ["N", "pe", "L", "capacity", "policy", "intervals", "reports", "failures",
-              "p_hat", "ci_low", "ci_high", "bound"]
-    row = [
+    header = "N,pe,L,capacity,policy,intervals,reports,failures,p_hat,ci_low,ci_high,bound"
+    line = ",".join([
         str(params.n_devices), _fmt(params.p_e), str(params.max_attempts), str(capacity),
         cfg.policy, str(cfg.runs), str(estimate.reports_total), str(estimate.reports_failed),
         _fmt(estimate.p_hat), _fmt(estimate.ci_low), _fmt(estimate.ci_high), bound_text,
-    ]
-    _write_csv(cfg.out, header, [row])
+    ])
+    _write_csv(cfg.out, header, [line])
     return EXIT_OK
 
 
@@ -355,7 +354,7 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
     return var, start, stop, step
 
 
-def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[list[str]]:
+def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
     # what the swept value leaves alone is computed at the first point, in the
     # order every point is checked in: parameters, profile, dimensioning,
     # plan, simulation; a point then computes only what its value changes
@@ -369,7 +368,7 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[list[str]
     n_devices, report_bytes, rbs = params.n_devices, cfg.report_bytes, rbs_per_report(profile)
     policy = SchedulerPolicy(cfg.policy)
     estimate = None
-    rows: list[list[str]] = []
+    rows: list[str] = []
     for value in values:
         if by_devices:
             check_positive_int("n_devices", value)
@@ -387,12 +386,12 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[list[str]
                 estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
             p_hat_text = _fmt(estimate.p_hat)
             ci_high_text = _fmt(estimate.ci_high)
-        rows.append([
+        rows.append(",".join([
             str(n_devices), str(report_bytes), f"{summary.mean:.6f}", f"{summary.std:.6f}",
             str(capacity), str(rbs), str(plan.preallocated_subframes),
             str(plan.common_subframes), f"{plan.capacity_fraction:.6f}",
             p_hat_text, ci_high_text,
-        ])
+        ]))
     return rows
 
 
@@ -400,8 +399,7 @@ def cmd_sweep(cfg: _Config) -> int:
     var, start, stop, step = _parse_sweep(cfg.sweep)
     if cfg.runs < 0:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
-    header = ["N", "rs_bytes", "mu", "sigma", "C_min", "r_rbs", "X_P", "X_C",
-              "fraction", "p_hat", "ci_high"]
+    header = "N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high"
     values = range(start, stop + 1, step)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
     cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")

@@ -51,10 +51,10 @@ closed form rather than slot by slot:
   with a slot served at each ring: by memorylessness the next ring comes
   from each live report with equal probability.  Report j rings p_j times,
   at the partial sums of p_j standard exponentials, and the pool ends at the
-  C-th ring overall, so report j completes iff its last ring is among the
-  first C.  Exactly C rings are served even where ring times tie (such ties
-  go either way), and a report completes iff none of its rings is left out,
-  which keeps the count exact when two rings of one report tie.
+  C-th ring overall.  Where an interval's C-th ring time T precedes its next
+  ring, report j completes iff its last ring time is at most T.  At a tie
+  exactly C rings are still served, tied ones either way, and a report
+  completes iff none of its rings is left out (the same draws either way).
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ _CHAIN_STEPS = 64
 MAX_LOAD = 1_000.0
 # widest demand histogram `sample_demand` builds, in values (CSV rows of validate-clt)
 MAX_HISTOGRAM_WIDTH = 1_000_000
-# rings drawn in one pass of the random policy's clocks
+# rings drawn in one pass of the random policy's clocks (moves speed, not draws)
 _RING_GROUP = 1 << 13
 # most rings the random policy draws for one overflowing interval, and most
 # reports one interval may hold in flight past the chain (about 64 MB of each
@@ -446,31 +446,33 @@ def _random_unserved(
         )
     unserved = np.empty(counts.shape[1], dtype=np.int64)
     unflagged = np.empty(counts.shape[1], dtype=np.int64)
+    # reports interval by interval, class by class; rings report by report
+    reports, per_interval = np.ascontiguousarray(counts.T), counts.sum(axis=0)
+    pending, unflagged_kind = np.tile(pending, (demand.size, 1)), np.tile(~flags, (demand.size, 1))
+    lows = np.cumsum(demand) - demand
     # intervals in groups of about _RING_GROUP rings, which bounds the memory of one pass
-    group = (np.cumsum(demand) - demand) // _RING_GROUP
-    for cols in np.split(np.arange(demand.size), np.flatnonzero(np.diff(group)) + 1):
-        # reports interval by interval, class by class; rings report by report
-        reports = counts[:, cols].T.ravel()
-        rings = np.repeat(np.tile(pending, cols.size), reports)
+    cuts = (np.flatnonzero(np.diff(lows // _RING_GROUP)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, demand.size]):
+        rings = np.repeat(pending[a:b], reports[a:b].ravel())
         ends = np.cumsum(rings)
         times = gen.standard_exponential(int(ends[-1]))
         np.cumsum(times, out=times)
-        # each report's ring times: the clock since the ring before its first
-        since = times[ends - rings - 1]
-        since[0] = 0.0
+        # each report's ring times: the clock since the previous report's last ring
+        last = times[ends - 1]
+        since = np.append(0.0, last[:-1])
         times -= np.repeat(since, rings)
-        bounds = np.cumsum(demand[cols])
-        # the rings after the first `capacity` of each interval; ties go either way
-        late = np.concatenate([low + np.argpartition(times[low:high], capacity - 1)[capacity:]
-                               for low, high in zip((bounds - demand[cols]).tolist(), bounds.tolist())])
-        # a report is unserved iff any of its rings is late; asking that of every
-        # ring, not just its last, stays exact when rings of one report tie
-        left = np.zeros(rings.size, dtype=bool)
-        left[np.searchsorted(ends, late, side="right")] = True
-        per_interval = counts[:, cols].sum(axis=0)
-        firsts = np.cumsum(per_interval) - per_interval
-        unserved[cols] = np.add.reduceat(left, firsts)
-        unflagged[cols] = np.add.reduceat(left & ~np.repeat(np.tile(flags, cols.size), reports), firsts)
+        spans = list(zip((lows[a:b] - lows[a]).tolist(), (lows[a:b] - lows[a] + demand[a:b]).tolist()))
+        # each interval's C-th and (C+1)-th ring times (sorting beats a partition
+        # here); below a gap after the C-th, a report's last ring decides
+        edge = np.array([np.sort(times[low:high])[capacity - 1:capacity + 1] for low, high in spans])
+        left = last - since > np.repeat(edge[:, 0], per_interval[a:b])
+        for low, high in (spans[i] for i in np.flatnonzero(edge[:, 0] == edge[:, 1]).tolist()):
+            # a tie at T_C: exactly C rings served, tied ones either way; any ring left leaves its report
+            late = low + np.argpartition(times[low:high], capacity - 1)[capacity:]
+            left[np.searchsorted(ends, late, side="right")] = True
+        firsts = np.cumsum(per_interval[a:b]) - per_interval[a:b]
+        unserved[a:b] = np.add.reduceat(left, firsts)
+        unflagged[a:b] = np.add.reduceat(left & np.repeat(unflagged_kind[a:b], reports[a:b].ravel()), firsts)
     return unserved, unflagged
 
 

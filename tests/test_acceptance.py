@@ -229,3 +229,23 @@ def test_criterion_6_property_suite(tmp_path):
         _assert_csv_determinism(tmp_path)
         _assert_capacity_sufficiency()
         _assert_golden_sweeps(tmp_path)
+
+
+# Seeded `simulate` at the overload point (N=1000, p_e=0.4, C=926: about 98% of
+# intervals overflow, so both serving rules run), two blocks each, recorded
+# under stream layout v4.  A change of the layout must regenerate these files
+# and say so; any other change that moves them changed what the engine draws
+# or how it serves.
+SIMULATE_GOLDENS = [
+    (f"simulate_overload_{policy}_seed{seed}.csv",
+     ["simulate", "--devices", "1000", "--pe", "0.4", "--capacity", "926", "--runs", "2000",
+      "--policy", policy, "--seed", str(seed)])
+    for policy in ("random", "fifo") for seed in (3, 17)
+]
+
+
+@pytest.mark.parametrize("name,args", SIMULATE_GOLDENS, ids=[name for name, _ in SIMULATE_GOLDENS])
+def test_seeded_simulate_matches_golden(tmp_path, name, args):
+    regenerated = tmp_path / name
+    assert cli_main([*args, "--out", str(regenerated)]) == 0
+    assert regenerated.read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} drifted"

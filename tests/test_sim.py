@@ -27,12 +27,15 @@ from m2mpool import (
     simulate_interval,
     wilson_interval,
 )
+from m2mpool import sim
 from m2mpool.sim import (
     _INT64_MAX,
+    _RING_GROUP,
     Z95,
     _draw_block,
     _finish,
     _outcome_law,
+    _random_unserved,
     _report_count_law,
     _serve,
 )
@@ -42,6 +45,7 @@ from oracles import (
     one_per_ri_demand_pmf,
     poisson_demand_pmf,
     random_law,
+    random_unserved_reference,
     serve_slots,
     truncated_geometric_pmf,
 )
@@ -557,6 +561,104 @@ class TestServingRules:
         table = (np.array([2**22]), np.array([False]), np.array([[reports]]))
         with pytest.raises(ParameterError, match="an overflowing interval"):
             _serve(None, table, class_table([]), capacity, policy)
+
+
+# (params, capacity, intervals per block) of the blocks whose random-policy
+# class tables the threshold rule is checked on, 50 seeds each
+REFERENCE_BLOCKS = [
+    # the overload point: about 1000 rings an interval, so intervals straddle
+    # the multiples of _RING_GROUP and a block takes several groups
+    (SystemParams(1000, 0.4, 10), 926, 30),
+    # reports at the retry limit (flagged) in most intervals
+    (SystemParams(60, 0.7, 4), 40, 40),
+    # capacity 1: most reports need more than C + 1 = 2 slots
+    (SystemParams(40, 0.6, 8), 1, 40),
+    # p_e near 1 with L past the chain: one-column tables after per-report draws
+    (SystemParams(20, 0.97, 100, OnePerRI()), 300, 20),
+]
+
+
+class TestRandomServiceAgainstTheOldRule:
+    """The random policy read from each interval's C-th ring time against the
+    rule it replaced, which marks every late ring (`random_unserved_reference`)."""
+
+    @pytest.mark.parametrize("params,capacity,size", REFERENCE_BLOCKS,
+                             ids=["overload", "flagged", "capacity-1", "past-the-chain"])
+    def test_same_arrays_from_the_same_generator_state(self, monkeypatch, params, capacity, size):
+        tables = []  # the class tables `_draw_block` hands to the random policy
+
+        def record(gen, pending, flags, counts, capacity):
+            tables.append((pending, flags, counts, capacity))
+            return _random_unserved(gen, pending, flags, counts, capacity)
+
+        monkeypatch.setattr(sim, "_random_unserved", record)
+        straddling = flagged = capped = 0
+        for seed in range(50):
+            tables.clear()
+            gen = RngStream(700 + seed, 0).generator
+            _draw_block(gen, params, size, capacity, SchedulerPolicy.RANDOM_UNIFORM)
+            assert tables
+            crossings = 0
+            for pending, flags, counts, cap in tables:
+                new = _random_unserved(RngStream(seed, 9).generator, pending, flags, counts, cap)
+                old = random_unserved_reference(RngStream(seed, 9).generator, pending, flags, counts,
+                                                cap, _RING_GROUP)
+                assert [a.tolist() for a in new] == [a.tolist() for a in old]
+                ends = np.cumsum(np.minimum(pending, cap + 1) @ counts)
+                crossings += int(((ends - 1) // _RING_GROUP > np.append(0, ends[:-1]) // _RING_GROUP).sum())
+                flagged += int(counts[flags].sum())
+                capped += int(counts[pending > cap + 1].sum())
+            straddling += crossings > 0
+        # what each kind of block is there to cover
+        if capacity == 926:
+            assert straddling == 50, "every block has an interval across a multiple of _RING_GROUP"
+        if params.max_attempts == 4:
+            assert flagged > 50
+        if capacity == 1:
+            assert capped > 50
+
+
+class TestRandomServiceTies:
+    """Stub clocks in one ring group: intervals whose C-th ring ties with the
+    next one, and intervals with a gap there."""
+
+    # per interval, the clock steps of report A (needs 2 slots), B (1 slot,
+    # flagged), C1 and C2 (1 slot each), in the order the clocks are drawn,
+    # and the (failures, unserved) of serving exactly C = 3 rings
+    CASES = [
+        # rings A 1, 4; B 2; C1 0.5; C2 5: a gap after T_C = 2, A and C2 left
+        ([1.0, 3.0, 2.0, 0.5, 5.0], {(3, 2)}),
+        # A 1, 2; B 2; C2 2 tie at T_C = 2 with C1 0.5 and A's first below: one
+        # of the three tied rings is served, so two of A, B, C2 are left
+        ([1.0, 1.0, 2.0, 0.5, 2.0], {(2, 2), (3, 2)}),
+        # A rings twice at 2, tied with B at T_C = 2 (C1, C2 at 1): A completes
+        # only if both its rings are served, which leaves B out
+        ([2.0, 0.0, 2.0, 1.0, 1.0], {(2, 2), (2, 1)}),
+        # A rings twice at T_C = 2 with a gap after it (B 3, C2 4): A completes
+        ([2.0, 0.0, 3.0, 1.0, 4.0], {(2, 2)}),
+    ]
+
+    def test_ties_and_gaps_in_one_group(self):
+        steps = np.array([step for case, _ in self.CASES for step in case])
+
+        class Clocks:
+            def standard_exponential(self, size):
+                assert size == steps.size
+                return steps.copy()
+
+        intervals = len(self.CASES)
+        table = (np.array([2, 1, 1]), np.array([False, True, False]),
+                 np.array([[1] * intervals, [1] * intervals, [2] * intervals]))
+        failures, unserved = _serve(Clocks(), table, class_table([], intervals), 3,
+                                    SchedulerPolicy.RANDOM_UNIFORM)
+        for (_, allowed), outcome in zip(self.CASES, zip(failures.tolist(), unserved.tolist())):
+            assert outcome in allowed
+        # the old rule, which serves exactly C rings by construction, breaks the
+        # ties the same way (where two rings of one report tie, the outcome alone
+        # does not show how many rings were served)
+        old_unserved, old_unflagged = random_unserved_reference(Clocks(), *table, 3, _RING_GROUP)
+        assert unserved.tolist() == old_unserved.tolist()
+        assert failures.tolist() == (old_unflagged + 1).tolist()
 
 
 class TestOverflowBeyondTheChain:
