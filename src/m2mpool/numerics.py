@@ -154,8 +154,11 @@ def leading_failure_counts(gen: np.random.Generator, p_e: float, size: int) -> n
     check_error_prob(p_e)
     if p_e == 0.0:
         return np.zeros(size, dtype=np.int64)
-    u = gen.random(size)
-    return np.floor(np.log1p(-u) / math.log(p_e)).astype(np.int64)
+    # the same arithmetic in place: one float array besides the result
+    u = np.negative(gen.random(size))
+    np.log1p(u, out=u)
+    u /= math.log(p_e)
+    return np.floor(u, out=u).astype(np.int64)
 
 
 def check_error_prob(p_e: float) -> None:

@@ -29,12 +29,14 @@ the whole block at once, at a cost that does not grow with N.  Fixing each
 report's attempt count before serving is distribution-identical to drawing
 a Bernoulli outcome per served slot because no scheduling decision ever
 depends on a future outcome.  Reports still in flight after _CHAIN_STEPS
-attempts get per-report geometric draws for the rest, which keeps the law
-(the geometric is memoryless) and the categories few when p_e is near 1.
+attempts get per-report geometric draws for the rest, one call per group of
+intervals (v5), which keeps the law (the geometric is memoryless) and the
+categories few when p_e is near 1.
 
 Only an interval whose demand exceeds the pool is served, and it is served
-from its class table (pool slots needed, retry-limit flag, report count), in
-closed form rather than slot by slot:
+from its class table (pool slots needed, retry-limit flag, report count; one
+table for the overflowing intervals of a group), in closed form rather than
+slot by slot:
 
 - FIFO serves the pending queue round robin: a report whose transmission
   fails goes to the back, behind every report still waiting.  So after K
@@ -165,10 +167,12 @@ MAX_HISTOGRAM_WIDTH = 1_000_000
 # rings drawn in one pass of the random policy's clocks (moves speed, not draws)
 _RING_GROUP = 1 << 13
 # most rings the random policy draws for one overflowing interval, and most
-# reports one interval may hold in flight past the chain (about 64 MB of each
-# float array either way); fewest reports of one kind FIFO cannot serve
-# (numpy's hypergeometric takes populations below 10**9)
+# reports in flight past the chain in one interval, drawn in one call (about
+# 64 MB of each float array either way); fewest reports of one kind FIFO
+# cannot serve (numpy's hypergeometric takes populations below 10**9)
 _MAX_RINGS = 1 << 23
+# most past-the-chain cells (classes x intervals) in one group's class table
+_MAX_CELLS = 1 << 14
 _MAX_QUEUED = 10**9
 # largest device count the engine draws: numpy's multinomial counts are int64
 MAX_DEVICES = _INT64_MAX
@@ -258,38 +262,6 @@ def _outcome_law(p_e: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
 _Table: TypeAlias = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
-def _classes(
-    outcomes: np.ndarray,
-    cols: np.ndarray,
-    more: np.ndarray,
-    exhausted: np.ndarray,
-    tail: np.ndarray,
-    preallocated: int,
-) -> _Table:
-    """Class table of one kind of report (first or excess) in the intervals `cols`.
-
-    `outcomes[b]` counts the reports of interval b done at each attempt of
-    the chain, then the `beyond` ones.  One class per attempt count for the
-    done ones, then the `beyond` ones: ``tail[k]`` reports with ``more[k]``
-    attempts past the chain and retry-limit flag ``exhausted[k]``.
-    """
-    steps = outcomes.shape[1] - 1
-    return (
-        np.concatenate([np.arange(1, steps + 1), steps + more]) - preallocated,
-        np.concatenate([np.zeros(steps, dtype=bool), exhausted]),
-        np.vstack([outcomes[cols, :steps].T, tail]),
-    )
-
-
-def _finish(
-    gen: np.random.Generator, p_e: float, reports: int, remaining: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attempts past the chain, and retry-limit flags, of reports that failed
-    its last attempt, with `remaining` > 0 attempts left."""
-    fails = leading_failure_counts(gen, p_e, reports)
-    return np.minimum(fails + 1, remaining), fails >= remaining
-
-
 def _draw_block(
     gen: np.random.Generator,
     params: SystemParams,
@@ -301,10 +273,10 @@ def _draw_block(
 
     The stream yields, for the whole block: the devices by report count (one
     multinomial), then the first and the excess reports by outcome (one
-    multinomial).  Then, interval by interval, only where reports outlast
-    the chain: their per-report draws, and the pool service if the demand
-    exceeds `capacity`.  Last, the pool service of every other interval
-    whose demand exceeds `capacity`, all at once.
+    multinomial).  Then, group by group of consecutive intervals: one uniform
+    per report in flight past the chain, interval by interval and first
+    reports first, then one pool service of the group's intervals whose
+    demand exceeds `capacity`.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
@@ -321,32 +293,54 @@ def _draw_block(
     pmf, back = _outcome_law(p_e, steps)
     # [kind (first, excess), interval, outcome (done at attempt 1..steps, beyond)]
     outcomes = gen.multinomial(np.stack([active, excess]), pmf)[..., back]
-    beyond = outcomes[..., steps]
+    beyond = outcomes[..., steps].T
     demand = (outcomes @ np.append(np.arange(1, steps + 1), steps)).sum(axis=0) - active
-    failures = beyond.sum(axis=0)
+    failures = beyond.sum(axis=1)
     unserved = np.zeros(size, dtype=np.int64)
-    in_flight = np.flatnonzero(failures) if remaining else np.empty(0, dtype=np.int64)
-    if in_flight.size and failures.max() > _MAX_RINGS:
+    if remaining and failures.max() > _MAX_RINGS:
         raise ParameterError(
             f"an interval holds {failures.max()} reports in flight after {_CHAIN_STEPS} attempts, "
             f"more than the {_MAX_RINGS} it may draw one by one"
         )
-    for b in in_flight.tolist():
-        finished = [_finish(gen, p_e, n, remaining) for n in beyond[:, b].tolist()]
-        demand[b] += sum(int(more.sum()) for more, _ in finished)
-        failures[b] = sum(int(flags.sum()) for _, flags in finished)
-        if demand[b] > capacity:
-            tables = [_classes(kind, [b], more, flags, np.ones((more.size, 1), dtype=np.int64), pre)
-                      for kind, (more, flags), pre in zip(outcomes, finished, (1, 0))]
-            failures[b : b + 1], unserved[b : b + 1] = _serve(gen, *tables, capacity, policy)
-    over = demand > capacity
-    over[in_flight] = False
-    cols = np.flatnonzero(over)
-    if cols.size:
-        # none of these has reports in flight: the `beyond` ones are exhausted at attempt L
-        at_limit = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
-        tables = [_classes(kind, cols, *at_limit, kind[None, cols, steps], pre)
-                  for kind, pre in zip(outcomes, (1, 0))]
+    # a group's classes past the chain are at most its reports in flight, one
+    # column per interval: a group holds the most intervals that keep that
+    # product within _MAX_CELLS, and at least one (all, with none in flight)
+    start = 0
+    while start < size:
+        span = slice(start, size)
+        if remaining:
+            cells = np.arange(1, size - start + 1) * np.cumsum(failures[start:])
+            span = slice(start, start + max(1, np.count_nonzero(cells <= _MAX_CELLS)))
+        start = span.stop
+        # records (2 interval + kind) of `count` reports, keyed by min(failures
+        # past the chain, remaining): a key below `remaining` needs key + 1
+        # more attempts, one at it is flagged (all of them at L <= 64)
+        reports = beyond[span].ravel()
+        record, keys, count = np.arange(reports.size), np.zeros(reports.size, dtype=np.int64), reports
+        if remaining:
+            keys = np.minimum(leading_failure_counts(gen, p_e, int(reports.sum())), remaining)
+            record, count = np.repeat(record, reports), np.broadcast_to(np.int64(1), keys.shape)
+            # min(key + 1, remaining) attempts each: the keys, and one per unflagged report
+            np.add.at(demand[span], record // 2, keys)
+            flagged = np.bincount(record[keys == remaining] // 2, minlength=reports.size // 2)
+            demand[span] += failures[span] - flagged
+            failures[span] = flagged
+        over = demand[span] > capacity
+        if not over.any():
+            continue
+        cols = span.start + np.flatnonzero(over)
+        interval, kind = np.divmod(record, 2)
+        mine = over[interval]
+        # a report needing more than C + 1 slots is never served, so its key
+        # caps at C and its pending slots at C + 1 (which merges classes)
+        classes, row = np.unique(np.minimum(keys[mine], capacity), return_inverse=True)
+        past = np.zeros((2, classes.size, cols.size), dtype=np.int64)
+        np.add.at(past, (kind[mine], row, (np.cumsum(over) - 1)[interval[mine]]), count[mine])
+        tables = [(np.append(np.arange(1 - pre, steps + 1 - pre),
+                             np.minimum(steps - pre + np.minimum(classes + 1, remaining), capacity + 1)),
+                   np.append(np.zeros(steps, dtype=bool), classes == remaining),
+                   np.vstack([outcomes[k, cols, :steps].T, past[k]]))
+                  for k, pre in ((0, 1), (1, 0))]  # a first report's first attempt is preallocated
         failures[cols], unserved[cols] = _serve(gen, *tables, capacity, policy)
     return active + excess, failures, demand, unserved
 

@@ -249,3 +249,23 @@ def test_seeded_simulate_matches_golden(tmp_path, name, args):
     regenerated = tmp_path / name
     assert cli_main([*args, "--out", str(regenerated)]) == 0
     assert regenerated.read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} drifted"
+
+
+# Seeded runs past the 64-step chain (p_e=0.97, L=100) whose blocks never
+# overflow the pool: the draws past the chain come block by block in interval
+# order, so these keep the bytes recorded under stream layout v4 (see
+# "Stream layout v5" in the README).
+PAST_CHAIN_GOLDENS = [
+    ("validate_clt_past_chain_seed3.csv",
+     ["validate-clt", "--pe", "0.97", "--max-attempts", "100", "--runs", "3000", "--seed", "3"]),
+    ("simulate_past_chain_ample_seed7.csv",
+     ["simulate", "--devices", "100", "--pe", "0.97", "--max-attempts", "100", "--runs", "3000",
+      "--capacity", "100000", "--seed", "7"]),
+]
+
+
+@pytest.mark.parametrize("name,args", PAST_CHAIN_GOLDENS, ids=[name for name, _ in PAST_CHAIN_GOLDENS])
+def test_seeded_runs_past_the_chain_match_golden(tmp_path, name, args):
+    regenerated = tmp_path / name
+    assert cli_main([*args, "--out", str(regenerated)]) == 0
+    assert regenerated.read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} drifted"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +29,12 @@ from m2mpool import (
     wilson_interval,
 )
 from m2mpool import sim
+from m2mpool.cli import main as cli_main
 from m2mpool.sim import (
     _INT64_MAX,
     _RING_GROUP,
     Z95,
     _draw_block,
-    _finish,
     _outcome_law,
     _random_unserved,
     _report_count_law,
@@ -179,9 +180,22 @@ def attempt_counts(gen, p_e: float, cap: int, first: np.ndarray, excess: np.ndar
     if cap == steps:
         counts[cap] += outcomes[steps]  # exhausted at the retry limit
     else:
-        more, _ = _finish(gen, p_e, int(outcomes[steps]), cap - steps)
-        np.add.at(counts, steps + more, 1)
+        fails = sim.leading_failure_counts(gen, p_e, int(outcomes[steps]))
+        np.add.at(counts, steps + np.minimum(fails + 1, cap - steps), 1)
     return counts
+
+
+BLOCK_DRAW_CASES = [
+    pytest.param(SystemParams(n_devices, 0.4, cap, arrival), ["multinomial", "multinomial"],
+                 id=f"{cap}-{n_devices}-arrival{index}")
+    for index, arrival in enumerate([PoissonPerRI(), PoissonPerRI(0.05), PoissonPerRI(1000.0), OnePerRI()])
+    for n_devices in (1, 30_000, 10**12)
+    for cap in (1, 10, 64)
+]
+# about 2.8 of the 20 reports an interval outlast the chain, about 140 in
+# the block: 50 intervals x 140 classes fit _MAX_CELLS, so one group
+BLOCK_DRAW_CASES.append(pytest.param(SystemParams(20, 0.97, 100, OnePerRI()),
+                                     ["multinomial", "multinomial", "random"], id="past-the-chain"))
 
 
 class TestBlockDraws:
@@ -249,16 +263,14 @@ class TestBlockDraws:
             expected = rows * n * p_e ** (attempt - 1) * (1.0 - p_e)
             assert abs(outcomes[:, attempt - 1].sum() - expected) <= 5.0 * math.sqrt(expected), attempt
 
-    @pytest.mark.parametrize("arrival", [PoissonPerRI(), PoissonPerRI(0.05), PoissonPerRI(1000.0), OnePerRI()])
-    @pytest.mark.parametrize("n_devices", [1, 30_000, 10**12])
-    @pytest.mark.parametrize("cap", [1, 10, 64])
-    def test_a_block_takes_a_fixed_number_of_draw_calls(self, arrival, n_devices, cap):
+    @pytest.mark.parametrize("params,calls", BLOCK_DRAW_CASES)
+    def test_a_block_takes_a_fixed_number_of_draw_calls(self, params, calls):
         # one multinomial for the devices, one for the reports, whatever the
-        # counts: a per-step chain of draws fails this
-        gen = RecordingGenerator(RngStream(506, cap).generator)
-        _draw_block(gen, SystemParams(n_devices, 0.4, cap, arrival), 50, _INT64_MAX,
-                    SchedulerPolicy.RANDOM_UNIFORM)
-        assert gen.calls == ["multinomial", "multinomial"]
+        # counts: a per-step chain of draws fails this; past the chain, one
+        # uniform draw for the group, not one per interval and kind
+        gen = RecordingGenerator(RngStream(506, params.max_attempts).generator)
+        _draw_block(gen, params, 50, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
+        assert gen.calls == calls
 
 
 class TestKsDistance:
@@ -573,7 +585,7 @@ REFERENCE_BLOCKS = [
     (SystemParams(60, 0.7, 4), 40, 40),
     # capacity 1: most reports need more than C + 1 = 2 slots
     (SystemParams(40, 0.6, 8), 1, 40),
-    # p_e near 1 with L past the chain: one-column tables after per-report draws
+    # p_e near 1 with L past the chain: past-the-chain classes after per-report draws
     (SystemParams(20, 0.97, 100, OnePerRI()), 300, 20),
 ]
 
@@ -661,27 +673,124 @@ class TestRandomServiceTies:
         assert failures.tolist() == (old_unflagged + 1).tolist()
 
 
-class TestOverflowBeyondTheChain:
-    """Overflowing intervals whose reports outlast the binomial chain are served
-    one at a time, after per-report draws; the slot loop over directly drawn
-    attempt counts is the reference."""
+def slot_loop_failures(gen, params: SystemParams, capacity: int, policy: SchedulerPolicy, intervals: int):
+    """Failures and reports of each interval of a pool served slot by slot,
+    each report's attempt count drawn directly; under FIFO the first reports,
+    which used their preallocated slot, queue ahead of the excess ones."""
+    failures, reports = [], []
+    for _ in range(intervals):
+        if isinstance(params.arrival, OnePerRI):
+            active, excess = params.n_devices, 0
+        else:
+            per_device = gen.poisson(params.arrival.load, params.n_devices)
+            active = int(np.count_nonzero(per_device))
+            excess = int(per_device.sum()) - active
+        # attempts up to the first success, first reports then excess ones
+        trials = np.concatenate([gen.geometric(1.0 - params.p_e, active),
+                                 gen.geometric(1.0 - params.p_e, excess)])
+        pending = np.minimum(trials, params.max_attempts) - np.repeat([1, 0], [active, excess])
+        flags = trials > params.max_attempts
+        failures.append(serve_slots(pending.tolist(), flags.tolist(), capacity, policy.value, gen)[0])
+        reports.append(active + excess)
+    return np.array(failures), np.array(reports)
 
-    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
-    def test_engine_matches_the_slot_loop(self, policy):
-        n_devices, p_e, cap, capacity, intervals = 20, 0.97, 100, 500, 2_000
-        gen = RngStream(400, 0).generator
-        failures = []
-        for _ in range(intervals):
-            trials = gen.geometric(1.0 - p_e, n_devices)  # attempts up to the first success
-            pending = (np.minimum(trials, cap) - 1).tolist()
-            failures.append(serve_slots(pending, (trials > cap).tolist(), capacity, policy.value, gen)[0])
-        reference = np.mean(failures) / n_devices
-        estimate = estimate_failure_prob(
-            SystemParams(n_devices, p_e, cap, OnePerRI()), capacity, policy, intervals, seed=401
-        )
-        se = np.std(failures) / n_devices * math.sqrt(2.0 / intervals)
-        assert 0.05 < reference < 0.95  # the pool, not the retry limit, decides most failures
+
+# (label, params, capacity, intervals, reference stream, engine seed)
+SLOT_LOOP_POINTS = [
+    ("", SystemParams(20, 0.97, 100, OnePerRI()), 500, 2_000, 0, 401),
+    # excess reports past the chain, about 1.6 an interval at the retry limit
+    ("poisson-", SystemParams(30, 0.95, 70, PoissonPerRI(2.0)), 1_000, 1_000, 1, 402),
+    # reports past the chain need more than C + 1 = 2 slots: one capped class
+    ("capacity-1-", SystemParams(30, 0.95, 70, PoissonPerRI(2.0)), 1, 2_000, 2, 403),
+]
+
+
+class TestOverflowBeyondTheChain:
+    """Overflowing intervals whose reports outlast the binomial chain, served
+    a group of intervals at a time after per-report draws; the slot loop over
+    directly drawn attempt counts is the reference."""
+
+    @pytest.mark.parametrize("params,capacity,intervals,stream,seed,policy", [
+        pytest.param(params, capacity, intervals, stream, seed, policy, id=f"{label}{policy}")
+        for label, params, capacity, intervals, stream, seed in SLOT_LOOP_POINTS
+        for policy in SchedulerPolicy
+    ])
+    def test_engine_matches_the_slot_loop(self, params, capacity, intervals, stream, seed, policy):
+        failures, reports = slot_loop_failures(RngStream(400, stream).generator, params, capacity,
+                                               policy, intervals)
+        reference = failures.sum() / reports.sum()
+        estimate = estimate_failure_prob(params, capacity, policy, intervals, seed=seed)
+        # a ratio of sums: its standard error from the residuals, for two independent runs
+        se = math.sqrt(((failures - reference * reports) ** 2).sum()) / reports.sum() * math.sqrt(2.0)
+        if capacity > 1:
+            assert 0.05 < reference < 0.95  # the pool, not the retry limit, decides most failures
         assert abs(estimate.p_hat - reference) <= 5.0 * se
+
+    @pytest.mark.parametrize("capacity", [600, 30])
+    def test_class_tables_hold_each_report_past_the_chain(self, monkeypatch, capacity):
+        # the classes past the chain of each overflowing interval against its
+        # reports, drawn again from the same stream: one uniform each after the
+        # two multinomials, interval by interval, first reports first.  At
+        # C = 30 every report past the chain needs more than C + 1 slots.
+        params, size, steps, remaining = SystemParams(20, 0.95, 70, PoissonPerRI(2.0)), 40, 64, 6
+        tables = []
+
+        def record(gen, first, excess, capacity, policy):
+            tables.append((first, excess))
+            return np.zeros((2, first[2].shape[1]), dtype=np.int64)
+
+        monkeypatch.setattr(sim, "_serve", record)
+        _, _, demand, _ = _draw_block(RngStream(410, 0).generator, params, size, capacity,
+                                      SchedulerPolicy.FIFO)
+        gen = RngStream(410, 0).generator
+        devices = by_category(gen, params.n_devices, _report_count_law(2.0), size)
+        active = params.n_devices - devices[:, 0]
+        excess = devices @ np.arange(devices.shape[1]) - active
+        outcomes = by_category(gen, np.stack([active, excess]), _outcome_law(params.p_e, steps))
+        beyond = outcomes[..., steps].T.ravel()
+        fails = np.split(sim.leading_failure_counts(gen, params.p_e, int(beyond.sum())),
+                         np.cumsum(beyond)[:-1])
+        over = np.flatnonzero(demand > capacity)
+        assert len(tables) == 1 and over.size > 10  # one group, most intervals served
+        for kind, (pending, flags, counts) in enumerate(tables[0]):
+            pre = 1 - kind
+            assert np.array_equal(counts[:steps], outcomes[kind, over, :steps].T)
+            for column, interval in enumerate(over.tolist()):
+                # flags do not matter for a report the pool can never serve
+                expected = collections.Counter(
+                    (slots, f >= remaining) if slots <= capacity else (capacity + 1, None)
+                    for f in fails[2 * interval + kind].tolist()
+                    for slots in [steps - pre + min(f + 1, remaining)]
+                )
+                held = collections.Counter()
+                for p, f, n in zip(pending[steps:].tolist(), flags[steps:].tolist(),
+                                   counts[steps:, column].tolist()):
+                    held[(p, f) if p <= capacity else (p, None)] += n
+                assert +held == expected
+
+    @pytest.mark.parametrize("capacity,intervals", [(1000, 1000), (10**7, 80)])
+    def test_memory_stays_bounded_near_p_e_1(self, capacity, intervals):
+        # about 100 reports an interval outlast the chain, nearly all with
+        # distinct failure counts: one table row per distinct count over a
+        # whole block took over a gigabyte.  At C = 1000 almost all of them
+        # share the capped class; at C = 10**7 they stay distinct, and only
+        # the group size bounds the table (about 90 MiB in one group)
+        tracemalloc.start()
+        try:
+            estimate_failure_prob(SystemParams(100, 0.999999, 10**9), capacity, SchedulerPolicy.FIFO,
+                                  intervals, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_more_than_a_group_in_flight_in_one_interval_runs(self, tmp_path):
+        # about 1.4 million reports an interval outlast the chain, more than
+        # _MAX_CELLS: each interval is a group of its own
+        out = tmp_path / "out.csv"
+        assert cli_main(["simulate", "--devices", "10000000", "--pe", "0.97", "--max-attempts", "100",
+                         "--runs", "2", "--capacity", str(10**20), "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 2
 
 
 class TestWilsonInterval:
