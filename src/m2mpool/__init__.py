@@ -15,7 +15,6 @@ from .analytic import (
     OnePerRI,
     PoissonPerRI,
     SystemParams,
-    attempts_pmf,
     attempts_second_moment,
     demand_summary,
     dimension_capacity,
@@ -68,7 +67,6 @@ __all__ = [
     "RngStream",
     "SchedulerPolicy",
     "SystemParams",
-    "attempts_pmf",
     "attempts_second_moment",
     "build_pool_plan",
     "demand_summary",

@@ -20,6 +20,11 @@ for a pool of capacity C transmissions (its overflow term does not depend on
 the scheduler, but it is an approximation, not a bound, since the demand is
 right-skewed), and the inverse problem: the smallest C meeting a target
 failure probability.
+
+Each arrival model owns the law of U: its mean (`mean_reports`), its pmf
+from k = 0 (`count_pmf`, built with numpy on first use) and R_i's moments
+from E[W] and E[W^2] (`demand_moments`).  `device_moments`, the engine and
+the command line read these and never ask which model they hold.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InfeasibleTargetError, ParameterError
-from .numerics import check_error_prob, check_positive_int, q_function, q_inverse
+from .numerics import check_error_prob, check_positive_int, np, q_function, q_inverse
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,45 @@ class PoissonPerRI:
         if not (self.load > 0.0 and math.isfinite(self.load)):
             raise ParameterError(f"arrival load must be positive and finite, got {self.load!r}")
 
+    @property
+    def mean_reports(self) -> float:
+        return self.load
+
+    def count_pmf(self) -> np.ndarray:
+        """P[U = k] for k <= 2 lambda + 40, in logs so that no term leaves double range."""
+        k = np.arange(int(2 * self.load) + 41)
+        return np.exp(k * math.log(self.load) - self.load - np.append(0.0, np.log(k[1:]).cumsum()))
+
+    def demand_moments(self, e_w: float, e_w2: float) -> tuple[float, float]:
+        """R_i's mean and variance from E[W] and E[W^2], conditioning on U
+        (at lambda = 1 the published dimensioning rule):
+
+            E[R_i]   = lambda E[W] - (1 - e^-lambda)
+            Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
+        """
+        load = self.load
+        silent = math.exp(-load)
+        # grouped so that load 1 repeats the published rule's arithmetic exactly
+        mean1 = load * e_w - (1.0 - silent)
+        var1 = load * e_w2 + silent * (1.0 - 2.0 * load * e_w - silent)
+        if not (math.isfinite(mean1) and math.isfinite(var1)):
+            raise ParameterError(f"arrival load {load!r} is too large: a device's demand moments overflow")
+        return mean1, var1
+
 
 @dataclass(frozen=True)
 class OnePerRI:
     """Exactly one report per device per interval."""
+
+    mean_reports = 1.0
+
+    def count_pmf(self) -> np.ndarray:
+        """P[U = k] for k = 0, 1."""
+        return np.array([0.0, 1.0])
+
+    def demand_moments(self, e_w: float, e_w2: float) -> tuple[float, float]:
+        """E[R_i] and Var[R_i] from E[W] and E[W^2]: R_i = W - 1 exactly."""
+        return e_w - 1.0, e_w2 - e_w * e_w
 
 
 ArrivalModel = Union[PoissonPerRI, OnePerRI]
@@ -105,21 +145,6 @@ class DemandSummary:
         return math.sqrt(self.variance)
 
 
-def attempts_pmf(k: int, p_e: float, max_attempts: int) -> float:
-    """P[W = k] for the truncated-geometric attempt count.
-
-    p_e^(k-1) (1 - p_e) below the cap; the cap point absorbs the whole
-    geometric tail, P[W = L] = p_e^(L-1).
-    """
-    check_error_prob(p_e)
-    check_positive_int("max_attempts", max_attempts)
-    if not isinstance(k, int) or not 1 <= k <= max_attempts:
-        raise ParameterError(f"k must be an integer in [1, {max_attempts}], got {k!r}")
-    if k < max_attempts:
-        return _all_fail(p_e, k - 1) * (1.0 - p_e)
-    return _all_fail(p_e, max_attempts - 1)
-
-
 def expected_attempts(p_e: float, max_attempts: int) -> float:
     """E[W] = (1 - p_e^L) / (1 - p_e), the truncated geometric series in closed form."""
     check_error_prob(p_e)
@@ -158,31 +183,11 @@ def attempts_second_moment(p_e: float, max_attempts: int) -> float:
 
 
 def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tuple[float, float]:
-    """Mean and variance of one device's shared-pool demand R_i.
-
-    Poisson arrivals with mean lambda: a device's demand is its attempt total
-    S over U reports, less the preallocated slot when U >= 1.  Conditioning
-    on U gives
-
-        E[R_i]   = lambda E[W] - (1 - e^-lambda)
-        Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
-        E[W^2]   = sum_{k<L} (2k + 1) p^k     (attempts_second_moment)
-
-    which at lambda = 1 is the published dimensioning rule.  One report per
-    interval: R_i = W - 1 exactly, so the moments are the truncated-geometric
-    ones shifted.  A variance that rounds below 0 is taken as 0.
-    """
+    """Mean and variance of one device's shared-pool demand R_i, from the
+    attempt moments E[W] and E[W^2] (attempts_second_moment) by the arrival
+    model's own law.  A variance that rounds below 0 is taken as 0."""
     e_w = expected_attempts(p_e, max_attempts)
-    e_w2 = attempts_second_moment(p_e, max_attempts)
-    if isinstance(arrival, OnePerRI):
-        mean1 = e_w - 1.0
-        var1 = e_w2 - e_w * e_w
-    else:
-        load = arrival.load
-        silent = math.exp(-load)
-        # grouped so that load 1 repeats the published rule's arithmetic exactly
-        mean1 = load * e_w - (1.0 - silent)
-        var1 = load * e_w2 + silent * (1.0 - 2.0 * load * e_w - silent)
+    mean1, var1 = arrival.demand_moments(e_w, attempts_second_moment(p_e, max_attempts))
     return mean1, max(var1, 0.0)
 
 
@@ -197,7 +202,13 @@ def scaled_summary(n_devices: int, moments: tuple[float, float]) -> DemandSummar
             f"got an integer of {n_devices.bit_length()} bits"
         ) from None
     mean1, var1 = moments
-    return DemandSummary(mean=n * mean1, variance=n * var1)
+    mean, variance = n * mean1, n * var1
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ParameterError(
+            f"devices x demand per device is too large: the demand of {n_devices} devices, each of "
+            f"mean {mean1:g} and variance {var1:g}, overflows a double"
+        )
+    return DemandSummary(mean=mean, variance=variance)
 
 
 def demand_summary(params: SystemParams) -> DemandSummary:

@@ -184,26 +184,20 @@ class _Config:
         self.command: str = args.command
         self.out: str | None = args.out
         self.sweep: str | None = getattr(args, "sweep", None)
-        simulates = self.command in ("simulate", "validate-clt") or (
-            self.command == "sweep" and self.runs > 0
-        )
-        if simulates:
-            check_simulable(self.devices, self.load if self.arrival == "poisson" else None)
+        self.arrival_model = OnePerRI() if self.arrival == "one-per-ri" else PoissonPerRI(self.load)
+        if self.command in ("simulate", "validate-clt") or (self.command == "sweep" and self.runs > 0):
+            check_simulable(self.devices, self.arrival_model)
         if not (math.isfinite(self.ri_seconds) and self.ri_seconds <= _MAX_RI_SECONDS):
             raise ParameterError(
                 f"ri_seconds must be finite and at most {_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}"
             )
 
     def system_params(self, *, devices: int | None = None, pe: float | None = None) -> SystemParams:
-        if self.arrival == "one-per-ri":
-            arrival: PoissonPerRI | OnePerRI = OnePerRI()
-        else:
-            arrival = PoissonPerRI(load=self.load)
         return SystemParams(
             n_devices=self.devices if devices is None else devices,
             p_e=self.pe if pe is None else pe,
             max_attempts=self.max_attempts,
-            arrival=arrival,
+            arrival=self.arrival_model,
             target_failure=self.target_eps,
         )
 

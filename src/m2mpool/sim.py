@@ -21,17 +21,16 @@ Implementation note: the engine draws counts, not devices or reports.  A
 block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
 (stream layout v4) as two multinomial draws, one numpy call each for the
 whole block (see _drawn_in_order for the category order): the N devices of
-each interval by report count, over the Poisson pmf (all at one report
-without Poisson arrivals); then each interval's first and excess reports,
-as two rows, by outcome: done at attempt j <= _CHAIN_STEPS, or failing
-every attempt drawn (`beyond`).  Demand and retry-limit failures follow for
-the whole block at once, at a cost that does not grow with N.  Fixing each
-report's attempt count before serving is distribution-identical to drawing
-a Bernoulli outcome per served slot because no scheduling decision ever
-depends on a future outcome.  Reports still in flight after _CHAIN_STEPS
-attempts get per-report geometric draws for the rest, one call per group of
-intervals (v5), which keeps the law (the geometric is memoryless) and the
-categories few when p_e is near 1.
+each interval by report count, over the arrival model's count pmf; then
+each interval's first and excess reports, as two rows, by outcome: done at
+attempt j <= _CHAIN_STEPS, or failing every attempt drawn (`beyond`).
+Demand and retry-limit failures follow for the whole block at once, at a
+cost that does not grow with N.  Fixing each report's attempt count before
+serving is distribution-identical to drawing a Bernoulli outcome per served
+slot because no scheduling decision ever depends on a future outcome.
+Reports still in flight after _CHAIN_STEPS attempts get per-report geometric
+draws for the rest, one call per group of intervals (v5), which keeps the
+law (the geometric is memoryless) and the categories few when p_e is near 1.
 
 Only an interval whose demand exceeds the pool is served, and it is served
 from its class table (pool slots needed, retry-limit flag, report count; one
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, TypeAlias
 
-from .analytic import DemandSummary, OnePerRI, SystemParams
+from .analytic import ArrivalModel, DemandSummary, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
 from .numerics import RngStream, leading_failure_counts, np, q_function
 
@@ -190,14 +189,14 @@ MAX_MEAN_REPORTS = 10**15
 _TAIL_MASS = 1e-3
 
 
-def check_simulable(n_devices: int, load: float | None) -> None:
-    """Reject a device count, a Poisson load (None: no Poisson arrivals), or
-    their product, beyond what the engine simulates."""
+def check_simulable(n_devices: int, arrival: ArrivalModel) -> None:
+    """Reject a device count, a mean report count per device, or their
+    product, beyond what the engine simulates."""
     if n_devices > MAX_DEVICES:
         raise ParameterError(f"devices must be at most {MAX_DEVICES} to simulate, got {n_devices!r}")
-    if load is not None and not load <= MAX_LOAD:
+    load = arrival.mean_reports
+    if not load <= MAX_LOAD:
         raise ParameterError(f"load must be at most {MAX_LOAD:g} to simulate, got {load!r}")
-    load = 1.0 if load is None else load
     if n_devices * load > MAX_MEAN_REPORTS:
         raise ParameterError(
             f"devices x load must be at most {MAX_MEAN_REPORTS:g} reports per interval "
@@ -224,23 +223,19 @@ def _drawn_in_order(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _report_count_law(load: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """P[U = k], k = 0, 1, ..., `_drawn_in_order`, for U ~ Poisson(load), or
-    U = 1 if load is None.  In logs no term leaves double range; the table
-    keeps the counts from the first to the last where the mass beyond falls
-    below 1e-19 (by k = 2 load + 40), and no device reports outside them.
+def _report_count_law(arrival: ArrivalModel) -> tuple[np.ndarray, np.ndarray]:
+    """`arrival.count_pmf()`, P[U = k] for k = 0, 1, ..., `_drawn_in_order`,
+    kept from the first to the last count where the mass beyond falls below
+    1e-19; no device reports outside them.
 
-    Above load 43.7 (e^-load < 1e-19) the left end is cut too, which at load
-    1000 leaves 570 of 1299 counts for the multinomial to walk.  The counts
-    below the first kept one then share one zero-probability category, drawn
-    first (numpy's binomial returns 0 at p = 0 without a draw), so that the
-    permutation still puts a draw in category order k = 0, 1, ...: column 0
-    reads 0, and every device is active.
+    The counts left of the first kept one (k = 0 with one report per
+    interval; for Poisson loads above 43.7, where e^-load < 1e-19, 570 of
+    1299 counts are kept at load 1000) share one zero-probability category,
+    drawn first (numpy's binomial returns 0 at p = 0 without a draw), so that
+    the permutation still puts a draw in category order k = 0, 1, ...:
+    column 0 reads 0, and every device is active.
     """
-    if load is None:
-        return _drawn_in_order(np.array([0.0, 1.0]))
-    k = np.arange(int(2 * load) + 41)
-    pmf = np.exp(k * math.log(load) - load - np.append(0.0, np.log(k[1:]).cumsum()))
+    pmf = arrival.count_pmf()
     kept = (np.cumsum(pmf) > 1e-19) & (np.cumsum(pmf[::-1])[::-1] > 1e-19)
     first = int(kept.argmax())
     pmf, back = _drawn_in_order(pmf[kept] / pmf[kept].sum())
@@ -280,10 +275,9 @@ def _draw_block(
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    load = None if isinstance(params.arrival, OnePerRI) else params.arrival.load
-    check_simulable(params.n_devices, load)
+    check_simulable(params.n_devices, params.arrival)
     p_e = params.p_e
-    pmf, back = _report_count_law(load)
+    pmf, back = _report_count_law(params.arrival)
     devices = gen.multinomial(params.n_devices, pmf, size)[:, back]
     active = params.n_devices - devices[:, 0]
     excess = devices @ np.arange(devices.shape[1]) - active

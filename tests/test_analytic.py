@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from m2mpool import (
     DemandSummary,
@@ -15,48 +17,27 @@ from m2mpool import (
     ParameterError,
     PoissonPerRI,
     SystemParams,
-    attempts_pmf,
     attempts_second_moment,
     demand_summary,
     dimension_capacity,
     expected_attempts,
     failure_bound,
+    sim,
 )
+from m2mpool.analytic import device_moments
 
 from oracles import (
     attempts_second_moment_reference,
     one_per_ri_demand_pmf,
     pmf_moments,
     poisson_demand_pmf,
+    truncated_geometric_pmf,
 )
 
 E_INV = math.exp(-1.0)
 PE_GRID = [0.0, 0.1, 0.4, 0.9]
 CAP_GRID = [1, 2, 5, 10]
 LOAD_GRID = [0.05, 0.5, 1.0, 2.0, 5.0]
-
-
-class TestAttemptsPmf:
-    def test_first_attempt(self):
-        assert attempts_pmf(1, 0.1, 10) == pytest.approx(0.9, abs=1e-15)
-
-    def test_cap_holds_tail_mass(self):
-        assert attempts_pmf(10, 0.1, 10) == pytest.approx(1e-9, rel=1e-12)
-
-    def test_normalization_example(self):
-        total = sum(attempts_pmf(k, 0.4, 10) for k in range(1, 11))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    @given(st.floats(min_value=0.0, max_value=0.99), st.integers(min_value=1, max_value=40))
-    @settings(max_examples=200)
-    def test_normalization_property(self, p_e, cap):
-        total = sum(attempts_pmf(k, p_e, cap) for k in range(1, cap + 1))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("k", [0, 11, -3])
-    def test_rejects_out_of_support(self, k):
-        with pytest.raises(ParameterError):
-            attempts_pmf(k, 0.1, 10)
 
 
 class TestAttemptMoments:
@@ -75,7 +56,7 @@ class TestAttemptMoments:
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)
     def test_mean_matches_pmf_sum(self, p_e, cap):
-        direct = sum(k * attempts_pmf(k, p_e, cap) for k in range(1, cap + 1))
+        direct = sum(k * w for k, w in enumerate(truncated_geometric_pmf(p_e, cap), start=1))
         assert expected_attempts(p_e, cap) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("p_e", PE_GRID)
@@ -111,7 +92,6 @@ class TestAttemptMoments:
         huge, large = SystemParams(30_000, 0.1, 10**309, arrival), SystemParams(30_000, 0.1, 10**6, arrival)
         assert huge.failure_floor == 0.0
         assert expected_attempts(0.1, 10**309) == expected_attempts(0.1, 10**6)
-        assert attempts_pmf(10**309, 0.1, 10**309) == 0.0
         assert demand_summary(huge) == demand_summary(large)
         assert dimension_capacity(huge) == dimension_capacity(large)
         summary = demand_summary(huge)
@@ -156,6 +136,30 @@ class TestDemandSummary:
             summary = demand_summary(SystemParams(1, p_e, cap, PoissonPerRI(load)))
             assert summary.mean == pytest.approx(mean, rel=1e-8), load
             assert summary.variance == pytest.approx(variance, rel=1e-8), load
+
+    @given(st.one_of(st.just(OnePerRI()), st.floats(1e-3, 1000.0).map(PoissonPerRI)),
+           st.floats(0.0, 0.98), st.integers(1, 100))
+    @example(PoissonPerRI(43.7), 0.4, 10)
+    @example(PoissonPerRI(50.0), 0.9, 100)
+    @example(PoissonPerRI(1000.0), 0.98, 100)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_moments_match_the_engine_count_table(self, arrival, p_e, cap):
+        # R_i by conditioning on U over the table the engine draws from
+        # (both tails cut above load 43.7) and the oracle's attempt pmf
+        pmf, back = sim._report_count_law(arrival)
+        count = pmf[back]
+        u = np.arange(count.size)
+        attempts = np.array(truncated_geometric_pmf(p_e, cap))
+        k = np.arange(1, cap + 1)
+        e_w = attempts @ k
+        given_u = np.where(u > 0, u * e_w - 1.0, 0.0)
+        mean = count @ given_u
+        variance = count @ (u * (attempts @ (k - e_w) ** 2) + (given_u - mean) ** 2)
+        # the closed forms subtract terms as large as E[U] E[W^2], and a few ulp
+        # of that is all of a far smaller moment (one report at p_e near 0)
+        floor = 8 * sys.float_info.epsilon * arrival.mean_reports * attempts_second_moment(p_e, cap)
+        for closed, conditioned in zip(device_moments(p_e, cap, arrival), (mean, variance)):
+            assert abs(closed - conditioned) <= 1e-9 * conditioned + floor
 
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)

@@ -456,6 +456,59 @@ class TestSimulatedLoadLimit:
         assert run_cli(["simulate", "--arrival", "one-per-ri", "--load", "1e12", "--runs", "2"])[0] == 0
 
 
+class TestLoadValidation:
+    """Every command refuses a load that is not positive and finite with the
+    arrival model's message, whether or not it simulates."""
+
+    COMMANDS = {
+        "dimension": ["dimension"],
+        "simulate": ["simulate", "--runs", "2"],
+        "validate-clt": ["validate-clt", "--runs", "2"],
+        "sweep": ["sweep", "--sweep", "devices:100:200:100"],
+        "sweep-runs": ["sweep", "--sweep", "devices:100:200:100", "--runs", "2"],
+    }
+
+    @pytest.mark.parametrize("load", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_load_exits_with_one_line(self, command, load, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"load={load}\n")
+        out = tmp_path / "out.csv"
+        for route in ([f"--load={load}"], ["--config", str(cfg)]):
+            result = run_cli([*self.COMMANDS[command], *route, "--out", str(out)])
+            assert result == (1, "", f"m2mpool: error: arrival load must be positive and finite, "
+                                     f"got {float(load)!r}\n")
+            assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestMomentOverflow:
+    """Demand moments beyond double range name the input that is too large."""
+
+    LOAD = "m2mpool: error: arrival load 1e+308 is too large: a device's demand moments overflow\n"
+    CASES = {
+        "dimension-load": (["dimension", "--devices", "1", "--load", "1e308"], LOAD),
+        "sweep-load": (["sweep", "--sweep", "devices:1:2:1", "--load", "1e308"], LOAD),
+        "dimension-devices": (["dimension", "--load", "1e304"], "30000"),
+        # the first point fits a double (and, on 1e310 RBs per subframe, the grid); the second does not
+        "sweep-devices": (["sweep", "--sweep", "devices:10000:20000:10000", "--load", "1e304",
+                           "--bandwidth-rbs", str(10**310)], "20000"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_with_one_line(self, case, tmp_path):
+        args, message = self.CASES[case]
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli([*args, "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        if message.startswith("m2mpool"):
+            assert err == message
+        else:
+            assert err.startswith("m2mpool: error: devices x demand per device is too large: "
+                                  f"the demand of {message} devices, each of mean 1.11111e+304 ")
+            assert err.count("\n") == 1 and "inf" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulatedDeviceLimit:
     SIMULATING = [
         ["simulate", "--runs", "5"],

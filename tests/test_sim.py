@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from m2mpool import (
@@ -203,7 +204,8 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("load,seed", [(1.0, 500), (1000.0, 501)])
     def test_devices_by_report_count_are_poisson(self, load, seed):
-        devices = by_category(RngStream(seed, 0).generator, 1000, _report_count_law(load), 1000)
+        law = _report_count_law(PoissonPerRI(load))
+        devices = by_category(RngStream(seed, 0).generator, 1000, law, 1000)
         totals = devices.sum(axis=0)
         assert totals.sum() == 10**6
         law = stats.poisson.pmf(np.arange(totals.size), load)
@@ -232,13 +234,13 @@ class TestBlockDraws:
         after = np.cumsum(pmf[order][::-1])[::-1]
         head = np.count_nonzero(after[1:] > 1e-3)
         order = np.concatenate([order[:head], order[head:][::-1]])
-        drawn, back = _report_count_law(load)
+        drawn, back = _report_count_law(PoissonPerRI(load))
         assert np.array_equal(drawn, (pmf / pmf.sum())[order])
         assert np.array_equal(back, np.argsort(order))
 
     @pytest.mark.parametrize("load,counts", [(50.0, 125), (1000.0, 570)])
     def test_report_count_table_cuts_both_tails_below_1e_19(self, load, counts):
-        drawn, back = _report_count_law(load)
+        drawn, back = _report_count_law(PoissonPerRI(load))
         # one zero category stands for every count below the first kept one
         assert drawn.size == counts + 1
         assert drawn[0] == 0.0
@@ -251,6 +253,17 @@ class TestBlockDraws:
         assert law.sum() == pytest.approx(1.0, abs=1e-15)
         devices = by_category(RngStream(507, 0).generator, 10**6, (drawn, back), 100)
         assert not devices[:, :first].any()
+
+    def test_one_report_table_is_a_zero_category_then_one(self):
+        # the table the Poisson cut and order gives for the pmf [0, 1]
+        drawn, back = _report_count_law(OnePerRI())
+        assert np.array_equal(drawn, [0.0, 1.0]) and drawn.dtype == np.float64
+        assert np.array_equal(back, [0, 1]) and back.dtype == np.intp
+
+    def test_report_count_tables_are_cached_by_model(self):
+        # commands in one process share a table through equal frozen models
+        assert _report_count_law(PoissonPerRI(1000.0)) is _report_count_law(PoissonPerRI(1000.0))
+        assert _report_count_law(OnePerRI()) is _report_count_law(OnePerRI())
 
     def test_deep_tail_keeps_the_law(self):
         # numpy forms each category's conditional probability against
@@ -271,6 +284,30 @@ class TestBlockDraws:
         gen = RecordingGenerator(RngStream(506, params.max_attempts).generator)
         _draw_block(gen, params, 50, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
         assert gen.calls == calls
+
+
+def attempt_law(p_e: float, cap: int) -> np.ndarray:
+    """P[W = k], k = 1..cap <= 64, from the engine's outcome table: a report
+    is done at attempt k < cap, or reaches the cap done or failing there."""
+    pmf, back = _outcome_law(p_e, cap)
+    law = pmf[back]
+    return np.append(law[: cap - 1], law[cap - 1 :].sum())
+
+
+class TestOutcomeTable:
+    def test_first_attempt(self):
+        assert attempt_law(0.1, 10)[0] == pytest.approx(0.9, abs=1e-15)
+
+    def test_cap_holds_tail_mass(self):
+        assert attempt_law(0.1, 10)[-1] == pytest.approx(1e-9, rel=1e-12)
+
+    def test_normalization_example(self):
+        assert attempt_law(0.4, 10).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.floats(min_value=0.0, max_value=0.99), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200)
+    def test_normalization_property(self, p_e, cap):
+        assert attempt_law(p_e, cap).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKsDistance:
@@ -743,7 +780,7 @@ class TestOverflowBeyondTheChain:
         _, _, demand, _ = _draw_block(RngStream(410, 0).generator, params, size, capacity,
                                       SchedulerPolicy.FIFO)
         gen = RngStream(410, 0).generator
-        devices = by_category(gen, params.n_devices, _report_count_law(2.0), size)
+        devices = by_category(gen, params.n_devices, _report_count_law(params.arrival), size)
         active = params.n_devices - devices[:, 0]
         excess = devices @ np.arange(devices.shape[1]) - active
         outcomes = by_category(gen, np.stack([active, excess]), _outcome_law(params.p_e, steps))
