@@ -23,7 +23,7 @@ failure probability.
 
 Each arrival model owns the law of U: its mean (`mean_reports`), its pmf
 from k = 0 (`count_pmf`, built with numpy on first use) and R_i's moments
-from E[W] and E[W^2] (`demand_moments`).  `device_moments`, the engine and
+at (p_e, L) (`demand_moments`).  `device_moments`, the engine and
 the command line read these and never ask which model they hold.
 """
 
@@ -57,7 +57,7 @@ class PoissonPerRI:
         k = np.arange(int(2 * self.load) + 41)
         return np.exp(k * math.log(self.load) - self.load - np.append(0.0, np.log(k[1:]).cumsum()))
 
-    def demand_moments(self, e_w: float, e_w2: float) -> tuple[float, float]:
+    def demand_moments(self, p_e: float, max_attempts: int) -> tuple[float, float]:
         """R_i's mean and variance from E[W] and E[W^2], conditioning on U
         (at lambda = 1 the published dimensioning rule):
 
@@ -65,6 +65,8 @@ class PoissonPerRI:
             Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
         """
         load = self.load
+        e_w = expected_attempts(p_e, max_attempts)
+        e_w2 = attempts_second_moment(p_e, max_attempts)
         silent = math.exp(-load)
         # grouped so that load 1 repeats the published rule's arithmetic exactly
         mean1 = load * e_w - (1.0 - silent)
@@ -84,9 +86,14 @@ class OnePerRI:
         """P[U = k] for k = 0, 1."""
         return np.array([0.0, 1.0])
 
-    def demand_moments(self, e_w: float, e_w2: float) -> tuple[float, float]:
-        """E[R_i] and Var[R_i] from E[W] and E[W^2]: R_i = W - 1 exactly."""
-        return e_w - 1.0, e_w2 - e_w * e_w
+    def demand_moments(self, p_e: float, max_attempts: int) -> tuple[float, float]:
+        """E[R_i] and Var[R_i] of R_i = W - 1, summed directly: P[W - 1 >= k]
+        = p_e^k for 0 < k < L, so E[W - 1] = p_e A(L - 1) and E[(W - 1)^2] =
+        p_e (A(L - 1) + 2 B(L - 1)), with A and B as in attempts_second_moment.
+        E[W] - 1 would cancel all of a mean of about p_e as p_e nears 0."""
+        a, b = _attempt_sums(p_e, max_attempts - 1)
+        mean1 = p_e * a
+        return mean1, p_e * (a + 2.0 * b) - mean1 * mean1
 
 
 ArrivalModel = Union[PoissonPerRI, OnePerRI]
@@ -169,9 +176,16 @@ def attempts_second_moment(p_e: float, max_attempts: int) -> float:
     """
     check_error_prob(p_e)
     check_positive_int("max_attempts", max_attempts)
+    a, b = _attempt_sums(p_e, max_attempts)
+    return a + 2.0 * b
+
+
+def _attempt_sums(p_e: float, terms: int) -> tuple[float, float]:
+    """(A(n), B(n)) = (sum_{k<n} p_e^k, sum_{k<n} k p_e^k) at n = `terms`,
+    by the doubling steps of attempts_second_moment; (0, 0) at n = 0."""
     a = b = 0.0
     n = 0
-    for bit in bin(max_attempts)[2:]:
+    for bit in bin(terms)[2:]:
         power = p_e**n
         if power == 0.0:
             break
@@ -179,15 +193,15 @@ def attempts_second_moment(p_e: float, max_attempts: int) -> float:
         if bit == "1":
             power = p_e**n
             a, b, n = a + power, b + n * power, n + 1
-    return a + 2.0 * b
+    return a, b
 
 
 def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tuple[float, float]:
-    """Mean and variance of one device's shared-pool demand R_i, from the
-    attempt moments E[W] and E[W^2] (attempts_second_moment) by the arrival
-    model's own law.  A variance that rounds below 0 is taken as 0."""
-    e_w = expected_attempts(p_e, max_attempts)
-    mean1, var1 = arrival.demand_moments(e_w, attempts_second_moment(p_e, max_attempts))
+    """Mean and variance of one device's shared-pool demand R_i, by the
+    arrival model's own law.  A variance that rounds below 0 is taken as 0."""
+    check_error_prob(p_e)
+    check_positive_int("max_attempts", max_attempts)
+    mean1, var1 = arrival.demand_moments(p_e, max_attempts)
     return mean1, max(var1, 0.0)
 
 
@@ -220,7 +234,10 @@ def demand_summary(params: SystemParams) -> DemandSummary:
 
 
 def _gaussian_term(capacity: int, mean: float, std: float, floor: float) -> float:
-    """Q((C - mu) / sigma) (1 - p_e^L) + p_e^L, for sigma > 0."""
+    """Q((C - mu) / sigma) (1 - p_e^L) + p_e^L; without variance the demand
+    is its mean, and the term a step: p_e^L when C covers mu, else 1."""
+    if std == 0.0:
+        return floor if capacity >= mean else 1.0
     return q_function((capacity - mean) / std) * (1.0 - floor) + floor
 
 
@@ -233,30 +250,25 @@ def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempt
     attempts.  The Q term is the Gaussian approximation of P[R > C], the
     probability that total demand overflows the pool.  It does not depend on
     the scheduling discipline, but it is not a bound: the right-skewed demand
-    has a heavier upper tail, so it can understate P[R > C].  A zero-variance
-    summary degenerates to a step: p_e^L when C covers the mean, else 1.
+    has a heavier upper tail, so it can understate P[R > C].
     """
     check_error_prob(p_e)
     check_positive_int("max_attempts", max_attempts)
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    floor = _all_fail(p_e, max_attempts)
-    if summary.variance == 0.0:
-        return floor if capacity >= summary.mean else 1.0
-    return _gaussian_term(capacity, summary.mean, summary.std, floor)
+    return _gaussian_term(capacity, summary.mean, summary.std, _all_fail(p_e, max_attempts))
 
 
 @dataclass(frozen=True)
 class CapacityRule:
     """The target side of dimensioning, fixed by (p_e, L, eps, arrival) and
     the same at every device count: the floor p_e^L, the target eps, and
-    z = Q^-1((eps - p_e^L) / (1 - p_e^L)), or None where the demand has no
-    variance.  `smallest_capacity` then dimensions any demand of that
-    parameter set from its moments alone."""
+    z = Q^-1((eps - p_e^L) / (1 - p_e^L)).  `smallest_capacity` then
+    dimensions any demand of that parameter set from its moments alone."""
 
     target: float
     floor: float
-    z: float | None
+    z: float
 
     def smallest_capacity(self, summary: DemandSummary) -> int:
         """Smallest integer C whose failure bound meets the target.
@@ -265,10 +277,9 @@ class CapacityRule:
         scan so that failure_bound(C) <= target < failure_bound(C - 1) holds
         exactly.  From 2**53 on, C and C - 1 round to the same double, so the
         scan could never move; such a closed-form capacity is returned
-        without it.  Without variance the demand is its mean.
+        without it.  Without variance the closed form is ceil(mu), which the
+        step of the bound leaves where it is.
         """
-        if self.z is None:
-            return max(0, math.ceil(summary.mean))
         mean, std, floor, eps = summary.mean, summary.std, self.floor, self.target
         cap = max(0, math.ceil(mean + std * self.z))
         if cap >= 2**53:
@@ -280,8 +291,8 @@ class CapacityRule:
         return cap
 
 
-def capacity_rule(params: SystemParams, summary: DemandSummary) -> CapacityRule:
-    """The CapacityRule of `params`, whose demand moments are `summary`.
+def capacity_rule(params: SystemParams) -> CapacityRule:
+    """The CapacityRule of `params`.
 
     Raises InfeasibleTargetError when the target is at or below the floor
     p_e^L, which no capacity lowers.
@@ -293,12 +304,10 @@ def capacity_rule(params: SystemParams, summary: DemandSummary) -> CapacityRule:
             f"target failure {eps:g} is at or below the floor p_e^L = {floor:g}; "
             "no capacity can reach it"
         )
-    if summary.variance == 0.0:
-        return CapacityRule(eps, floor, None)
     return CapacityRule(eps, floor, q_inverse((eps - floor) / (1.0 - floor)))
 
 
 def dimension_capacity(params: SystemParams) -> int:
     """Smallest integer pool capacity whose failure bound meets the target."""
     summary = demand_summary(params)
-    return capacity_rule(params, summary).smallest_capacity(summary)
+    return capacity_rule(params).smallest_capacity(summary)

@@ -4,9 +4,10 @@ Configuration precedence is flag > config file (plain key=value lines) >
 per-command default > global default.  Every command resolves and validates
 its whole configuration before computing anything, computes everything
 before writing anything, and writes CSV atomically (temp file + rename), so
-an invalid invocation never leaves partial output.  With --out the CSV goes
-to that file and a short human summary to stdout; without --out the CSV
-itself is stdout and the summary moves to stderr.
+an invalid invocation never leaves partial output.  The summary comes only
+after the CSV is written, so a failed write prints none.  With --out the
+CSV goes to that file and a short human summary to stdout; without --out
+the CSV itself is stdout and the summary moves to stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     InfeasibleTargetError,
     ParameterError,
 )
-from .lte import QAM64_BITS_PER_RE, QPSK_BITS_PER_RE, LteProfile, build_pool_plan, rbs_per_report
+from .lte import MODULATION_BITS, SUBFRAME_SECONDS, LteProfile, build_pool_plan, rbs_per_report
 # q_function is unused here since validate-clt reads its Gaussian column from
 # sim.gaussian_cdf, kept importable because the benchmark tracer
 # (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
@@ -58,9 +59,7 @@ EXIT_INFEASIBLE_TARGET = 2
 EXIT_INFEASIBLE_GEOMETRY = 3
 EXIT_IO = 4
 
-_SUBFRAME_SECONDS = 1e-3
 _MAX_RI_SECONDS = 86_400.0  # one day
-_MODULATION_BITS = {"qpsk": QPSK_BITS_PER_RE, "qam64": QAM64_BITS_PER_RE}
 # a sweep holds every row in memory: the row limit validate-clt has per p_e
 MAX_SWEEP_POINTS = MAX_HISTOGRAM_WIDTH
 
@@ -76,7 +75,7 @@ _OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str
     "load": (float, 1.0, "X",
              f"mean reports per interval for the poisson model (at most {MAX_LOAD:g} to simulate)"),
     "report_bytes": (int, 100, "RS", "report size in bytes"),
-    "modulation": (tuple(_MODULATION_BITS), "qpsk", None, "uplink modulation"),
+    "modulation": (tuple(MODULATION_BITS), "qpsk", None, "uplink modulation"),
     "bandwidth_rbs": (int, 25, "B", "system bandwidth in RBs per subframe"),
     "m2m_rbs": (int, None, "Y", "RBs per subframe reserved for reporting (default: whole bandwidth)"),
     "ri_seconds": (float, 60.0, "T", "reporting interval length in seconds (at most 86400)"),
@@ -203,14 +202,14 @@ class _Config:
 
     def lte_profile(self, *, report_bytes: int | None = None) -> LteProfile:
         size_bits = _report_bits(self.report_bytes if report_bytes is None else report_bytes)
-        ri_subframes = round(self.ri_seconds / _SUBFRAME_SECONDS)
+        ri_subframes = round(self.ri_seconds / SUBFRAME_SECONDS)
         if ri_subframes < 1:
             raise ParameterError(f"ri_seconds too small: {self.ri_seconds!r}")
         bandwidth = self.bandwidth_rbs
         return LteProfile(
             rbs_per_subframe_total=bandwidth,
             m2m_rbs_per_subframe=self.m2m_rbs if self.m2m_rbs is not None else bandwidth,
-            bits_per_re=_MODULATION_BITS[self.modulation],
+            bits_per_re=MODULATION_BITS[self.modulation],
             report_size_bits=size_bits,
             ri_subframes=ri_subframes,
         )
@@ -253,15 +252,8 @@ def cmd_dimension(cfg: _Config) -> int:
     params = cfg.system_params()
     profile = cfg.lte_profile()
     summary = demand_summary(params)
-    capacity = dimension_capacity(params)
+    capacity = capacity_rule(params).smallest_capacity(summary)
     plan = build_pool_plan(params.n_devices, profile, capacity)
-    cfg.say(
-        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
-        f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
-        f"pool={plan.total_subframes} subframes (X_P={plan.preallocated_subframes}, "
-        f"X_C={plan.common_subframes}), fraction={plan.capacity_fraction:.4f}, "
-        f"worst-case delay {plan.worst_case_delay_seconds:.3f} s"
-    )
     header = "N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s"
     line = ",".join([
         str(params.n_devices), _fmt(params.p_e), str(params.max_attempts),
@@ -272,6 +264,13 @@ def cmd_dimension(cfg: _Config) -> int:
         f"{plan.worst_case_delay_seconds:.3f}",
     ])
     _write_csv(cfg.out, header, [line])
+    cfg.say(
+        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
+        f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
+        f"pool={plan.total_subframes} subframes (X_P={plan.preallocated_subframes}, "
+        f"X_C={plan.common_subframes}), fraction={plan.capacity_fraction:.4f}, "
+        f"worst-case delay {plan.worst_case_delay_seconds:.3f} s"
+    )
     return EXIT_OK
 
 
@@ -281,14 +280,15 @@ def cmd_validate_clt(cfg: _Config) -> int:
     pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
     header = "pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf"
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
-    # every histogram is drawn, so its width is checked, before anything is said or built
+    # every histogram is drawn, so its width is checked, before any row is built
     hists = [sample_demand(params, cfg.runs, cfg.seed) for params in all_params]
     rows: list[str] = []
+    notes: list[str] = []
     for pe, params, hist in zip(pe_values, all_params, hists):
         summary = demand_summary(params)
         cdf = gaussian_cdf(hist, summary)
-        distance = ks_distance(hist, summary, cdf)
-        cfg.say(
+        distance = ks_distance(hist, cdf)
+        notes.append(
             f"pe={pe:g}: ks={distance:.5f}, empirical mean {hist.mean():.4f} "
             f"vs analytic {summary.mean:.4f}, runs={hist.runs}"
         )
@@ -300,6 +300,7 @@ def cmd_validate_clt(cfg: _Config) -> int:
                 _fmt(cdf_hi - cdf_lo), _fmt(cdf_hi),
             ]))
     _write_csv(cfg.out, header, rows)
+    cfg.say("\n".join(notes))
     return EXIT_OK
 
 
@@ -311,11 +312,6 @@ def cmd_simulate(cfg: _Config) -> int:
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound_text = _fmt(failure_bound(capacity, demand_summary(params), params.p_e, params.max_attempts))
-    cfg.say(
-        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
-        f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
-        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound_text}"
-    )
     header = "N,pe,L,capacity,policy,intervals,reports,failures,p_hat,ci_low,ci_high,bound"
     line = ",".join([
         str(params.n_devices), _fmt(params.p_e), str(params.max_attempts), str(capacity),
@@ -323,6 +319,11 @@ def cmd_simulate(cfg: _Config) -> int:
         _fmt(estimate.p_hat), _fmt(estimate.ci_low), _fmt(estimate.ci_high), bound_text,
     ])
     _write_csv(cfg.out, header, [line])
+    cfg.say(
+        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
+        f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
+        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound_text}"
+    )
     return EXIT_OK
 
 
@@ -357,7 +358,7 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
     profile = cfg.lte_profile(report_bytes=None if by_devices else first)
     moments = device_moments(params.p_e, params.max_attempts, params.arrival)
     summary = scaled_summary(params.n_devices, moments)
-    rule = capacity_rule(params, summary)
+    rule = capacity_rule(params)
     capacity = rule.smallest_capacity(summary)
     n_devices, report_bytes, rbs = params.n_devices, cfg.report_bytes, rbs_per_report(profile)
     policy = SchedulerPolicy(cfg.policy)
@@ -396,8 +397,8 @@ def cmd_sweep(cfg: _Config) -> int:
     header = "N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high"
     values = range(start, stop + 1, step)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
-    cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")
     _write_csv(cfg.out, header, rows)
+    cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")
     return EXIT_OK
 
 

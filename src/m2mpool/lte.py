@@ -5,22 +5,25 @@ twelve subcarriers.  Y of the B RBs per subframe are reserved for machine
 reporting, and the recurring pool spans X = X_P + X_C subframes: X_P carries
 each device's preallocated first transmission, X_C carries the shared
 capacity of C transmissions.
+
+The grid constants are module constants: `DATA_RES_PER_RB` data resource
+elements per RB, `SUBFRAME_SECONDS` per subframe, and `MODULATION_BITS`,
+the bits per resource element of each modulation by name.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleGeometryError, ParameterError
 from .numerics import check_positive_int
 
-QPSK_BITS_PER_RE = 2
-QAM64_BITS_PER_RE = 6
+MODULATION_BITS = {"qpsk": 2, "qam64": 6}
 # 12 subcarriers x 14 symbols = 168 resource elements per RB, minus 24 for
 # reference signals; coding rate is not modeled
-DEFAULT_DATA_RES_PER_RB = 144
+DATA_RES_PER_RB = 144
+SUBFRAME_SECONDS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -29,17 +32,14 @@ class LteProfile:
 
     rbs_per_subframe_total: int
     m2m_rbs_per_subframe: int
-    data_res_per_rb: int = DEFAULT_DATA_RES_PER_RB
-    bits_per_re: int = QPSK_BITS_PER_RE
+    bits_per_re: int = MODULATION_BITS["qpsk"]
     report_size_bits: int = 800
     ri_subframes: int = 60_000
-    subframe_seconds: float = 1e-3
 
     def __post_init__(self) -> None:
         for name in (
             "rbs_per_subframe_total",
             "m2m_rbs_per_subframe",
-            "data_res_per_rb",
             "bits_per_re",
             "report_size_bits",
             "ri_subframes",
@@ -50,8 +50,6 @@ class LteProfile:
                 f"m2m_rbs_per_subframe ({self.m2m_rbs_per_subframe}) exceeds the "
                 f"subframe bandwidth ({self.rbs_per_subframe_total} RBs)"
             )
-        if not (self.subframe_seconds > 0.0 and math.isfinite(self.subframe_seconds)):
-            raise ParameterError(f"subframe_seconds must be positive, got {self.subframe_seconds!r}")
 
 
 class PoolPlan(NamedTuple):
@@ -72,7 +70,7 @@ def rbs_per_report(profile: LteProfile, report_size_bits: int | None = None) -> 
     """Resource blocks needed to carry one report at the profile's modulation,
     of the profile's size unless `report_size_bits` is given."""
     bits = profile.report_size_bits if report_size_bits is None else report_size_bits
-    bits_per_rb = profile.data_res_per_rb * profile.bits_per_re
+    bits_per_rb = DATA_RES_PER_RB * profile.bits_per_re
     return -(-bits // bits_per_rb)
 
 
@@ -107,7 +105,7 @@ def build_pool_plan(
     fraction = (
         rbs * (n_devices + capacity) / (profile.rbs_per_subframe_total * profile.ri_subframes)
     )
-    delay = (profile.ri_subframes + total) * profile.subframe_seconds
+    delay = (profile.ri_subframes + total) * SUBFRAME_SECONDS
     return PoolPlan(
         rbs_per_report=rbs,
         alpha=rbs / y,

@@ -139,14 +139,14 @@ class FailureEstimate:
     ci_high: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; stays inside [0, 1] and behaves at p near 0."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; stays inside [0, 1] and behaves at p near 0."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ParameterError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (p + Z95 * Z95 / (2.0 * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + Z95 * Z95 / (4.0 * trials * trials)) / denom
     # the endpoints are exactly 0 and 1 at boundary counts; roundoff must not
     # push them inside the point estimate
     low = 0.0 if successes == 0 else max(0.0, center - half)
@@ -511,12 +511,10 @@ def gaussian_cdf(hist: DemandHistogram, summary: DemandSummary) -> list[float]:
             for value in range(hist.offset - 1, hist.offset + hist.counts.size)]
 
 
-def ks_distance(hist: DemandHistogram, summary: DemandSummary, cdf: list[float] | None = None) -> float:
+def ks_distance(hist: DemandHistogram, cdf: list[float]) -> float:
     """Max gap between the empirical demand CDF and the matched Gaussian one,
-    `cdf` or else `gaussian_cdf(hist, summary)`, over the demand values the
-    histogram actually holds."""
-    if cdf is None:
-        cdf = gaussian_cdf(hist, summary)
+    `cdf` (from gaussian_cdf), over the demand values the histogram actually
+    holds."""
     gaps = np.abs(np.cumsum(hist.counts) / hist.runs - np.array(cdf[1:]))
     return float(gaps[hist.counts > 0].max())
 

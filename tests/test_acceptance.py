@@ -32,7 +32,7 @@ from m2mpool import (
 )
 from m2mpool.cli import main as cli_main
 from m2mpool.numerics import RngStream
-from m2mpool.sim import Z95
+from m2mpool.sim import Z95, gaussian_cdf
 
 from oracles import pmf_moments, poisson_demand_pmf, truncated_geometric_pmf
 
@@ -70,7 +70,7 @@ def test_criterion_1_clt_validation():
             params = SystemParams(100, p_e, 10)
             summary = demand_summary(params)
             hist = sample_demand(params, runs, seed=20260808)
-            distance = ks_distance(hist, summary)
+            distance = ks_distance(hist, gaussian_cdf(hist, summary))
             assert distance <= 0.02, f"pe={p_e}: ks={distance:.4f}"
             mean_tolerance = 3.0 * summary.std / math.sqrt(runs)
             assert abs(hist.mean() - summary.mean) <= mean_tolerance

@@ -24,7 +24,7 @@ from m2mpool import (
     failure_bound,
     sim,
 )
-from m2mpool.analytic import device_moments
+from m2mpool.analytic import capacity_rule, device_moments
 
 from oracles import (
     attempts_second_moment_reference,
@@ -155,9 +155,12 @@ class TestDemandSummary:
         given_u = np.where(u > 0, u * e_w - 1.0, 0.0)
         mean = count @ given_u
         variance = count @ (u * (attempts @ (k - e_w) ** 2) + (given_u - mean) ** 2)
-        # the closed forms subtract terms as large as E[U] E[W^2], and a few ulp
-        # of that is all of a far smaller moment (one report at p_e near 0)
-        floor = 8 * sys.float_info.epsilon * arrival.mean_reports * attempts_second_moment(p_e, cap)
+        # under one report this reference's own u E[W] - 1 cancels all of a
+        # mean of about p_e as p_e nears 0, so it holds only to a few ulp of
+        # E[W^2]; the Poisson reference and closed forms need no such slack
+        floor = 0.0
+        if isinstance(arrival, OnePerRI):
+            floor = 8 * sys.float_info.epsilon * attempts_second_moment(p_e, cap)
         for closed, conditioned in zip(device_moments(p_e, cap, arrival), (mean, variance)):
             assert abs(closed - conditioned) <= 1e-9 * conditioned + floor
 
@@ -168,6 +171,16 @@ class TestDemandSummary:
         summary = demand_summary(SystemParams(1, p_e, cap, OnePerRI()))
         assert summary.mean == pytest.approx(mean, rel=1e-6, abs=1e-12)
         assert summary.variance == pytest.approx(variance, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("p_e", [1e-300, 1e-20, 1e-9, 1e-3, 0.1, 0.4, 0.9])
+    @pytest.mark.parametrize("cap", [1, 2, 10, 64])
+    def test_one_per_ri_moments_keep_their_relative_precision(self, p_e, cap):
+        # E[W] - 1 and E[W^2] - E[W]^2 cancel all of a mean of about p_e as
+        # p_e nears 0: they gave (0.0, 0.0) at p_e = 1e-20, L = 10; at L = 1
+        # the oracle's moments are exactly 0, and so must these be
+        exact = pmf_moments(one_per_ri_demand_pmf(p_e, cap))
+        for value, oracle in zip(device_moments(p_e, cap, OnePerRI()), exact):
+            assert abs(value - oracle) <= 1e-12 * oracle
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -222,6 +235,11 @@ class TestFailureBound:
         assert failure_bound(10, summary, 0.5, 2) == 0.25
         assert failure_bound(9, summary, 0.5, 2) == 1.0
 
+    def test_degenerate_variance_at_a_fractional_mean(self):
+        summary = DemandSummary(mean=5.5, variance=0.0)
+        assert failure_bound(5, summary, 0.1, 5) == 1.0
+        assert failure_bound(6, summary, 0.1, 5) == 0.1**5
+
     def test_rejects_negative_capacity(self):
         with pytest.raises(ParameterError):
             failure_bound(-1, DemandSummary(1.0, 1.0), 0.1, 5)
@@ -250,6 +268,12 @@ class TestDimensionCapacity:
 
     def test_zero_demand_zero_capacity(self):
         assert dimension_capacity(SystemParams(400, 0.0, 7, OnePerRI())) == 0
+
+    def test_zero_variance_demand_is_its_mean_rounded_up(self):
+        # the one rule: mu + 0 z, then the scan, which the step leaves alone
+        rule = capacity_rule(SystemParams(10, 0.1, 5))
+        assert rule.smallest_capacity(DemandSummary(5.5, 0.0)) == 6
+        assert rule.smallest_capacity(DemandSummary(0.0, 0.0)) == 0
 
     def test_matches_exhaustive_scan(self):
         # the smallest feasible retry cap at p_e = 0.5 and a 0.1 target is 4

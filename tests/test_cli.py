@@ -86,6 +86,19 @@ class TestDimension:
         code, _, _ = run_cli(["dimension", "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 4
 
+    def test_zero_variance_demand_needs_no_capacity(self):
+        # with one attempt per report W = 1 at any p_e, so R_i = 0 exactly
+        code, out, _ = run_cli(["dimension", "--arrival", "one-per-ri", "--pe", "0.0001",
+                                "--max-attempts", "1"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[6] == "0"
+
+    def test_one_per_ri_demand_near_error_free_needs_one_slot(self):
+        # the moments are about 3e-16, not 0: the Gaussian rule gives C = 1
+        code, out, _ = run_cli(["dimension", "--arrival", "one-per-ri", "--pe", "1e-20"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[6] == "1"
+
     def test_byte_identical_reruns(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["dimension", "--out", str(first)])[0] == 0
@@ -297,6 +310,13 @@ class TestSweep:
         assert len(rows) == 3
         assert all((row["p_hat"], row["ci_high"]) == (point["p_hat"], point["ci_high"]) for row in rows)
 
+    def test_error_free_one_per_ri_needs_no_capacity(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(["sweep", "--arrival", "one-per-ri", "--pe", "0",
+                              "--sweep", "devices:1:3:1", "--out", str(out)])
+        assert code == 0
+        assert [row["C_min"] for row in read_rows(out)] == ["0", "0", "0"]
+
     def test_bad_axis_is_usage_error(self):
         assert run_cli(["sweep", "--sweep", "bogus:1:2:1"])[0] == 1
         assert run_cli(["sweep", "--sweep", "devices:1:10:0"])[0] == 1
@@ -305,6 +325,21 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err.startswith("m2mpool: error: sweep needs runs >= 0") and err.count("\n") == 1
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("args", [
+        ["dimension"],
+        ["validate-clt", "--runs", "200"],
+        ["simulate", "--devices", "100", "--runs", "20"],
+        ["sweep", "--sweep", "devices:1000:3000:1000"],
+    ], ids=lambda args: args[0])
+    def test_summary_only_after_the_csv_is_written(self, tmp_path, args):
+        code, out, err = run_cli([*args, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("m2mpool: I/O error:") and err.count("\n") == 1
+        assert list(tmp_path.rglob(".m2mpool-*.csv")) == []
 
 
 class TestSweepErrors:

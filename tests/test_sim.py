@@ -40,6 +40,7 @@ from m2mpool.sim import (
     _random_unserved,
     _report_count_law,
     _serve,
+    gaussian_cdf,
 )
 
 from oracles import (
@@ -318,23 +319,23 @@ class TestKsDistance:
         hist = DemandHistogram(np.bincount(draws - low), low)
         from m2mpool import DemandSummary
 
-        assert ks_distance(hist, DemandSummary(mean, std**2)) < 0.005
+        assert ks_distance(hist, gaussian_cdf(hist, DemandSummary(mean, std**2))) < 0.005
 
     def test_fig_scale_match(self):
         params = SystemParams(100, 0.4, 10)
         hist = sample_demand(params, 20_000, seed=103)
-        assert ks_distance(hist, demand_summary(params)) <= 0.03
+        assert ks_distance(hist, gaussian_cdf(hist, demand_summary(params))) <= 0.03
 
     def test_single_run_is_bounded(self):
         hist = sample_demand(SystemParams(10, 0.1, 5), 1, seed=4)
-        assert 0.0 <= ks_distance(hist, demand_summary(SystemParams(10, 0.1, 5))) <= 1.0
+        assert 0.0 <= ks_distance(hist, gaussian_cdf(hist, demand_summary(SystemParams(10, 0.1, 5)))) <= 1.0
 
     def test_rejects_zero_variance(self):
         from m2mpool import DemandSummary
 
         hist = DemandHistogram(np.array([5]))
         with pytest.raises(ParameterError):
-            ks_distance(hist, DemandSummary(0.0, 0.0))
+            ks_distance(hist, gaussian_cdf(hist, DemandSummary(0.0, 0.0)))
 
 
 class TestSimulateInterval:
