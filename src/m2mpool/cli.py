@@ -281,7 +281,7 @@ def cmd_validate_clt(cfg: _Config) -> int:
     header = "pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf"
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
     # every histogram is drawn, so its width is checked, before any row is built
-    hists = [sample_demand(params, cfg.runs, cfg.seed) for params in all_params]
+    hists = sample_demand(all_params, cfg.runs, cfg.seed)
     rows: list[str] = []
     notes: list[str] = []
     for pe, params, hist in zip(pe_values, all_params, hists):

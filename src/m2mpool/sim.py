@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, TypeAlias
@@ -264,23 +264,45 @@ def _draw_block(
     capacity: int,
     policy: SchedulerPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reports, failures, demand and unserved failures of `size` intervals.
-
-    The stream yields, for the whole block: the devices by report count (one
-    multinomial), then the first and the excess reports by outcome (one
-    multinomial).  Then, group by group of consecutive intervals: one uniform
-    per report in flight past the chain, interval by interval and first
-    reports first, then one pool service of the group's intervals whose
-    demand exceeds `capacity`.
-    """
+    """Reports, failures, demand and unserved failures of `size` intervals:
+    `_draw_arrivals`, then `_draw_outcomes` from the same stream."""
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    active, excess = _draw_arrivals(gen, params, size)
+    return _draw_outcomes(gen, params, active, excess, capacity, policy)
+
+
+def _draw_arrivals(
+    gen: np.random.Generator, params: SystemParams, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Active devices and excess reports of `size` intervals: the devices by
+    report count, one multinomial for the whole block.  Only the device count
+    and the arrival model enter it."""
     check_simulable(params.n_devices, params.arrival)
-    p_e = params.p_e
     pmf, back = _report_count_law(params.arrival)
     devices = gen.multinomial(params.n_devices, pmf, size)[:, back]
     active = params.n_devices - devices[:, 0]
-    excess = devices @ np.arange(devices.shape[1]) - active
+    return active, devices @ np.arange(devices.shape[1]) - active
+
+
+def _draw_outcomes(
+    gen: np.random.Generator,
+    params: SystemParams,
+    active: np.ndarray,
+    excess: np.ndarray,
+    capacity: int,
+    policy: SchedulerPolicy,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reports, failures, demand and unserved failures of the intervals whose
+    arrivals `_draw_arrivals` drew.
+
+    The stream yields, for the whole block: the first and the excess reports
+    by outcome (one multinomial).  Then, group by group of consecutive
+    intervals: one uniform per report in flight past the chain, interval by
+    interval and first reports first, then one pool service of the group's
+    intervals whose demand exceeds `capacity`.
+    """
+    p_e, size = params.p_e, active.size
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
     remaining = min(params.max_attempts - steps, _INT64_MAX)
@@ -477,26 +499,59 @@ def _blocks(
         yield _draw_block(gen, params, min(BLOCK_INTERVALS, runs - start), capacity, policy)
 
 
-def sample_demand(params: SystemParams, runs: int, seed: int) -> DemandHistogram:
-    """Histogram of the shared-pool demand R over independent interval replays.
+def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[DemandHistogram]:
+    """Histograms of the shared-pool demand R over independent interval
+    replays, one per entry of `params`.
 
     The demands of `runs` intervals drawn as counts (see `_draw_block`)
     against a pool no demand exceeds, so nothing is served; interval i lies
-    in block i // BLOCK_INTERVALS.  Demands spread over more than
-    MAX_HISTOGRAM_WIDTH values are refused before the histogram is built.
+    in block i // BLOCK_INTERVALS.  The entries must share the device count
+    and the arrival model, and so share each block's arrival draw: block k
+    draws the devices by report count once from stream (seed, k), and every
+    entry draws its outcomes from the stream state that follows it.  Each
+    histogram is therefore the one a call with that entry alone gives (the
+    stream layout is v5 either way).  Each block's demands are added to its
+    entry's histogram as they come, so memory grows with the histograms'
+    width, not with `runs`.  A histogram spread over more than
+    MAX_HISTOGRAM_WIDTH values is refused at the block that widens it past
+    that limit, before any histogram is returned.
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs!r}")
-    blocks = _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
-    demands = np.concatenate([demand for _, _, demand, _ in blocks])
-    low = int(demands.min())
-    width = int(demands.max()) - low + 1
-    if width > MAX_HISTOGRAM_WIDTH:
+    if not params:
+        raise ParameterError("sample_demand needs at least one parameter set")
+    shared = params[0]
+    if any((p.n_devices, p.arrival) != (shared.n_devices, shared.arrival) for p in params):
+        raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
+    hists = [(0, np.zeros(0, dtype=np.int64))] * len(params)
+    for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
+        gen = RngStream(seed, index).generator
+        active, excess = _draw_arrivals(gen, shared, min(BLOCK_INTERVALS, runs - start))
+        state = gen.bit_generator.state
+        for i, entry in enumerate(params):
+            gen.bit_generator.state = state
+            demand = _draw_outcomes(gen, entry, active, excess, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)[2]
+            hists[i] = _add_demands(*hists[i], demand, entry.p_e)
+    return [DemandHistogram(counts=counts, offset=low) for low, counts in hists]
+
+
+def _add_demands(low: int, counts: np.ndarray, demand: np.ndarray, p_e: float) -> tuple[int, np.ndarray]:
+    """The histogram `counts` of demands from `low` (empty before the first
+    block), widened to hold `demand` and with it added."""
+    first, last = int(demand.min()), int(demand.max())
+    if not counts.size:
+        low = first
+    start, stop = min(first, low), max(last + 1, low + counts.size)
+    if stop - start > MAX_HISTOGRAM_WIDTH:
         raise ParameterError(
-            f"sampled demand at p_e={params.p_e:g} spans {width} values, "
+            f"sampled demand at p_e={p_e:g} spans {stop - start} values, "
             f"more than the {MAX_HISTOGRAM_WIDTH} a histogram may hold"
         )
-    return DemandHistogram(counts=np.bincount(demands - low), offset=low)
+    if (start, stop) != (low, low + counts.size):
+        counts = np.concatenate([np.zeros(low - start, dtype=np.int64), counts,
+                                 np.zeros(stop - low - counts.size, dtype=np.int64)])
+    counts[first - start:last + 1 - start] += np.bincount(demand - first)
+    return start, counts
 
 
 def gaussian_cdf(hist: DemandHistogram, summary: DemandSummary) -> list[float]:

@@ -73,6 +73,18 @@ def one_per_ri_demand_pmf(p_e: float, cap: int) -> dict[int, float]:
     return {k: prob for k, prob in enumerate(truncated_geometric_pmf(p_e, cap))}
 
 
+def one_per_ri_moments_reference(p_e: float, cap: int) -> tuple[float, float]:
+    """(mean, variance) of one report's shared-pool demand W - 1, summed over
+    its pmf with 60 digits, where E[(W - 1)^2] - E[W - 1]^2 would cost nothing
+    either; the centred sum needs no such difference."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p_e)
+        pmf = [p**k * (1 - p) for k in range(cap - 1)] + [p ** (cap - 1)]
+        mean = mpmath.fsum(k * prob for k, prob in enumerate(pmf))
+        variance = mpmath.fsum((k - mean) ** 2 * prob for k, prob in enumerate(pmf))
+        return float(mean), float(variance)
+
+
 def pmf_moments(pmf: dict[int, float]) -> tuple[float, float]:
     """(mean, variance) of an integer pmf."""
     mean = sum(value * prob for value, prob in pmf.items())

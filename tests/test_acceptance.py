@@ -69,7 +69,7 @@ def test_criterion_1_clt_validation():
         for p_e in (0.1, 0.4):
             params = SystemParams(100, p_e, 10)
             summary = demand_summary(params)
-            hist = sample_demand(params, runs, seed=20260808)
+            [hist] = sample_demand([params], runs, seed=20260808)
             distance = ks_distance(hist, gaussian_cdf(hist, summary))
             assert distance <= 0.02, f"pe={p_e}: ks={distance:.4f}"
             mean_tolerance = 3.0 * summary.std / math.sqrt(runs)
@@ -267,4 +267,13 @@ PAST_CHAIN_GOLDENS = [
 def test_seeded_runs_past_the_chain_match_golden(tmp_path, name, args):
     regenerated = tmp_path / name
     assert cli_main([*args, "--out", str(regenerated)]) == 0
+    assert regenerated.read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} drifted"
+
+
+def test_seeded_validate_clt_at_both_p_e_matches_golden(tmp_path):
+    # p_e = 0.1 and 0.4 share each block's arrival draw; three blocks, the
+    # last one partial, recorded when each p_e still drew its own
+    name = "validate_clt_two_pe_seed4.csv"
+    regenerated = tmp_path / name
+    assert cli_main(["validate-clt", "--runs", "2500", "--seed", "4", "--out", str(regenerated)]) == 0
     assert regenerated.read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} drifted"

@@ -29,6 +29,7 @@ from m2mpool.analytic import capacity_rule, device_moments
 from oracles import (
     attempts_second_moment_reference,
     one_per_ri_demand_pmf,
+    one_per_ri_moments_reference,
     pmf_moments,
     poisson_demand_pmf,
     truncated_geometric_pmf,
@@ -179,6 +180,15 @@ class TestDemandSummary:
         # p_e nears 0: they gave (0.0, 0.0) at p_e = 1e-20, L = 10; at L = 1
         # the oracle's moments are exactly 0, and so must these be
         exact = pmf_moments(one_per_ri_demand_pmf(p_e, cap))
+        for value, oracle in zip(device_moments(p_e, cap, OnePerRI()), exact):
+            assert abs(value - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("p_e", [0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    @pytest.mark.parametrize("cap", [2, 10, 64, 1000])
+    def test_one_per_ri_variance_keeps_its_relative_precision_near_one(self, p_e, cap):
+        # E[(W - 1)^2] - E[W - 1]^2 cancels as W nears L for nearly every
+        # report: 4.0e-11 off at p_e = 1 - 1e-6, L = 10, 3.1e-9 at 1 - 1e-9, L = 64
+        exact = one_per_ri_moments_reference(p_e, cap)
         for value, oracle in zip(device_moments(p_e, cap, OnePerRI()), exact):
             assert abs(value - oracle) <= 1e-12 * oracle
 

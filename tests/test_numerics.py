@@ -179,7 +179,7 @@ class TestSampleAttempts:
     def test_cap_one_forces_one(self):
         # the retry limit is applied by the engine: 100 reports at p_e=0.9
         # drawn from stream (3, 0), each capped at one attempt, charge nothing
-        hist = sample_demand(SystemParams(100, 0.9, 1, OnePerRI()), 1, seed=3)
+        [hist] = sample_demand([SystemParams(100, 0.9, 1, OnePerRI())], 1, seed=3)
         assert (hist.offset, hist.counts.tolist()) == (0, [1])
 
     def test_first_attempt_mass(self):

@@ -90,37 +90,112 @@ def pooled_chisquare_pvalue(hist: DemandHistogram, law: np.ndarray, least: float
 class TestSampleDemand:
     def test_mean_and_variance_match_analytic(self):
         params = SystemParams(100, 0.1, 10)
-        hist = sample_demand(params, 20_000, seed=101)
+        [hist] = sample_demand([params], 20_000, seed=101)
         summary = demand_summary(params)
         assert abs(hist.mean() - summary.mean) <= 3.0 * summary.std / math.sqrt(hist.runs)
         assert hist.variance() == pytest.approx(summary.variance, rel=0.05)
 
     def test_high_error_variance(self):
         params = SystemParams(100, 0.4, 10)
-        hist = sample_demand(params, 20_000, seed=102)
+        [hist] = sample_demand([params], 20_000, seed=102)
         summary = demand_summary(params)
         assert abs(hist.mean() - summary.mean) <= 3.0 * summary.std / math.sqrt(hist.runs)
         assert hist.variance() == pytest.approx(summary.variance, rel=0.05)
 
     def test_non_unit_load_matches_analytic(self):
         params = SystemParams(100, 0.1, 10, PoissonPerRI(load=2.0))
-        hist = sample_demand(params, 20_000, seed=104)
+        [hist] = sample_demand([params], 20_000, seed=104)
         summary = demand_summary(params)
         assert abs(hist.mean() - summary.mean) <= 3.0 * summary.std / math.sqrt(hist.runs)
         assert hist.variance() == pytest.approx(summary.variance, rel=0.05)
 
     def test_degenerate_concentrates_at_zero(self):
-        hist = sample_demand(SystemParams(1, 0.0, 5, OnePerRI()), 200, seed=1)
+        [hist] = sample_demand([SystemParams(1, 0.0, 5, OnePerRI())], 200, seed=1)
         assert (hist.offset, hist.counts.tolist()) == (0, [200])
 
     def test_histogram_totals_runs(self):
-        hist = sample_demand(SystemParams(10, 0.3, 4), 500, seed=7)
+        [hist] = sample_demand([SystemParams(10, 0.3, 4)], 500, seed=7)
         assert hist.counts.sum() == hist.runs == 500
         assert hist.counts[0] > 0 and hist.counts[-1] > 0
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ParameterError):
-            sample_demand(SystemParams(10, 0.1, 5), 0, seed=1)
+            sample_demand([SystemParams(10, 0.1, 5)], 0, seed=1)
+
+    @pytest.mark.parametrize("arrival", [PoissonPerRI(50.0), OnePerRI()], ids=["load50", "one-per-ri"])
+    @pytest.mark.parametrize("cap", [10, 100])
+    @pytest.mark.parametrize("runs", [1, 1000, 2500])
+    def test_shared_arrivals_give_each_p_e_its_own_histogram(self, arrival, cap, runs):
+        # 2500 runs end in a partial block; at L = 100 and p_e = 0.97 about
+        # 14% of the reports outlast the chain
+        params = [SystemParams(20, p_e, cap, arrival) for p_e in (0.4, 0.97)]
+        shared = sample_demand(params, runs, seed=21)
+        for entry, hist in zip(params, shared):
+            [alone] = sample_demand([entry], runs, seed=21)
+            # every block's demands, from its own stream, histogrammed at once
+            demands = np.concatenate([
+                _draw_block(RngStream(21, k).generator, entry, min(1000, runs - start),
+                            _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)[2]
+                for k, start in enumerate(range(0, runs, 1000))
+            ])
+            low = int(demands.min())
+            for got in (hist, alone):
+                assert got.offset == low
+                assert np.array_equal(got.counts, np.bincount(demands - low))
+
+    @pytest.mark.parametrize("other", [SystemParams(21, 0.4, 10), SystemParams(20, 0.4, 10, OnePerRI()),
+                                       SystemParams(20, 0.4, 10, PoissonPerRI(2.0))],
+                             ids=["devices", "model", "load"])
+    def test_rejects_parameter_sets_that_cannot_share_arrivals(self, other):
+        with pytest.raises(ParameterError, match="same devices and arrival model"):
+            sample_demand([SystemParams(20, 0.1, 10), other], 10, seed=1)
+
+    def test_rejects_no_parameter_set(self):
+        with pytest.raises(ParameterError):
+            sample_demand([], 10, seed=1)
+
+    def test_memory_grows_with_the_width_not_the_runs(self):
+        # 200 blocks: every demand kept until the end took 16 B a run, 3.2 MB
+        params = [SystemParams(100, p_e, 10) for p_e in (0.1, 0.4)]
+        tracemalloc.start()
+        try:
+            hists = sample_demand(params, 200_000, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [hist.runs for hist in hists] == [200_000, 200_000]
+        assert peak <= 2**20
+
+    def test_width_limit_counts_every_block(self, monkeypatch):
+        params = SystemParams(100, 0.4, 10)
+        [hist] = sample_demand([params], 3000, seed=1)
+        widths = [np.ptp(_draw_block(RngStream(1, k).generator, params, 1000, _INT64_MAX,
+                                     SchedulerPolicy.RANDOM_UNIFORM)[2]) + 1 for k in range(3)]
+        # no block alone is as wide as the three together
+        assert max(widths) < hist.counts.size
+        monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", hist.counts.size)
+        assert np.array_equal(sample_demand([params], 3000, seed=1)[0].counts, hist.counts)
+        monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", hist.counts.size - 1)
+        with pytest.raises(ParameterError, match=f"^sampled demand at p_e=0.4 spans {hist.counts.size} values"):
+            sample_demand([params], 3000, seed=1)
+
+    def test_draws_each_block_of_arrivals_once(self, monkeypatch):
+        # one arrival multinomial per block (3 at 2500 runs), then one
+        # outcome multinomial per block and p_e (6), and no other draw
+        streams: list[RecordingGenerator] = []
+
+        def recording_stream(seed, index):
+            streams.append(RecordingGenerator(RngStream(seed, index).generator))
+            return collections.namedtuple("Stream", "generator")(streams[-1])
+
+        monkeypatch.setattr(sim, "RngStream", recording_stream)
+        params = [SystemParams(100, p_e, 10) for p_e in (0.1, 0.4)]
+        sample_demand(params, 2500, seed=4)
+        assert len(streams) == 3
+        for gen in streams:
+            assert gen.calls == ["multinomial"] * 3
+            # the device count is a scalar, the reports by kind a 2-row array
+            assert [np.ndim(args[0]) for args in gen.args] == [0, 2, 2]
 
     @pytest.mark.parametrize(
         "arrival,p_e,cap,seed",
@@ -138,7 +213,7 @@ class TestSampleDemand:
             device = one_per_ri_demand_pmf(p_e, cap)
         else:
             device = poisson_demand_pmf(p_e, cap, load=arrival.load)
-        hist = sample_demand(SystemParams(100, p_e, cap, arrival), 100_000, seed=seed)
+        [hist] = sample_demand([SystemParams(100, p_e, cap, arrival)], 100_000, seed=seed)
         law = exact_demand_law(device, 100)
         assert pooled_chisquare_pvalue(hist, law) > 0.001
         # the pooled chi-square is weak against a small shift; the mean is not
@@ -154,12 +229,16 @@ class RecordingGenerator:
     def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
         self.calls: list[str] = []
+        self.args: list[tuple] = []
 
     def __getattr__(self, name: str):
         method = getattr(self.gen, name)
+        if not callable(method):
+            return method  # the bit generator, whose state a caller may save and restore
 
         def record(*args, **kwargs):
             self.calls.append(name)
+            self.args.append(args)
             return method(*args, **kwargs)
 
         return record
@@ -323,11 +402,11 @@ class TestKsDistance:
 
     def test_fig_scale_match(self):
         params = SystemParams(100, 0.4, 10)
-        hist = sample_demand(params, 20_000, seed=103)
+        [hist] = sample_demand([params], 20_000, seed=103)
         assert ks_distance(hist, gaussian_cdf(hist, demand_summary(params))) <= 0.03
 
     def test_single_run_is_bounded(self):
-        hist = sample_demand(SystemParams(10, 0.1, 5), 1, seed=4)
+        [hist] = sample_demand([SystemParams(10, 0.1, 5)], 1, seed=4)
         assert 0.0 <= ks_distance(hist, gaussian_cdf(hist, demand_summary(SystemParams(10, 0.1, 5)))) <= 1.0
 
     def test_rejects_zero_variance(self):
@@ -379,7 +458,7 @@ class TestSimulateInterval:
         # count; over 10^6 batched intervals it must follow the truncated geometric
         p_e, cap = 0.4, 8
         params = SystemParams(1, p_e, cap, OnePerRI())
-        hist = sample_demand(params, 1_000_000, seed=14)
+        [hist] = sample_demand([params], 1_000_000, seed=14)
         counts = np.zeros(cap + 1, dtype=np.int64)
         counts[hist.values + 1] = hist.counts
         expected = np.array(truncated_geometric_pmf(p_e, cap)) * counts.sum()
