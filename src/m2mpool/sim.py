@@ -51,11 +51,20 @@ slot by slot:
   is the law of independent rate-1 exponential clocks, one per live report,
   with a slot served at each ring: by memorylessness the next ring comes
   from each live report with equal probability.  Report j rings p_j times,
-  at the partial sums of p_j standard exponentials, and the pool ends at the
-  C-th ring overall.  Where an interval's C-th ring time T precedes its next
-  ring, report j completes iff its last ring time is at most T.  At a tie
-  exactly C rings are still served, tied ones either way, and a report
-  completes iff none of its rings is left out (the same draws either way).
+  and the pool ends at the C-th ring overall.  No report of an interval
+  whose every live report needs more than C slots can complete: it draws
+  nothing.  The others first leap (v6): by a time t, a report has rung
+  min(Poisson(t), p_j) times, one multinomial over the (class, interval)
+  cells.  If those F rings fit the pool, the clocks restart at t by
+  memorylessness, p_j - k pending after k rings, C - F slots left.  If not,
+  the C-th ring lies in (0, t]: given its count, a report's ring times are
+  iid uniform there (a done report's count is Poisson(t) given at least
+  p_j, and its first p_j count), and the first C are served.  What is left
+  goes to the ring rule: report j rings at the partial sums of p_j standard
+  exponentials; where the C-th ring time T precedes the next ring, report j
+  completes iff its last ring time is at most T.  At a tie exactly C rings
+  are still served, tied ones either way, and a report completes iff none
+  of its rings is left out (the same draws either way).
 """
 
 from __future__ import annotations
@@ -165,6 +174,12 @@ MAX_LOAD = 1_000.0
 MAX_HISTOGRAM_WIDTH = 1_000_000
 # rings drawn in one pass of the random policy's clocks (moves speed, not draws)
 _RING_GROUP = 1 << 13
+# the random policy's leap (`_leap`): only for C above the floor and where it
+# saves at least the gain in rings per multinomial category it walks (it broke
+# even near 10 over 13 measured operating points), aimed at the margin times
+# sqrt(C), 4 sd of F or more, short of C, and no longer than _MAX_LEAP (which
+# bounds its tables' width)
+_LEAP_FLOOR, _LEAP_GAIN, _LEAP_MARGIN, _MAX_LEAP = 32, 10.0, 4.0, 256.0
 # most rings the random policy draws for one overflowing interval, and most
 # reports in flight past the chain in one interval, drawn in one call (about
 # 64 MB of each float array either way); fewest reports of one kind FIFO
@@ -432,33 +447,121 @@ def _fifo_unserved(
     return unserved, unflagged
 
 
-def _random_unserved(
-    gen: np.random.Generator,
-    pending: np.ndarray,
-    flags: np.ndarray,
-    counts: np.ndarray,
-    capacity: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unserved reports, and how many of them carry no flag, under the random policy."""
+def _random_unserved(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarray, counts: np.ndarray,
+                     capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved reports, and how many of them carry no flag, under the random
+    policy.  An interval whose every live report needs more than C slots
+    draws nothing: none can complete.  The others leap (`_leap`) where that
+    pays, and the ring rule (`_ring_finish`) serves what is left."""
     live = pending > 0
     pending, flags, counts = pending[live], flags[live], counts[live]
-    if capacity == 0:
-        return counts.sum(axis=0), counts[~flags].sum(axis=0)
-    # a report's rings past the pool's last slot are never served, so each
-    # report rings at most capacity + 1 times, and one that would ring more
-    # stays unserved as it should
-    pending = np.minimum(pending, capacity + 1)
-    demand = pending @ counts
+    # each report rings at most C + 1 times: its rings past the pool's last slot are never served
+    demand = np.minimum(pending, capacity + 1) @ counts
     if demand.max() > _MAX_RINGS:
         raise ParameterError(
             f"an overflowing interval needs {demand.max()} rings under the random policy, "
             f"more than the {_MAX_RINGS} it may draw"
         )
-    unserved = np.empty(counts.shape[1], dtype=np.int64)
-    unflagged = np.empty(counts.shape[1], dtype=np.int64)
+    reports = counts.sum(axis=0)
+    slots = np.where((pending > capacity) @ counts < reports, capacity, 0)  # 0: none can complete
+    target = max(capacity - _LEAP_MARGIN * math.sqrt(capacity), 0.0)
+    t = np.minimum(target / np.maximum(reports, 1), _MAX_LEAP)
+    # the leap's multinomial walks about t + 1 categories a cell, each dearer than a ring
+    cost = np.count_nonzero(counts) * (t.mean() + 1.0) * _LEAP_GAIN
+    if capacity <= _LEAP_FLOOR or not slots.any() or cost > target * t.size:
+        return _ring_finish(gen, pending, flags, counts, slots)
+    unserved, unflagged = reports, ~flags @ counts
+    cols = np.flatnonzero(slots)
+    *table, slots, over, leapt = _leap(gen, pending, flags, counts[:, cols], capacity, t[cols], target)
+    unserved[cols[over]], unflagged[cols[over]] = leapt
+    cols = cols[~over]
+    unserved[cols], unflagged[cols] = _ring_finish(gen, *table, slots)
+    return unserved, unflagged
+
+
+def _poisson_pmf(t: np.ndarray, last: int) -> np.ndarray:
+    """P[Poisson(t_i) = k], a row per t_i in [0, _MAX_LEAP], for k up to `last`
+    or, if sooner, where the mass beyond falls below 1e-19 for every t_i
+    (Bernstein's bound puts it below e^-43.75 there)."""
+    top = float(t.max(initial=0.0))
+    k = np.arange(1, min(last, int(top + 14.6 + math.sqrt(213.0 + 87.5 * top))) + 1)
+    return np.exp(-t)[:, None] * np.cumprod(np.hstack([np.ones((t.size, 1)), t[:, None] / k]), axis=1)
+
+
+def _leap(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarray, counts: np.ndarray,
+          capacity: int, t: np.ndarray, target: float) -> tuple:
+    """Each interval's clocks run to one time, two Newton steps from `t`
+    towards E F = `target`, F the rings by then: the class table and the
+    slots left where F fits the pool, whether each interval overshot, and the
+    unserved and unflagged reports of those that did (see the module docstring)."""
+    n = counts.shape[1]
+    # the random policy tells reports apart only by pending slots and flag
+    keys, row = np.unique(np.minimum(pending, capacity + 1) * 2 + flags, return_inverse=True)
+    merged = np.zeros((keys.size, n), dtype=np.int64)
+    np.add.at(merged, row, counts)
+    cls, col = np.nonzero(merged)
+    slots, flag, size = keys[cls] // 2, keys[cls] % 2 == 1, merged[cls, col]
+    # two Newton steps: E min(N, p) sums P[N > k] over k < p, its slope is P[N < p]
+    for _ in range(2):
+        cdf = _poisson_pmf(t, int(slots.max())).cumsum(axis=1)
+        below = (col, np.minimum(slots, cdf.shape[1]) - 1)
+        mean = np.bincount(col, size * (1.0 - cdf).cumsum(axis=1)[below], n)
+        t = np.minimum(np.maximum(t + (target - mean) / np.bincount(col, size * cdf[below], n), 0.0), _MAX_LEAP)
+    pmf = _poisson_pmf(t, int(slots.max()))
+    width = pmf.shape[1]
+    # min(N, p) rings: column k < p holds N = k, the last one the rest (done, or width - 1 rings)
+    got = gen.multinomial(size, np.where(np.arange(width) < slots[:, None], pmf[col], 0.0))
+    rung = np.minimum(np.arange(width), slots[:, None])
+    served = np.bincount(col, (got * rung).sum(axis=1), n).astype(np.int64)
+    over = served > capacity
+    leapt = np.zeros((2, 0))
+    if over.any():
+        # the C-th ring came by t.  Report by report (cell of each): its rings by
+        # t, and its draws, N by inversion given N >= p for a done one
+        mine = np.flatnonzero(over[col])
+        cell = np.repeat(np.repeat(mine, width), got[mine].ravel())
+        rings = np.repeat(rung[mine].ravel(), got[mine].ravel())
+        done = rings == slots[cell]
+        tail = _poisson_pmf(t[col[cell[done]]], _MAX_RINGS)[:, ::-1].cumsum(axis=1)[:, ::-1]  # P[N >= k]
+        draws, at = rings.copy(), tail[np.arange(tail.shape[0]), slots[cell[done]]][:, None]
+        draws[done] = np.count_nonzero(tail > gen.random(at.shape) * at, axis=1) - 1
+        # given the draws, ring times are iid uniform on (0, t]; a report keeps its earliest
+        owner = np.repeat(np.arange(rings.size), draws)
+        times = gen.random(owner.size)
+        order = np.lexsort((times, owner))
+        kept = order[np.arange(owner.size) - np.repeat(np.cumsum(draws) - draws, draws) < np.repeat(rings, draws)]
+        # each interval serves its first C rings, tied ones either way; a ring left leaves its report
+        interval = col[cell[owner[kept]]]
+        kept, interval = kept[np.lexsort((times[kept], interval))], np.sort(interval)
+        left = ~done
+        left[owner[kept[np.arange(kept.size) - np.searchsorted(interval, interval) >= capacity]]] = True
+        leapt = [np.bincount(col[cell], part, n)[over] for part in (left, left & ~flag[cell])]
+    # the rest is memoryless: after k rings a report needs p - k more; reports done drop out
+    rest = (slots[:, None] - rung) * 2 + flag[:, None]
+    held = (got > 0) & (rest > 1) & ~over[col, None]
+    keys, row = np.unique(rest[held], return_inverse=True)
+    residual = np.bincount(row * n + np.broadcast_to(col[:, None], held.shape)[held], got[held], keys.size * n)
+    slots = capacity - served[~over]
+    return keys // 2, keys % 2 == 1, residual.reshape(-1, n)[:, ~over].astype(np.int64), slots, over, leapt
+
+
+def _ring_finish(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarray, counts: np.ndarray,
+                 capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unserved reports, and how many of them carry no flag, of each interval
+    of a class table of live reports (pending > 0) whose pool serves interval
+    i `capacity[i]` more slots, a ring of the clocks each (see the module docstring)."""
+    unserved, unflagged = counts.sum(axis=0), ~flags @ counts
+    # a pool with no slot left serves no one; otherwise a report's rings past
+    # its last slot are never served, so each report rings at most C + 1
+    # times, and one that would ring more stays unserved as it should
+    cols = np.flatnonzero(capacity > 0)
+    if not cols.size:
+        return unserved, unflagged
+    capacity = capacity[cols]
     # reports interval by interval, class by class; rings report by report
-    reports, per_interval = np.ascontiguousarray(counts.T), counts.sum(axis=0)
-    pending, unflagged_kind = np.tile(pending, (demand.size, 1)), np.tile(~flags, (demand.size, 1))
+    reports, per_interval = np.ascontiguousarray(counts[:, cols].T), unserved[cols]
+    pending, unflagged_kind = np.minimum(pending, capacity[:, None] + 1), np.broadcast_to(~flags, reports.shape)
+    demand = (pending * reports).sum(axis=1)
     lows = np.cumsum(demand) - demand
     # intervals in groups of about _RING_GROUP rings, which bounds the memory of one pass
     cuts = (np.flatnonzero(np.diff(lows // _RING_GROUP)) + 1).tolist()
@@ -471,18 +574,19 @@ def _random_unserved(
         last = times[ends - 1]
         since = np.append(0.0, last[:-1])
         times -= np.repeat(since, rings)
-        spans = list(zip((lows[a:b] - lows[a]).tolist(), (lows[a:b] - lows[a] + demand[a:b]).tolist()))
+        spans = list(zip((lows[a:b] - lows[a]).tolist(), (lows[a:b] - lows[a] + demand[a:b]).tolist(),
+                         capacity[a:b].tolist()))
         # each interval's C-th and (C+1)-th ring times (sorting beats a partition
         # here); below a gap after the C-th, a report's last ring decides
-        edge = np.array([np.sort(times[low:high])[capacity - 1:capacity + 1] for low, high in spans])
+        edge = np.array([np.sort(times[low:high])[c - 1:c + 1] for low, high, c in spans])
         left = last - since > np.repeat(edge[:, 0], per_interval[a:b])
-        for low, high in (spans[i] for i in np.flatnonzero(edge[:, 0] == edge[:, 1]).tolist()):
+        for low, high, c in (spans[i] for i in np.flatnonzero(edge[:, 0] == edge[:, 1]).tolist()):
             # a tie at T_C: exactly C rings served, tied ones either way; any ring left leaves its report
-            late = low + np.argpartition(times[low:high], capacity - 1)[capacity:]
+            late = low + np.argpartition(times[low:high], c - 1)[c:]
             left[np.searchsorted(ends, late, side="right")] = True
         firsts = np.cumsum(per_interval[a:b]) - per_interval[a:b]
-        unserved[a:b] = np.add.reduceat(left, firsts)
-        unflagged[a:b] = np.add.reduceat(left & np.repeat(unflagged_kind[a:b], reports[a:b].ravel()), firsts)
+        unserved[cols[a:b]] = np.add.reduceat(left, firsts)
+        unflagged[cols[a:b]] = np.add.reduceat(left & np.repeat(unflagged_kind[a:b], reports[a:b].ravel()), firsts)
     return unserved, unflagged
 
 
@@ -510,7 +614,7 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     draws the devices by report count once from stream (seed, k), and every
     entry draws its outcomes from the stream state that follows it.  Each
     histogram is therefore the one a call with that entry alone gives (the
-    stream layout is v5 either way).  Each block's demands are added to its
+    stream layout is v6 either way).  Each block's demands are added to its
     entry's histogram as they come, so memory grows with the histograms'
     width, not with `runs`.  A histogram spread over more than
     MAX_HISTOGRAM_WIDTH values is refused at the block that widens it past

@@ -161,38 +161,43 @@ def random_law(reports: list[tuple[int, bool]], capacity: int) -> dict[tuple[int
             for (failures, unserved), prob in law(live, capacity).items()}
 
 
-def random_unserved_reference(gen, pending, flags, counts, capacity: int, ring_group: int):
+def random_unserved_reference(gen, pending, flags, counts, capacity, ring_group: int):
     """Unserved reports, and how many of them carry no flag, per interval of a
     class table under the random policy: the clock rule with every ring
     checked.
 
-    Draws the engine's ring times from `gen` (intervals in groups of about
-    `ring_group` rings), takes each interval's rings after its first
-    `capacity` by argpartition (tied rings go either way), and leaves a
-    report unserved iff any of its rings is among them, found by a search
-    over the reports' ring ends.
+    `capacity` is the pool's slots for every interval, or one count per
+    interval.  Draws the engine's ring times from `gen` (intervals with a
+    slot, in groups of about `ring_group` rings), takes each interval's
+    rings after its first `capacity` by argpartition (tied rings go either
+    way), and leaves a report unserved iff any of its rings is among them,
+    found by a search over the reports' ring ends.
     """
     live = pending > 0
     pending, flags, counts = pending[live], flags[live], counts[live]
-    if capacity == 0:
-        return counts.sum(axis=0), counts[~flags].sum(axis=0)
-    pending = np.minimum(pending, capacity + 1)
-    demand = pending @ counts
-    unserved = np.empty(counts.shape[1], dtype=np.int64)
-    unflagged = np.empty(counts.shape[1], dtype=np.int64)
+    capacity = np.broadcast_to(capacity, counts.shape[1:])
+    unserved, unflagged = counts.sum(axis=0), counts[~flags].sum(axis=0)
+    # a pool with no slot serves no report and draws nothing
+    served = np.flatnonzero(capacity > 0)
+    pending = np.minimum(pending[:, None], capacity[served] + 1)
+    demand = (pending * counts[:, served]).sum(axis=0)
     group = (np.cumsum(demand) - demand) // ring_group
-    for cols in np.split(np.arange(demand.size), np.flatnonzero(np.diff(group)) + 1):
+    for part in np.split(np.arange(served.size), np.flatnonzero(np.diff(group)) + 1):
+        if not part.size:
+            continue
+        cols = served[part]
         reports = counts[:, cols].T.ravel()
-        rings = np.repeat(np.tile(pending, cols.size), reports)
+        rings = np.repeat(pending[:, part].T.ravel(), reports)
         ends = np.cumsum(rings)
         times = gen.standard_exponential(int(ends[-1]))
         np.cumsum(times, out=times)
         since = times[ends - rings - 1]
         since[0] = 0.0
         times -= np.repeat(since, rings)
-        bounds = np.cumsum(demand[cols])
-        late = np.concatenate([low + np.argpartition(times[low:high], capacity - 1)[capacity:]
-                               for low, high in zip((bounds - demand[cols]).tolist(), bounds.tolist())])
+        bounds = np.cumsum(demand[part])
+        late = np.concatenate([low + np.argpartition(times[low:high], slots - 1)[slots:]
+                               for low, high, slots in zip((bounds - demand[part]).tolist(), bounds.tolist(),
+                                                           capacity[cols].tolist())])
         left = np.zeros(rings.size, dtype=bool)
         left[np.searchsorted(ends, late, side="right")] = True
         per_interval = counts[:, cols].sum(axis=0)

@@ -231,10 +231,11 @@ def test_criterion_6_property_suite(tmp_path):
 
 
 # Seeded `simulate` at the overload point (N=1000, p_e=0.4, C=926: about 98% of
-# intervals overflow, so both serving rules run), two blocks each, recorded
-# under stream layout v4.  A change of the layout must regenerate these files
-# and say so; any other change that moves them changed what the engine draws
-# or how it serves.
+# intervals overflow, so both serving rules run), two blocks each.  The FIFO
+# files were recorded under stream layout v4; the random ones under v6,
+# whose leap moved them (see "Stream layout v6" in the README).  A change of
+# the layout must regenerate these files and say so; any other change that
+# moves them changed what the engine draws or how it serves.
 SIMULATE_GOLDENS = [
     (f"simulate_overload_{policy}_seed{seed}.csv",
      ["simulate", "--devices", "1000", "--pe", "0.4", "--capacity", "926", "--runs", "2000",

@@ -39,6 +39,7 @@ from m2mpool.sim import (
     _outcome_law,
     _random_unserved,
     _report_count_law,
+    _ring_finish,
     _serve,
     gaussian_cdf,
 )
@@ -224,12 +225,14 @@ class TestSampleDemand:
 
 
 class RecordingGenerator:
-    """A Generator that records the name of every method called on it."""
+    """A Generator that records the name of every method called on it, and
+    how many variates each call returned."""
 
     def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
         self.calls: list[str] = []
         self.args: list[tuple] = []
+        self.sizes: list[int] = []
 
     def __getattr__(self, name: str):
         method = getattr(self.gen, name)
@@ -239,7 +242,9 @@ class RecordingGenerator:
         def record(*args, **kwargs):
             self.calls.append(name)
             self.args.append(args)
-            return method(*args, **kwargs)
+            result = method(*args, **kwargs)
+            self.sizes.append(int(np.size(result)))
+            return result
 
         return record
 
@@ -652,35 +657,6 @@ class TestServingRules:
                     assert (failures.tolist(), unserved.tolist()) == ([expected], [expected])
                     assert serve_slots([r] * n, [False] * n, capacity, "fifo") == (expected, expected)
 
-    def test_tied_clocks_serve_exactly_capacity_rings(self):
-        # clocks that all tick 1 apart ring in rounds: ring k of every report
-        # ties at time k, so exactly `capacity` rings leave the round robin count
-        class TiedClocks:
-            def standard_exponential(self, size):
-                return np.ones(size)
-
-        cases = [(n, r, capacity) for n in range(1, 6) for r in range(1, 5) for capacity in range(n * r)]
-        # long reports, most of them needing more rings than the pool has slots
-        cases += [(3, 300, capacity) for capacity in (0, 1, 598, 599, 600, 601, 897, 898, 899)]
-        for n, r, capacity in cases:
-            expected = n - capacity % n if capacity // n == r - 1 else n
-            _, unserved = _serve(TiedClocks(), class_table([(r, False)] * n, 3), class_table([], 3),
-                                 capacity, SchedulerPolicy.RANDOM_UNIFORM)
-            assert unserved.tolist() == [expected] * 3
-
-    def test_tied_rings_of_one_report(self):
-        # report A rings twice at time 2 (its second clock step is 0), B once
-        # at 2, and two more reports once at 1; three slots serve two of the
-        # three rings at time 2, so A completes only if both of its own do
-        class Clocks:
-            def standard_exponential(self, size):
-                return np.array([2.0, 0.0, 2.0, 1.0, 1.0])
-
-        table = (np.array([2, 1, 1]), np.array([False, True, False]), np.array([[1], [1], [2]]))
-        failures, unserved = _serve(Clocks(), table, class_table([]), 3, SchedulerPolicy.RANDOM_UNIFORM)
-        # B (flagged) fails either way; A fails unless both its rings are served
-        assert (failures.tolist(), unserved.tolist()) in [([2], [1]), ([2], [2])]
-
     @pytest.mark.parametrize("policy,reports", [
         (SchedulerPolicy.RANDOM_UNIFORM, 3),  # 3 * 2**22 rings
         (SchedulerPolicy.FIFO, 10**9),  # beyond numpy's hypergeometric
@@ -692,11 +668,12 @@ class TestServingRules:
             _serve(None, table, class_table([]), capacity, policy)
 
 
-# (params, capacity, intervals per block) of the blocks whose random-policy
-# class tables the threshold rule is checked on, 50 seeds each
+# (params, capacity, intervals per block) of the blocks whose ring-finish
+# tables the threshold rule is checked on, 50 seeds each
 REFERENCE_BLOCKS = [
-    # the overload point: about 1000 rings an interval, so intervals straddle
-    # the multiples of _RING_GROUP and a block takes several groups
+    # the overload point: each interval leaps, then about 240 rings are left
+    # to the ring rule, so at a small ring group intervals straddle its
+    # multiples and a block takes several groups
     (SystemParams(1000, 0.4, 10), 926, 30),
     # reports at the retry limit (flagged) in most intervals
     (SystemParams(60, 0.7, 4), 40, 40),
@@ -708,39 +685,48 @@ REFERENCE_BLOCKS = [
 
 
 class TestRandomServiceAgainstTheOldRule:
-    """The random policy read from each interval's C-th ring time against the
-    rule it replaced, which marks every late ring (`random_unserved_reference`)."""
+    """The ring-finish stage read from each interval's C-th ring time against
+    the rule it replaced, which marks every late ring
+    (`random_unserved_reference`), on the tables `_draw_block` hands it."""
 
+    @pytest.mark.parametrize("group", [None, 1 << 10], ids=["engine-group", "small-group"])
     @pytest.mark.parametrize("params,capacity,size", REFERENCE_BLOCKS,
                              ids=["overload", "flagged", "capacity-1", "past-the-chain"])
-    def test_same_arrays_from_the_same_generator_state(self, monkeypatch, params, capacity, size):
-        tables = []  # the class tables `_draw_block` hands to the random policy
+    def test_same_arrays_from_the_same_generator_state(self, monkeypatch, params, capacity, size, group):
+        if group is not None:
+            monkeypatch.setattr(sim, "_RING_GROUP", group)
+        group = sim._RING_GROUP
+        tables = []  # the class tables and slots left that the ring-finish stage receives
 
-        def record(gen, pending, flags, counts, capacity):
-            tables.append((pending, flags, counts, capacity))
-            return _random_unserved(gen, pending, flags, counts, capacity)
+        def record(gen, pending, flags, counts, slots):
+            tables.append((pending, flags, counts, slots))
+            return _ring_finish(gen, pending, flags, counts, slots)
 
-        monkeypatch.setattr(sim, "_random_unserved", record)
-        straddling = flagged = capped = 0
+        monkeypatch.setattr(sim, "_ring_finish", record)
+        straddling = flagged = capped = leapt = 0
         for seed in range(50):
             tables.clear()
             gen = RngStream(700 + seed, 0).generator
             _draw_block(gen, params, size, capacity, SchedulerPolicy.RANDOM_UNIFORM)
             assert tables
             crossings = 0
-            for pending, flags, counts, cap in tables:
-                new = _random_unserved(RngStream(seed, 9).generator, pending, flags, counts, cap)
+            for pending, flags, counts, slots in tables:
+                new = _ring_finish(RngStream(seed, 9).generator, pending, flags, counts, slots)
                 old = random_unserved_reference(RngStream(seed, 9).generator, pending, flags, counts,
-                                                cap, _RING_GROUP)
+                                                slots, group)
                 assert [a.tolist() for a in new] == [a.tolist() for a in old]
-                ends = np.cumsum(np.minimum(pending, cap + 1) @ counts)
-                crossings += int(((ends - 1) // _RING_GROUP > np.append(0, ends[:-1]) // _RING_GROUP).sum())
+                rings = (np.minimum(pending[:, None], slots + 1) * counts).sum(axis=0)
+                ends = np.cumsum(rings[slots > 0])
+                crossings += int(((ends - 1) // group > np.append(0, ends[:-1]) // group).sum())
                 flagged += int(counts[flags].sum())
-                capped += int(counts[pending > cap + 1].sum())
+                capped += int((counts * (pending[:, None] > slots + 1)).sum())
+                leapt += int((slots < capacity).sum())
             straddling += crossings > 0
         # what each kind of block is there to cover
         if capacity == 926:
-            assert straddling == 50, "every block has an interval across a multiple of _RING_GROUP"
+            assert leapt > 40 * size, "the ring rule finishes what the leap left"
+        if capacity == 926 and group == 1 << 10:
+            assert straddling == 50, "every block has an interval across a multiple of the ring group"
         if params.max_attempts == 4:
             assert flagged > 50
         if capacity == 1:
@@ -748,8 +734,8 @@ class TestRandomServiceAgainstTheOldRule:
 
 
 class TestRandomServiceTies:
-    """Stub clocks in one ring group: intervals whose C-th ring ties with the
-    next one, and intervals with a gap there."""
+    """Stub clocks through the ring-finish stage: intervals whose C-th ring
+    ties with the next one, and intervals with a gap there."""
 
     # per interval, the clock steps of report A (needs 2 slots), B (1 slot,
     # flagged), C1 and C2 (1 slot each), in the order the clocks are drawn,
@@ -778,8 +764,8 @@ class TestRandomServiceTies:
         intervals = len(self.CASES)
         table = (np.array([2, 1, 1]), np.array([False, True, False]),
                  np.array([[1] * intervals, [1] * intervals, [2] * intervals]))
-        failures, unserved = _serve(Clocks(), table, class_table([], intervals), 3,
-                                    SchedulerPolicy.RANDOM_UNIFORM)
+        unserved, unflagged = _ring_finish(Clocks(), *table, np.full(intervals, 3))
+        failures = table[2][table[1]].sum(axis=0) + unflagged
         for (_, allowed), outcome in zip(self.CASES, zip(failures.tolist(), unserved.tolist())):
             assert outcome in allowed
         # the old rule, which serves exactly C rings by construction, breaks the
@@ -788,6 +774,125 @@ class TestRandomServiceTies:
         old_unserved, old_unflagged = random_unserved_reference(Clocks(), *table, 3, _RING_GROUP)
         assert unserved.tolist() == old_unserved.tolist()
         assert failures.tolist() == (old_unflagged + 1).tolist()
+
+    def test_tied_clocks_serve_exactly_capacity_rings(self):
+        # clocks that all tick 1 apart ring in rounds: ring k of every report
+        # ties at time k, so exactly `capacity` rings leave the round robin count
+        class TiedClocks:
+            def standard_exponential(self, size):
+                return np.ones(size)
+
+        cases = [(n, r, capacity) for n in range(1, 6) for r in range(1, 5) for capacity in range(n * r)]
+        # long reports, most of them needing more rings than the pool has slots
+        cases += [(3, 300, capacity) for capacity in (0, 1, 598, 599, 600, 601, 897, 898, 899)]
+        for n, r, capacity in cases:
+            expected = n - capacity % n if capacity // n == r - 1 else n
+            unserved, _ = _ring_finish(TiedClocks(), *class_table([(r, False)] * n, 3), np.full(3, capacity))
+            assert unserved.tolist() == [expected] * 3
+
+    def test_tied_rings_of_one_report(self):
+        # report A rings twice at time 2 (its second clock step is 0), B once
+        # at 2, and two more reports once at 1; three slots serve two of the
+        # three rings at time 2, so A completes only if both of its own do
+        class Clocks:
+            def standard_exponential(self, size):
+                return np.array([2.0, 0.0, 2.0, 1.0, 1.0])
+
+        table = (np.array([2, 1, 1]), np.array([False, True, False]), np.array([[1], [1], [2]]))
+        unserved, unflagged = _ring_finish(Clocks(), *table, np.array([3]))
+        failures = table[2][table[1]].sum(axis=0) + unflagged
+        # B (flagged) fails either way; A fails unless both its rings are served
+        assert (failures.tolist(), unserved.tolist()) in [([2], [1]), ([2], [2])]
+
+
+class TestLeap:
+    """The random policy's leap over each interval's first rings, and the
+    intervals it serves with no draw at all."""
+
+    @pytest.mark.parametrize("margin", [0.5, -0.25], ids=["leap", "overshoot"])
+    @pytest.mark.parametrize("first,excess,capacity,seed", SERVING_PARAMS)
+    def test_whole_path_follows_the_exact_law(self, monkeypatch, margin, first, excess, capacity, seed):
+        # these pools are below the floor and too small to gain: forced on
+        # here.  A margin below 0 aims past the pool, so most leaps overshoot.
+        monkeypatch.setattr(sim, "_LEAP_FLOOR", 0)
+        monkeypatch.setattr(sim, "_LEAP_GAIN", 0.0)
+        monkeypatch.setattr(sim, "_LEAP_MARGIN", margin)
+        leaps = []
+        leap = sim._leap
+
+        def record(*args):
+            leaps.append(leap(*args))
+            return leaps[-1]
+
+        monkeypatch.setattr(sim, "_leap", record)
+        failures, unserved = _serve(RngStream(seed, 3).generator, class_table(first, DRAWS),
+                                    class_table(excess, DRAWS), capacity, SchedulerPolicy.RANDOM_UNIFORM)
+        assert law_pvalue(zip(failures.tolist(), unserved.tolist()), random_law(first + excess, capacity)) > 0.001
+        # the leap served rings in many intervals, and overshot where aimed past the pool
+        (leapt,) = leaps
+        slots_left, overshot = leapt[3], int(leapt[4].sum())
+        assert np.count_nonzero(slots_left < capacity) + overshot > DRAWS // 10
+        if margin < 0:
+            assert overshot > DRAWS // 10
+
+    def test_overload_draws_at_most_400_variates_per_overflowing_interval(self, monkeypatch):
+        # the ring rule alone draws about 1039 clock rings per overflowing
+        # interval here; every variate of the serving stage counts
+        variates, served = [], []
+        random_unserved = sim._random_unserved
+
+        def record(gen, pending, flags, counts, capacity):
+            recording = RecordingGenerator(gen)
+            result = random_unserved(recording, pending, flags, counts, capacity)
+            variates.append(sum(recording.sizes))
+            served.append(counts.shape[1])
+            return result
+
+        monkeypatch.setattr(sim, "_random_unserved", record)
+        estimate_failure_prob(SystemParams(1000, 0.4, 10), 926, SchedulerPolicy.RANDOM_UNIFORM, 1000, seed=120)
+        assert sum(served) > 900
+        assert sum(variates) <= 400 * sum(served)
+
+    @pytest.mark.parametrize("capacity", [5, 40])
+    def test_an_interval_no_report_can_complete_draws_nothing(self, capacity):
+        # interval 0: live reports needing C + 2 and C + 4 slots, which never
+        # complete; interval 1 also holds one needing 2.  Reports needing no
+        # slot are not live.
+        pending = np.array([capacity + 2, capacity + 4, 2, 0])
+        flags = np.array([False, True, False, True])
+        counts = np.array([[3, 3], [2, 1], [0, 1], [4, 4]])
+        # no generator: any draw fails
+        unserved, unflagged = _random_unserved(None, pending, flags, counts[:, :1], capacity)
+        assert (unserved.tolist(), unflagged.tolist()) == ([5], [3])
+        gen = RecordingGenerator(RngStream(121, 0).generator)
+        unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
+        assert (unserved[0], unflagged[0]) == (5, 3)
+        if capacity <= sim._LEAP_FLOOR:
+            # the second interval's rings alone, each report's capped at C + 1
+            assert gen.sizes == [3 * (capacity + 1) + capacity + 1 + 2]
+
+    def test_near_p_e_1_only_intervals_with_a_report_that_can_complete_draw(self, monkeypatch):
+        # almost every report needs more than C = 1000 slots; the ring rule
+        # alone drew 100 x 1001 rings for each interval of a group that
+        # holds one report needing fewer
+        calls = []
+        random_unserved = sim._random_unserved
+
+        def record(gen, pending, flags, counts, capacity):
+            recording = RecordingGenerator(gen)
+            result = random_unserved(recording, pending, flags, counts, capacity)
+            live = (pending > 0) & (pending <= capacity)
+            calls.append((np.count_nonzero(counts[live].any(axis=0)), counts.shape[1], sum(recording.sizes)))
+            return result
+
+        monkeypatch.setattr(sim, "_random_unserved", record)
+        estimate = estimate_failure_prob(SystemParams(100, 0.999999, 10**9), 1000,
+                                         SchedulerPolicy.RANDOM_UNIFORM, 1000, seed=1)
+        drawing, served, variates = np.array(calls).sum(axis=0)
+        assert served > 900 and 0 < drawing < served // 5
+        assert all(bool(size) == bool(can) for can, _, size in calls)
+        assert variates <= 20_000 * drawing
+        assert estimate.reports_total == 100_226  # the arrivals drawn before the leap, unchanged
 
 
 def slot_loop_failures(gen, params: SystemParams, capacity: int, policy: SchedulerPolicy, intervals: int):
