@@ -236,9 +236,9 @@ def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tupl
     return mean1, max(var1, 0.0)
 
 
-def scaled_summary(n_devices: int, moments: tuple[float, float]) -> DemandSummary:
-    """Moments of the demand of `n_devices` independent devices with the
-    per-device `moments` (device_moments): mu = N m_1, sigma^2 = N v_1."""
+def scaled_moments(n_devices: int, moments: tuple[float, float]) -> tuple[float, float]:
+    """Mean and variance of the demand of `n_devices` independent devices with the per-device
+    `moments` (device_moments), mu = N m_1 and sigma^2 = N v_1, each within double range."""
     try:
         n = float(n_devices)
     except OverflowError:
@@ -253,7 +253,7 @@ def scaled_summary(n_devices: int, moments: tuple[float, float]) -> DemandSummar
             f"devices x demand per device is too large: the demand of {n_devices} devices, each of "
             f"mean {mean1:g} and variance {var1:g}, overflows a double"
         )
-    return DemandSummary(mean=mean, variance=variance)
+    return mean, variance
 
 
 def demand_summary(params: SystemParams) -> DemandSummary:
@@ -261,7 +261,7 @@ def demand_summary(params: SystemParams) -> DemandSummary:
     both scale linearly with N because devices are independent and
     identically distributed."""
     moments = device_moments(params.p_e, params.max_attempts, params.arrival)
-    return scaled_summary(params.n_devices, moments)
+    return DemandSummary(*scaled_moments(params.n_devices, moments))
 
 
 def _gaussian_term(capacity: int, mean: float, std: float, floor: float) -> float:
@@ -301,8 +301,8 @@ class CapacityRule:
     floor: float
     z: float
 
-    def smallest_capacity(self, summary: DemandSummary) -> int:
-        """Smallest integer C whose failure bound meets the target.
+    def smallest_capacity(self, mean: float, std: float) -> int:
+        """Smallest integer C whose failure bound meets the target at this demand `mean` and `std`.
 
         Closed form first (mu + sigma z, rounded up), then a local integer
         scan so that failure_bound(C) <= target < failure_bound(C - 1) holds
@@ -311,7 +311,7 @@ class CapacityRule:
         without it.  Without variance the closed form is ceil(mu), which the
         step of the bound leaves where it is.
         """
-        mean, std, floor, eps = summary.mean, summary.std, self.floor, self.target
+        floor, eps = self.floor, self.target
         cap = max(0, math.ceil(mean + std * self.z))
         if cap >= 2**53:
             return cap
@@ -338,7 +338,9 @@ def capacity_rule(params: SystemParams) -> CapacityRule:
     return CapacityRule(eps, floor, q_inverse((eps - floor) / (1.0 - floor)))
 
 
-def dimension_capacity(params: SystemParams) -> int:
-    """Smallest integer pool capacity whose failure bound meets the target."""
-    summary = demand_summary(params)
-    return capacity_rule(params).smallest_capacity(summary)
+def dimension_capacity(params: SystemParams, summary: DemandSummary | None = None) -> int:
+    """Smallest integer pool capacity whose failure bound meets the target;
+    `summary` is demand_summary(params), computed here unless given."""
+    if summary is None:
+        summary = demand_summary(params)
+    return capacity_rule(params).smallest_capacity(summary.mean, summary.std)

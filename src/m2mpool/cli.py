@@ -18,9 +18,10 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .analytic import (
+    DemandSummary,
     OnePerRI,
     PoissonPerRI,
     SystemParams,
@@ -29,7 +30,7 @@ from .analytic import (
     device_moments,
     dimension_capacity,
     failure_bound,
-    scaled_summary,
+    scaled_moments,
 )
 from .errors import (
     IndeterminateEstimateError,
@@ -37,11 +38,11 @@ from .errors import (
     InfeasibleTargetError,
     ParameterError,
 )
-from .lte import MODULATION_BITS, SUBFRAME_SECONDS, LteProfile, build_pool_plan, rbs_per_report
+from .lte import MODULATION_BITS, SUBFRAME_SECONDS, LteProfile, build_pool_plan, pool_layout, rbs_per_report
 # q_function is unused here since validate-clt reads its Gaussian column from
 # sim.gaussian_cdf, kept importable because the benchmark tracer
 # (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
-from .numerics import check_positive_int, q_function  # noqa: F401
+from .numerics import q_function  # noqa: F401
 from .sim import (
     MAX_HISTOGRAM_WIDTH,
     MAX_LOAD,
@@ -93,7 +94,24 @@ COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
+# each command's CSV layout: the header, and one %-format that writes a whole
+# row from its values in header order (%d an int, %s a text, %.10g and %.Nf a
+# float); the sweep's p_hat and ci_high come as text, empty without --runs
+Schema = NamedTuple("Schema", [("header", str), ("row", str)])
+SCHEMAS = {
+    "dimension": Schema("N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s",
+                        "%d,%.10g,%d,%.10g,%.6f,%.6f,%d,%d,%.6f,%d,%d,%d,%.6f,%.3f"),
+    "validate-clt": Schema("pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf",
+                           "%.10g,%d,%.10g,%.10g,%.10g,%.10g"),
+    "simulate": Schema("N,pe,L,capacity,policy,intervals,reports,failures,p_hat,ci_low,ci_high,bound",
+                       "%d,%.10g,%d,%d,%s,%d,%d,%d,%.10g,%.10g,%.10g,%.10g"),
+    "sweep": Schema("N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high",
+                    "%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%s,%s"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # on the top-level parser: each command's own parser
     # usage problems exit with code 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -121,7 +139,22 @@ def build_parser() -> _Parser:
             sub.add_argument("--sweep", metavar="VAR:START:STOP:STEP",
                              help="axis to sweep: devices or report-bytes "
                                   f"(at most {MAX_SWEEP_POINTS} points)")
+    parser.commands = commands.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as build_parser().parse_args reads it, by the named command's own
+    parser; what that one does not take whole (-h, a missing or unknown command,
+    leftover arguments) goes to the top-level parser, which prints what it always did."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _convert(key: str, text: str) -> object:
@@ -192,16 +225,13 @@ class _Config:
             )
 
     def system_params(self, *, devices: int | None = None, pe: float | None = None) -> SystemParams:
-        return SystemParams(
-            n_devices=self.devices if devices is None else devices,
-            p_e=self.pe if pe is None else pe,
-            max_attempts=self.max_attempts,
-            arrival=self.arrival_model,
-            target_failure=self.target_eps,
-        )
+        return SystemParams(self.devices if devices is None else devices, self.pe if pe is None else pe,
+                            self.max_attempts, self.arrival_model, self.target_eps)
 
     def lte_profile(self, *, report_bytes: int | None = None) -> LteProfile:
-        size_bits = _report_bits(self.report_bytes if report_bytes is None else report_bytes)
+        size = self.report_bytes if report_bytes is None else report_bytes
+        if size < 1:
+            raise ParameterError(f"report_bytes must be positive, got {size!r}")
         ri_subframes = round(self.ri_seconds / SUBFRAME_SECONDS)
         if ri_subframes < 1:
             raise ParameterError(f"ri_seconds too small: {self.ri_seconds!r}")
@@ -210,18 +240,12 @@ class _Config:
             rbs_per_subframe_total=bandwidth,
             m2m_rbs_per_subframe=self.m2m_rbs if self.m2m_rbs is not None else bandwidth,
             bits_per_re=MODULATION_BITS[self.modulation],
-            report_size_bits=size_bits,
+            report_size_bits=8 * size,
             ri_subframes=ri_subframes,
         )
 
     def say(self, message: str) -> None:
         print(message, file=sys.stdout if self.out else sys.stderr)
-
-
-def _report_bits(size: int) -> int:
-    if size < 1:
-        raise ParameterError(f"report_bytes must be positive, got {size!r}")
-    return 8 * size
 
 
 def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
@@ -244,26 +268,19 @@ def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
-
-
 def cmd_dimension(cfg: _Config) -> int:
     params = cfg.system_params()
     profile = cfg.lte_profile()
     summary = demand_summary(params)
-    capacity = capacity_rule(params).smallest_capacity(summary)
+    capacity = dimension_capacity(params, summary)
     plan = build_pool_plan(params.n_devices, profile, capacity)
-    header = "N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s"
-    line = ",".join([
-        str(params.n_devices), _fmt(params.p_e), str(params.max_attempts),
-        _fmt(params.target_failure), f"{summary.mean:.6f}", f"{summary.std:.6f}",
-        str(capacity), str(plan.rbs_per_report), f"{plan.alpha:.6f}",
-        str(plan.preallocated_subframes), str(plan.common_subframes),
-        str(plan.total_subframes), f"{plan.capacity_fraction:.6f}",
-        f"{plan.worst_case_delay_seconds:.3f}",
-    ])
-    _write_csv(cfg.out, header, [line])
+    schema = SCHEMAS["dimension"]
+    _write_csv(cfg.out, schema.header, [schema.row % (
+        params.n_devices, params.p_e, params.max_attempts, params.target_failure,
+        summary.mean, summary.std, capacity, plan.rbs_per_report, plan.alpha,
+        plan.preallocated_subframes, plan.common_subframes, plan.total_subframes,
+        plan.capacity_fraction, plan.worst_case_delay_seconds,
+    )])
     cfg.say(
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
         f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
@@ -278,7 +295,7 @@ def cmd_validate_clt(cfg: _Config) -> int:
     if cfg.runs < 1:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
-    header = "pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf"
+    schema = SCHEMAS["validate-clt"]
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
     # every histogram is drawn, so its width is checked, before any row is built
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
@@ -292,14 +309,11 @@ def cmd_validate_clt(cfg: _Config) -> int:
             f"pe={pe:g}: ks={distance:.5f}, empirical mean {hist.mean():.4f} "
             f"vs analytic {summary.mean:.4f}, runs={hist.runs}"
         )
-        cumulative = 0
+        runs, cumulative = hist.runs, 0
         for value, count, cdf_lo, cdf_hi in zip(hist.values.tolist(), hist.counts.tolist(), cdf, cdf[1:]):
             cumulative += count
-            rows.append(",".join([
-                _fmt(pe), str(value), _fmt(count / hist.runs), _fmt(cumulative / hist.runs),
-                _fmt(cdf_hi - cdf_lo), _fmt(cdf_hi),
-            ]))
-    _write_csv(cfg.out, header, rows)
+            rows.append(schema.row % (pe, value, count / runs, cumulative / runs, cdf_hi - cdf_lo, cdf_hi))
+    _write_csv(cfg.out, schema.header, rows)
     cfg.say("\n".join(notes))
     return EXIT_OK
 
@@ -308,21 +322,22 @@ def cmd_simulate(cfg: _Config) -> int:
     if cfg.runs < 1:
         raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
-    capacity = cfg.capacity if cfg.capacity is not None else dimension_capacity(params)
+    # a given capacity leaves the moments to be checked after the run
+    summary = demand_summary(params) if cfg.capacity is None else None
+    capacity = cfg.capacity if summary is None else dimension_capacity(params, summary)
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
-    bound_text = _fmt(failure_bound(capacity, demand_summary(params), params.p_e, params.max_attempts))
-    header = "N,pe,L,capacity,policy,intervals,reports,failures,p_hat,ci_low,ci_high,bound"
-    line = ",".join([
-        str(params.n_devices), _fmt(params.p_e), str(params.max_attempts), str(capacity),
-        cfg.policy, str(cfg.runs), str(estimate.reports_total), str(estimate.reports_failed),
-        _fmt(estimate.p_hat), _fmt(estimate.ci_low), _fmt(estimate.ci_high), bound_text,
-    ])
-    _write_csv(cfg.out, header, [line])
+    bound = failure_bound(capacity, summary or demand_summary(params), params.p_e, params.max_attempts)
+    schema = SCHEMAS["simulate"]
+    _write_csv(cfg.out, schema.header, [schema.row % (
+        params.n_devices, params.p_e, params.max_attempts, capacity, cfg.policy, cfg.runs,
+        estimate.reports_total, estimate.reports_failed, estimate.p_hat, estimate.ci_low,
+        estimate.ci_high, bound,
+    )])
     cfg.say(
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
         f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
-        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound_text}"
+        f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound:.10g}"
     )
     return EXIT_OK
 
@@ -351,42 +366,37 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
 
 def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
     # what the swept value leaves alone is computed at the first point, in the
-    # order every point is checked in: parameters, profile, dimensioning,
-    # plan, simulation; a point then computes only what its value changes
+    # order every point is checked in: parameters, profile, dimensioning, plan,
+    # simulation.  The values grow from the first, so its checks of N, the report
+    # size and the moments' sign hold for all; a point computes what its value changes
     first = values[0]
     params = cfg.system_params(devices=first if by_devices else None)
     profile = cfg.lte_profile(report_bytes=None if by_devices else first)
     moments = device_moments(params.p_e, params.max_attempts, params.arrival)
-    summary = scaled_summary(params.n_devices, moments)
-    rule = capacity_rule(params)
-    capacity = rule.smallest_capacity(summary)
+    summary = DemandSummary(*scaled_moments(params.n_devices, moments))
+    mean, std = summary.mean, summary.std
+    smallest_capacity = capacity_rule(params).smallest_capacity
+    capacity = smallest_capacity(mean, std)
     n_devices, report_bytes, rbs = params.n_devices, cfg.report_bytes, rbs_per_report(profile)
     policy = SchedulerPolicy(cfg.policy)
-    estimate = None
+    simulated, estimate = ("", ""), None
+    row = SCHEMAS["sweep"].row
     rows: list[str] = []
     for value in values:
         if by_devices:
-            check_positive_int("n_devices", value)
             n_devices = value
-            summary = scaled_summary(value, moments)
-            capacity = rule.smallest_capacity(summary)
+            mean, variance = scaled_moments(value, moments)
+            std = math.sqrt(variance)
+            capacity = smallest_capacity(mean, std)
         else:
-            rbs = rbs_per_report(profile, _report_bits(value))
             report_bytes = value
-        plan = build_pool_plan(n_devices, profile, capacity, rbs)
-        p_hat_text = ci_high_text = ""
-        if cfg.runs > 0:
-            if by_devices or estimate is None:
-                point = cfg.system_params(devices=value) if by_devices else params
-                estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
-            p_hat_text = _fmt(estimate.p_hat)
-            ci_high_text = _fmt(estimate.ci_high)
-        rows.append(",".join([
-            str(n_devices), str(report_bytes), f"{summary.mean:.6f}", f"{summary.std:.6f}",
-            str(capacity), str(rbs), str(plan.preallocated_subframes),
-            str(plan.common_subframes), f"{plan.capacity_fraction:.6f}",
-            p_hat_text, ci_high_text,
-        ]))
+            rbs = rbs_per_report(profile, 8 * value)
+        x_p, x_c, fraction = pool_layout(n_devices, profile, capacity, rbs)
+        if cfg.runs > 0 and (by_devices or estimate is None):
+            point = cfg.system_params(devices=value) if by_devices else params
+            estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
+            simulated = ("%.10g" % estimate.p_hat, "%.10g" % estimate.ci_high)
+        rows.append(row % (n_devices, report_bytes, mean, std, capacity, rbs, x_p, x_c, fraction, *simulated))
     return rows
 
 
@@ -394,10 +404,9 @@ def cmd_sweep(cfg: _Config) -> int:
     var, start, stop, step = _parse_sweep(cfg.sweep)
     if cfg.runs < 0:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
-    header = "N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high"
     values = range(start, stop + 1, step)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
-    _write_csv(cfg.out, header, rows)
+    _write_csv(cfg.out, SCHEMAS["sweep"].header, rows)
     cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")
     return EXIT_OK
 
@@ -412,9 +421,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -53,8 +53,7 @@ class LteProfile:
 
 
 class PoolPlan(NamedTuple):
-    """A dimensioned pool laid out on the grid (a named tuple: a sweep builds
-    one per point, at a quarter of a frozen dataclass's cost)."""
+    """A dimensioned pool laid out on the grid."""
 
     rbs_per_report: int
     alpha: float
@@ -74,45 +73,36 @@ def rbs_per_report(profile: LteProfile, report_size_bits: int | None = None) -> 
     return -(-bits // bits_per_rb)
 
 
-def build_pool_plan(
-    n_devices: int, profile: LteProfile, capacity: int, rbs: int | None = None
-) -> PoolPlan:
-    """Lay out a pool carrying N preallocated reports plus C shared transmissions.
+def pool_layout(n_devices: int, profile: LteProfile, capacity: int, rbs: int) -> tuple[int, int, float]:
+    """(X_P, X_C, capacity fraction) of a pool carrying N preallocated reports
+    plus C shared transmissions, each of `rbs` RBs.
 
     Preallocated and shared subframe counts are rounded up independently
     (physical allocation is whole subframes).  The capacity fraction counts
     the RBs actually consumed, r (N + C), against everything the system
     offers over one interval, B times the interval length, so it does not
-    depend on how many RBs per subframe the pool happens to occupy.  `rbs`,
-    the RBs per report, defaults to `rbs_per_report(profile)`.
+    depend on how many RBs per subframe the pool happens to occupy.
     """
-    if capacity < 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    if rbs is None:
-        rbs = rbs_per_report(profile)
     y = profile.m2m_rbs_per_subframe
     if rbs > y:
-        raise InfeasibleGeometryError(
-            f"a report needs {rbs} RBs but only {y} are reserved per subframe"
-        )
+        raise InfeasibleGeometryError(f"a report needs {rbs} RBs but only {y} are reserved per subframe")
     preallocated = -(-n_devices * rbs // y)
     common = -(-capacity * rbs // y)
     total = preallocated + common
     if total > profile.ri_subframes:
         raise InfeasibleGeometryError(
-            f"pool needs {total} subframes but the interval has only {profile.ri_subframes}"
-        )
-    fraction = (
-        rbs * (n_devices + capacity) / (profile.rbs_per_subframe_total * profile.ri_subframes)
-    )
+            f"pool needs {total} subframes but the interval has only {profile.ri_subframes}")
+    fraction = rbs * (n_devices + capacity) / (profile.rbs_per_subframe_total * profile.ri_subframes)
+    return preallocated, common, fraction
+
+
+def build_pool_plan(n_devices: int, profile: LteProfile, capacity: int) -> PoolPlan:
+    """Lay out a pool carrying N preallocated reports plus C shared transmissions."""
+    if capacity < 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    rbs = rbs_per_report(profile)
+    preallocated, common, fraction = pool_layout(n_devices, profile, capacity, rbs)
+    total = preallocated + common
     delay = (profile.ri_subframes + total) * SUBFRAME_SECONDS
-    return PoolPlan(
-        rbs_per_report=rbs,
-        alpha=rbs / y,
-        capacity=capacity,
-        preallocated_subframes=preallocated,
-        common_subframes=common,
-        total_subframes=total,
-        capacity_fraction=fraction,
-        worst_case_delay_seconds=delay,
-    )
+    alpha = rbs / profile.m2m_rbs_per_subframe
+    return PoolPlan(rbs, alpha, capacity, preallocated, common, total, fraction, delay)

@@ -282,8 +282,8 @@ class TestDimensionCapacity:
     def test_zero_variance_demand_is_its_mean_rounded_up(self):
         # the one rule: mu + 0 z, then the scan, which the step leaves alone
         rule = capacity_rule(SystemParams(10, 0.1, 5))
-        assert rule.smallest_capacity(DemandSummary(5.5, 0.0)) == 6
-        assert rule.smallest_capacity(DemandSummary(0.0, 0.0)) == 0
+        assert rule.smallest_capacity(5.5, 0.0) == 6
+        assert rule.smallest_capacity(0.0, 0.0) == 0
 
     def test_matches_exhaustive_scan(self):
         # the smallest feasible retry cap at p_e = 0.5 and a 0.1 target is 4

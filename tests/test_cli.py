@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from m2mpool import SystemParams, cli, demand_summary, sim
+from m2mpool import DemandSummary, PoolPlan, SystemParams, analytic, cli, demand_summary, numerics, sim
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
 from m2mpool.numerics import q_function
 from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS, _MAX_RINGS
@@ -172,7 +172,7 @@ class TestValidateClt:
                 value = int(row["value"])
                 cdf_lo = 1.0 - q_function((value - 0.5 - mean) / sigma)
                 cdf_hi = 1.0 - q_function((value + 0.5 - mean) / sigma)
-                assert (row["gaussian_pdf"], row["gaussian_cdf"]) == (cli._fmt(cdf_hi - cdf_lo), cli._fmt(cdf_hi))
+                assert (row["gaussian_pdf"], row["gaussian_cdf"]) == (f"{cdf_hi - cdf_lo:.10g}", f"{cdf_hi:.10g}")
                 count = round(float(row["empirical_pdf"]) * 3000)
                 cumulative += count
                 if count:
@@ -664,6 +664,87 @@ class TestParserReuse:
         args = build_parser().parse_args(["dimension"])
         assert vars(args) == vars(build_parser.__wrapped__().parse_args(["dimension"]))
         assert args.devices is None and not hasattr(args, "policy") and not hasattr(args, "capacity")
+
+
+class TestParserDispatch:
+    """main reads argv with the named command's own parser; every argv gives
+    the namespace, exit code and output that build_parser().parse_args gives."""
+
+    ARGV = [
+        ["dimension"], ["dimension", "--devices", "5", "--pe", "0.2", "--arrival", "one-per-ri"],
+        ["simulate", "--devices", "20", "--capacity", "9", "--policy", "fifo", "--runs", "3"],
+        ["validate-clt", "--runs", "5", "--seed", "2"], ["sweep", "--sweep=devices:1:3:1", "--runs=2"],
+        ["sweep", "--sweep", "devices:0:10:5"], ["sweep", "--sweep", "devices:-5:10:5"],
+        [], ["-h"], ["--help"], ["sweep", "--help"], ["dimension", "-h"], ["-h", "dimension"],
+        ["frobnicate"], ["--version"], ["-x", "dimension"], ["dimension", "--capacity", "5"],
+        ["sweep", "--capacity", "5"], ["dimension", "--bogus"], ["dimension", "--bogus", "--help"],
+        ["dimension", "x"], ["dimension", "--", "x"], ["dimension", "dimension"],
+        ["dimension", "--devices", "many"], ["dimension", "--devices"], ["dimension", "--dev", "5"],
+        ["simulate", "--policy", "bogus"], ["dimension", "--out"],
+    ]
+    CONFIGS = {"unknown-key": "device_count=10\n", "bad-int": "max_attempts=not-a-number\n",
+               "no-equals": "garbage\n", "bad-choice": "arrival=x\n", "load-too-large": "load=1e12\n"}
+
+    @staticmethod
+    def parse(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = vars(parse(argv)), None
+            except SystemExit as exc:
+                result = None, exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def top_level(argv):
+        return build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_namespace_exit_and_output(self, argv, monkeypatch):
+        dispatched = self.parse(cli._parse_args, argv)
+        assert dispatched == self.parse(self.top_level, argv)
+        ran = run_cli(argv)
+        monkeypatch.setattr(cli, "_parse_args", self.top_level)
+        assert ran == run_cli(argv)
+
+    @pytest.mark.parametrize("case", [*CONFIGS, "missing", "not-utf8"])
+    def test_config_file_errors(self, case, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        if case == "not-utf8":
+            cfg.write_bytes(b"devices=\xff\n")
+        elif case != "missing":
+            cfg.write_text(self.CONFIGS[case])
+        argv = ["simulate", "--runs", "2", "--devices", "10", "--config", str(cfg)]
+        ran = run_cli(argv)
+        assert ran[0] in (1, 4) and ran[1] == "" and ran[2].startswith("m2mpool: ")
+        assert self.parse(cli._parse_args, argv) == self.parse(self.top_level, argv)
+        monkeypatch.setattr(cli, "_parse_args", self.top_level)
+        assert ran == run_cli(argv)
+
+
+class TestSweepPointCost:
+    # `sweep --sweep devices:1000:1000000:1000 --bandwidth-rbs 1000` evaluated Q
+    # 2004 times, two per point and four for Q^-1, when each point still built
+    # a DemandSummary and a PoolPlan
+    Q_CALLS = 2004
+
+    @staticmethod
+    def spy(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
+
+    def test_a_point_builds_no_objects_and_no_more_q_evaluations(self, monkeypatch):
+        summaries, plans, q_calls = [], [], []
+        monkeypatch.setattr(DemandSummary, "__post_init__", self.spy(summaries, DemandSummary.__post_init__))
+        monkeypatch.setattr(PoolPlan, "__new__", self.spy(plans, PoolPlan.__new__))
+        for module in (analytic, numerics):
+            monkeypatch.setattr(module, "q_function", self.spy(q_calls, q_function))
+        code, out, _ = run_cli(["sweep", "--sweep", "devices:1000:1000000:1000", "--bandwidth-rbs", "1000"])
+        assert code == 0 and out.count("\n") == 1001
+        assert len(summaries) <= 1 and plans == []
+        assert len(q_calls) <= self.Q_CALLS
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import argparse
 import re
 from pathlib import Path
 
-from m2mpool.cli import build_parser, main
+from m2mpool.cli import SCHEMAS, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -36,8 +36,14 @@ def test_flags_paragraph_names_exactly_the_parser_flags():
 
 def test_csv_schemas_are_the_headers_written(tmp_path):
     schemas = dict(re.findall(r"^- `([a-z-]+)`: `([^`]+)`$", README, flags=re.MULTILINE))
+    assert schemas == {command: schema.header for command, schema in SCHEMAS.items()}
     assert set(schemas) == set(COMMANDS)
     for command, args in COMMANDS.items():
         out = tmp_path / f"{command}.csv"
         assert main([*args, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[0] == schemas[command], command
+
+
+def test_schema_paragraph_names_where_the_schemas_live():
+    start = README.index("\nCSV schemas")
+    assert "`m2mpool.cli.SCHEMAS`" in README[start:README.index("\n\n", start)]
