@@ -63,13 +63,23 @@ class PoissonPerRI:
 
             E[R_i]   = lambda E[W] - (1 - e^-lambda)
             Var[R_i] = lambda E[W^2] - 2 lambda E[W] e^-lambda + e^-lambda (1 - e^-lambda)
+
+        These cancel as lambda -> 0, so below 1/2 they are summed from non-negative
+        terms: with d, v = E[W - 1], Var[W - 1] and g = lambda - (1 - e^-lambda) by its
+        series, E[R_i] = lambda d + g, Var[R_i] = lambda (v + d^2 + 2 d (1 - e^-lambda))
+        + Var[(U - 1)^+], the last lambda^2 - g - g^2.
         """
         load = self.load
+        active = -math.expm1(-load)
+        if load < 0.5:
+            d, v = OnePerRI().demand_moments(p_e, max_attempts)
+            g = load * load * math.fsum((-load) ** j / math.factorial(j + 2) for j in range(16))
+            return load * d + g, load * (v + d * d + 2.0 * d * active) + (load * load - g - g * g)
         e_w = expected_attempts(p_e, max_attempts)
         e_w2 = attempts_second_moment(p_e, max_attempts)
         silent = math.exp(-load)
         # grouped so that load 1 repeats the published rule's arithmetic exactly
-        mean1 = load * e_w - (1.0 - silent)
+        mean1 = load * e_w - active
         var1 = load * e_w2 + silent * (1.0 - 2.0 * load * e_w - silent)
         if not (math.isfinite(mean1) and math.isfinite(var1)):
             raise ParameterError(f"arrival load {load!r} is too large: a device's demand moments overflow")

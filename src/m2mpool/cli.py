@@ -3,21 +3,24 @@
 Configuration precedence is flag > config file (plain key=value lines) >
 per-command default > global default.  Every command resolves and validates
 its whole configuration before computing anything, computes everything
-before writing anything, and writes CSV atomically (temp file + rename), so
-an invalid invocation never leaves partial output.  The summary comes only
-after the CSV is written, so a failed write prints none.  With --out the
-CSV goes to that file and a short human summary to stdout; without --out
-the CSV itself is stdout and the summary moves to stderr.
+before writing anything, and writes CSV atomically (a temporary
+.m2mpool-*.csv of mode 0600 in the target's directory, renamed onto the
+target, without fsync), so an invalid invocation never leaves partial
+output.  The summary comes only after the CSV is written, so a failed write
+prints none.  With --out the CSV goes to that file and a short human summary
+to stdout; without --out the CSV itself is stdout and the summary moves to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import math
 import os
 import sys
-import tempfile
 from typing import Callable, NamedTuple, Sequence
 
 from .analytic import (
@@ -248,24 +251,42 @@ class _Config:
         print(message, file=sys.stdout if self.out else sys.stderr)
 
 
+# a --out CSV is first written to .m2mpool-<token>-<n>.csv beside the target,
+# opened as tempfile.mkstemp opens a file; n counts the names found taken
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+               | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0))
+_TEMP_TOKEN, _TEMP_TRIES = os.urandom(6).hex(), 100
+
+
 def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
-    """Write the header and the rows, each already one comma-joined line, as one CSV."""
-    text = "\n".join([header, *lines, ""])
+    """Write the header and the rows, each already one comma-joined line, as one CSV:
+    to stdout, or to a temporary file renamed onto path, whose OSError names path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join([header, *lines, ""]))
         return
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".m2mpool-", suffix=".csv")
+    data = memoryview(os.linesep.join([header, *lines, ""]).encode("utf-8"))
+    target = os.path.normpath(path)  # read lexically, as os.path.abspath reads it
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        for n in range(_TEMP_TRIES):
+            tmp = os.path.join(os.path.dirname(target), f".m2mpool-{_TEMP_TOKEN}-{n}.csv")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, _TEMP_FLAGS, 0o600)
+                break
+        else:
+            raise FileExistsError(errno.EEXIST, "no usable temporary file name")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def cmd_dimension(cfg: _Config) -> int:

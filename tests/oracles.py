@@ -73,16 +73,36 @@ def one_per_ri_demand_pmf(p_e: float, cap: int) -> dict[int, float]:
     return {k: prob for k, prob in enumerate(truncated_geometric_pmf(p_e, cap))}
 
 
+def _report_moments(p_e: float, cap: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(mean, variance) of W - 1 at the working precision, summed over its pmf;
+    the centred sum needs no difference E[(W - 1)^2] - E[W - 1]^2."""
+    p = mpmath.mpf(p_e)
+    pmf = [p**k * (1 - p) for k in range(cap - 1)] + [p ** (cap - 1)]
+    mean = mpmath.fsum(k * prob for k, prob in enumerate(pmf))
+    return mean, mpmath.fsum((k - mean) ** 2 * prob for k, prob in enumerate(pmf))
+
+
 def one_per_ri_moments_reference(p_e: float, cap: int) -> tuple[float, float]:
-    """(mean, variance) of one report's shared-pool demand W - 1, summed over
-    its pmf with 60 digits, where E[(W - 1)^2] - E[W - 1]^2 would cost nothing
-    either; the centred sum needs no such difference."""
+    """(mean, variance) of one report's shared-pool demand W - 1, with 60 digits."""
     with mpmath.workdps(60):
-        p = mpmath.mpf(p_e)
-        pmf = [p**k * (1 - p) for k in range(cap - 1)] + [p ** (cap - 1)]
-        mean = mpmath.fsum(k * prob for k, prob in enumerate(pmf))
-        variance = mpmath.fsum((k - mean) ** 2 * prob for k, prob in enumerate(pmf))
-        return float(mean), float(variance)
+        return tuple(float(m) for m in _report_moments(p_e, cap))
+
+
+def poisson_moments_reference(load: float, p_e: float, cap: int) -> tuple[float, float]:
+    """(mean, variance) of one device's shared-pool demand R_i under Poisson(load)
+    reports, with 50 digits, by conditioning on the report count U: given U = k >= 1,
+    R_i is k reports' W - 1 plus k - 1, of mean k d + k - 1 and variance k v.  Both
+    sums have non-negative terms and form no 1 - e^-load, and E[R_i]^2 <= P[U > 0]
+    E[R_i^2] (Cauchy-Schwarz), so the variance keeps most of the 50 digits.  The sums stop
+    at U = 99, past which the terms are below 1e-150 for load <= 1."""
+    assert load <= 1.0
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(load)
+        d, v = _report_moments(p_e, cap)
+        probs = [(k, mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))) for k in range(1, 100)]
+        mean = mpmath.fsum(prob * (k * d + k - 1) for k, prob in probs)
+        second = mpmath.fsum(prob * (k * v + (k * d + k - 1) ** 2) for k, prob in probs)
+        return float(mean), float(second - mean**2)
 
 
 def pmf_moments(pmf: dict[int, float]) -> tuple[float, float]:

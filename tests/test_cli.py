@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
+import os
+import stat
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -335,11 +339,144 @@ class TestFailedWrite:
         ["sweep", "--sweep", "devices:1000:3000:1000"],
     ], ids=lambda args: args[0])
     def test_summary_only_after_the_csv_is_written(self, tmp_path, args):
-        code, out, err = run_cli([*args, "--out", str(tmp_path / "missing" / "x.csv")])
+        target = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli([*args, "--out", target])
         assert code == 4
         assert out == ""
         assert err.startswith("m2mpool: I/O error:") and err.count("\n") == 1
+        assert repr(target) in err and ".m2mpool-" not in err
         assert list(tmp_path.rglob(".m2mpool-*.csv")) == []
+
+    def test_a_directory_target_is_named_alone(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        assert run_cli(["dimension", "--out", str(target)]) == (
+            4, "", f"m2mpool: I/O error: [Errno {errno.EISDIR}] Is a directory: {str(target)!r}\n")
+        assert list(tmp_path.rglob(".m2mpool-*.csv")) == []
+
+
+class TestAtomicWrite:
+    """A --out CSV is written to a new .m2mpool-*.csv beside the target and
+    renamed onto it: nothing but the whole file ever appears at the target."""
+
+    ARGS = ["sweep", "--sweep", "devices:1000:3000:1000"]
+
+    def expected(self):
+        code, out, _ = run_cli(self.ARGS)
+        assert code == 0
+        return out.replace("\n", os.linesep).encode()
+
+    def assert_failed_cleanly(self, tmp_path, result, target):
+        code, out, err = result
+        assert (code, out) == (4, "")
+        assert err.startswith("m2mpool: I/O error:") and repr(str(target)) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_is_that_of_mkstemp(self, tmp_path):
+        target = tmp_path / "x.csv"
+        umask = os.umask(0o022)
+        try:
+            assert run_cli([*self.ARGS, "--out", str(target)])[0] == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert target.read_bytes() == self.expected()
+
+    def test_write_failing_mid_file_leaves_nothing(self, tmp_path, monkeypatch):
+        write, calls = os.write, []
+
+        def failing(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data[:10])
+
+        monkeypatch.setattr(os, "write", failing)
+        target = tmp_path / "x.csv"
+        self.assert_failed_cleanly(tmp_path, run_cli([*self.ARGS, "--out", str(target)]), target)
+        assert len(calls) == 2
+
+    def test_rename_failing_leaves_nothing(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        target = tmp_path / "x.csv"
+        self.assert_failed_cleanly(tmp_path, run_cli([*self.ARGS, "--out", str(target)]), target)
+
+    def test_a_taken_temporary_name_is_skipped(self, tmp_path):
+        taken = tmp_path / f".m2mpool-{cli._TEMP_TOKEN}-0.csv"
+        taken.write_text("not ours")
+        target = tmp_path / "x.csv"
+        assert run_cli([*self.ARGS, "--out", str(target)])[0] == 0
+        assert taken.read_text() == "not ours"
+        assert target.read_bytes() == self.expected()
+        assert sorted(tmp_path.iterdir()) == sorted([taken, target])
+
+    def test_every_name_taken_is_an_io_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_TEMP_TRIES", 2)
+        taken = [tmp_path / f".m2mpool-{cli._TEMP_TOKEN}-{n}.csv" for n in range(2)]
+        for path in taken:
+            path.write_text("not ours")
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli([*self.ARGS, "--out", str(target)])
+        assert (code, out) == (4, "") and repr(str(target)) in err
+        assert sorted(tmp_path.iterdir()) == taken
+        assert all(path.read_text() == "not ours" for path in taken)
+
+    @pytest.mark.parametrize("out", ["x.csv", "missing/../x.csv", "./x.csv"])
+    def test_a_relative_path_is_read_lexically(self, tmp_path, monkeypatch, out):
+        # as os.path.abspath reads it: a missing directory before ".." is not looked up
+        monkeypatch.chdir(tmp_path)
+        assert run_cli([*self.ARGS, "--out", out])[0] == 0
+        assert (tmp_path / "x.csv").read_bytes() == self.expected()
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.csv"]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1]))
+        target = tmp_path / "x.csv"
+        assert run_cli([*self.ARGS, "--out", str(target)])[0] == 0
+        monkeypatch.undo()
+        assert target.read_bytes() == self.expected()
+        assert list(tmp_path.iterdir()) == [target]
+
+
+# audit hooks cannot be removed, so one hook, installed once, records while asked to
+_AUDIT_EVENTS: list[tuple[str, tuple]] | None = None
+
+
+def _audit(event, args):
+    if _AUDIT_EVENTS is not None:
+        _AUDIT_EVENTS.append((event, args))
+
+
+class TestWriteSystemCalls:
+    """The write takes one open under the target's directory and one rename,
+    and no tempfile call: a return of the tempfile text stack shows here."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def hook(self):
+        sys.addaudithook(_audit)
+
+    @pytest.mark.parametrize("args", [
+        ["dimension"],
+        ["simulate", "--devices", "100", "--runs", "20"],
+        ["sweep", "--sweep", "devices:1000:3000:1000"],
+    ], ids=lambda args: args[0])
+    def test_one_open_one_rename(self, tmp_path, args):
+        global _AUDIT_EVENTS
+        assert run_cli([*args, "--out", str(tmp_path / "warm.csv")])[0] == 0
+        _AUDIT_EVENTS = []
+        try:
+            assert run_cli([*args, "--out", str(tmp_path / "x.csv")])[0] == 0
+        finally:
+            events, _AUDIT_EVENTS = _AUDIT_EVENTS, None
+        opened = [a for e, a in events if e == "open" and isinstance(a[0], str)
+                  and a[0].startswith(str(tmp_path))]
+        assert len(opened) == 1 and os.path.basename(opened[0][0]).startswith(".m2mpool-")
+        assert [a[1] for e, a in events if e == "os.rename"] == [str(tmp_path / "x.csv")]
+        assert [e for e, _ in events if e.startswith("tempfile.")] == []
 
 
 class TestSweepErrors:
@@ -458,6 +595,14 @@ class TestArrivalLoad:
         code, out, _ = run_cli(["simulate", "--load", "2", "--runs", "5"])
         assert code == 0
         assert out.splitlines()[1].split(",")[-1] != ""  # the bound column is filled
+
+    @pytest.mark.parametrize("args", [["dimension"], ["sweep", "--sweep", "devices:1:3:1"]],
+                             ids=lambda args: args[0])
+    def test_a_tiny_load_is_dimensioned(self, args):
+        # its moments once cancelled to a negative mean, refused with exit code 1
+        code, out, _ = run_cli([*args, "--load", "1e-16", "--pe", "0"])
+        assert code == 0
+        assert {row["C_min"] for row in csv.DictReader(io.StringIO(out))} == {"1"}
 
 
 class TestSimulatedLoadLimit:
