@@ -100,11 +100,12 @@ class OnePerRI:
         """E[R_i] and Var[R_i] of R_i = W - 1, summed directly: P[W - 1 >= k]
         = p_e^k for 0 < k < L, so E[W - 1] = p_e A(L - 1), with A as in
         attempts_second_moment, and Var[W - 1] = (1 - p_e) S(L) (see
-        _pair_sum).  E[W] - 1 would cancel all of a mean of about p_e as p_e
+        _attempt_sums).  E[W] - 1 would cancel all of a mean of about p_e as p_e
         nears 0, and E[(W - 1)^2] - E[W - 1]^2 most of the variance as p_e
         nears 1."""
-        a, _ = _attempt_sums(p_e, max_attempts - 1)
-        return p_e * a, (1.0 - p_e) * _pair_sum(p_e, max_attempts)
+        # every L past 2**64 is taken as 2**64, where _attempt_sums caps its n
+        a = _attempt_sums(p_e, min(max_attempts, 2**64) - 1)[0]
+        return p_e * a, (1.0 - p_e) * _attempt_sums(p_e, max_attempts)[2]
 
 
 ArrivalModel = Union[PoissonPerRI, OnePerRI]
@@ -187,54 +188,39 @@ def attempts_second_moment(p_e: float, max_attempts: int) -> float:
     """
     check_error_prob(p_e)
     check_positive_int("max_attempts", max_attempts)
-    a, b = _attempt_sums(p_e, max_attempts)
+    a, b, _ = _attempt_sums(p_e, max_attempts)
     return a + 2.0 * b
 
 
-def _attempt_sums(p_e: float, terms: int) -> tuple[float, float]:
-    """(A(n), B(n)) = (sum_{k<n} p_e^k, sum_{k<n} k p_e^k) at n = `terms`,
-    by the doubling steps of attempts_second_moment; (0, 0) at n = 0."""
-    a = b = 0.0
-    n = 0
-    for bit in bin(terms)[2:]:
-        power = p_e**n
-        if power == 0.0:
-            break
-        a, b, n = a + power * a, b + power * (b + n * a), 2 * n
-        if bit == "1":
-            power = p_e**n
-            a, b, n = a + power, b + n * power, n + 1
-    return a, b
-
-
-def _pair_sum(p_e: float, terms: int) -> float:
-    """S(n) = sum_{i<k<n} (2(k - i) - 1) p_e^(k+i) at n = `terms`.
+def _attempt_sums(p_e: float, terms: int) -> tuple[float, float, float]:
+    """(A(n), B(n), S(n)) at n = `terms`: A(n) = sum_{k<n} p_e^k and
+    B(n) = sum_{k<n} k p_e^k by the doubling steps of attempts_second_moment,
+    and S(n) = sum_{i<k<n} (2(k - i) - 1) p_e^(k+i); (0, 0, 0) at n = 0.
 
     With F = W - 1 and P[F >= k] = p^k for 0 < k < L, Var F = sum over
     0 < j, k < L of P[F >= max(j, k)] - P[F >= j] P[F >= k] =
     p^max(j,k) (1 - p^min(j,k)), and 1 - p^m = (1 - p) A(m); summed, that is
-    (1 - p) S(L).  Built by doubling like _attempt_sums, alongside A(n) and
-    R(n) = sum_{i<n} (n - 1 - i) p^i:
+    (1 - p) S(L).  S is built alongside A and R(n) = sum_{i<n} (n - 1 - i) p^i:
 
         S(2n) = (1 + p^2n) S(n) + (2n - 1) p^n A(n)^2    S(n+1) = S(n) + p^n (A(n) + 2 R(n))
         R(2n) = (1 + p^n) R(n) + n A(n)                  R(n+1) = R(n) + A(n)
 
     Every term is non-negative, so nothing cancels as p_e nears 1.  Once p^n
-    underflows, S takes nothing more; n is capped at 2**64 as in _all_fail,
-    so that a larger one takes the same steps and gives the same double.
+    underflows, the sums take nothing more; n is capped at 2**64 as in
+    _all_fail, so that a larger one takes the same steps and gives the same doubles.
     """
-    a = r = s = 0.0
+    a = b = r = s = 0.0
     n = 0
     for bit in bin(min(terms, 2**64))[2:]:
         power = p_e**n
         if power == 0.0:
             break
-        a, r, s, n = (a + power * a, r + power * r + n * a,
-                      s + power * power * s + (2 * n - 1) * power * a * a, 2 * n)
+        a, b, r, s, n = (a + power * a, b + power * (b + n * a), r + power * r + n * a,
+                         s + power * power * s + (2 * n - 1) * power * a * a, 2 * n)
         if bit == "1":
             power = p_e**n
-            a, r, s, n = a + power, r + a, s + power * (a + 2.0 * r), n + 1
-    return s
+            a, b, r, s, n = a + power, b + n * power, r + a, s + power * (a + 2.0 * r), n + 1
+    return a, b, s
 
 
 def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tuple[float, float]:

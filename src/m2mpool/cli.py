@@ -1,27 +1,29 @@
 """Command-line front end: dimensioning, CLT validation, simulation, sweeps.
 
 Configuration precedence is flag > config file (plain key=value lines) >
-per-command default > global default.  Every command resolves and validates
-its whole configuration before computing anything, computes everything
-before writing anything, and writes CSV atomically (a temporary
-.m2mpool-*.csv of mode 0600 in the target's directory, renamed onto the
-target, without fsync), so an invalid invocation never leaves partial
-output.  The summary comes only after the CSV is written, so a failed write
-prints none.  With --out the CSV goes to that file and a short human summary
-to stdout; without --out the CSV itself is stdout and the summary moves to
-stderr.
+per-command default > global default.  A command validates its whole
+configuration before computing anything, then returns its CSV rows and a
+short human summary, which `main` alone writes.  With --out the rows go, as
+they are made, to a new temporary .m2mpool-*.csv of mode 0600 in the target's
+directory, renamed onto the target (without fsync) only after the last row,
+so a failed invocation leaves no partial output; the summary then goes to
+stdout.  Without --out the CSV itself is stdout and the summary goes to
+stderr.  Nothing reaches stdout before the last row, and a failed write
+prints no summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import errno
 import functools
+import itertools
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analytic import (
     DemandSummary,
@@ -64,7 +66,7 @@ EXIT_INFEASIBLE_GEOMETRY = 3
 EXIT_IO = 4
 
 _MAX_RI_SECONDS = 86_400.0  # one day
-# a sweep holds every row in memory: the row limit validate-clt has per p_e
+# the row limit validate-clt has per p_e, which a sweep to stdout holds in memory
 MAX_SWEEP_POINTS = MAX_HISTOGRAM_WIDTH
 
 
@@ -247,24 +249,24 @@ class _Config:
             ri_subframes=ri_subframes,
         )
 
-    def say(self, message: str) -> None:
-        print(message, file=sys.stdout if self.out else sys.stderr)
-
 
 # a --out CSV is first written to .m2mpool-<token>-<n>.csv beside the target,
 # opened as tempfile.mkstemp opens a file; n counts the names found taken
 _TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
                | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0))
 _TEMP_TOKEN, _TEMP_TRIES = os.urandom(6).hex(), 100
+# lines (the header among them) encoded and written to a --out file at once
+_CHUNK_LINES = 4096
 
 
-def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
-    """Write the header and the rows, each already one comma-joined line, as one CSV:
-    to stdout, or to a temporary file renamed onto path, whose OSError names path."""
+def _write_csv(path: str | None, header: str, lines: Iterable[str]) -> None:
+    """Write the header and the rows, each one comma-joined line, as one CSV: to stdout
+    once every row is made, or a chunk at a time as they are made to a temporary file
+    renamed onto path, whose OSError names path and is raised after the last row."""
     if path is None:
         sys.stdout.write("\n".join([header, *lines, ""]))
         return
-    data = memoryview(os.linesep.join([header, *lines, ""]).encode("utf-8"))
+    rows = itertools.chain([header], lines)
     target = os.path.normpath(path)  # read lexically, as os.path.abspath reads it
     try:
         for n in range(_TEMP_TRIES):
@@ -276,8 +278,10 @@ def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
             raise FileExistsError(errno.EEXIST, "no usable temporary file name")
         try:
             try:
-                while data:
-                    data = data[os.write(fd, data):]
+                while chunk := list(itertools.islice(rows, _CHUNK_LINES)):
+                    data = memoryview(os.linesep.join([*chunk, ""]).encode("utf-8"))
+                    while data:
+                        data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
             os.replace(tmp, target)
@@ -286,60 +290,58 @@ def _write_csv(path: str | None, header: str, lines: Sequence[str]) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
+        collections.deque(rows, maxlen=0)
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def cmd_dimension(cfg: _Config) -> int:
+Output = tuple[Iterable[str], str]  # a command's CSV rows (made lazily or not) and its summary
+
+
+def cmd_dimension(cfg: _Config) -> Output:
     params = cfg.system_params()
     profile = cfg.lte_profile()
     summary = demand_summary(params)
     capacity = dimension_capacity(params, summary)
     plan = build_pool_plan(params.n_devices, profile, capacity)
-    schema = SCHEMAS["dimension"]
-    _write_csv(cfg.out, schema.header, [schema.row % (
+    return [SCHEMAS["dimension"].row % (
         params.n_devices, params.p_e, params.max_attempts, params.target_failure,
         summary.mean, summary.std, capacity, plan.rbs_per_report, plan.alpha,
         plan.preallocated_subframes, plan.common_subframes, plan.total_subframes,
         plan.capacity_fraction, plan.worst_case_delay_seconds,
-    )])
-    cfg.say(
+    )], (
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
         f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
         f"pool={plan.total_subframes} subframes (X_P={plan.preallocated_subframes}, "
         f"X_C={plan.common_subframes}), fraction={plan.capacity_fraction:.4f}, "
         f"worst-case delay {plan.worst_case_delay_seconds:.3f} s"
     )
-    return EXIT_OK
 
 
-def cmd_validate_clt(cfg: _Config) -> int:
+def cmd_validate_clt(cfg: _Config) -> Output:
     if cfg.runs < 1:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
-    schema = SCHEMAS["validate-clt"]
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
-    # every histogram is drawn, so its width is checked, before any row is built
+    # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
-    rows: list[str] = []
-    notes: list[str] = []
+    tables, notes = [], []
     for pe, params, hist in zip(pe_values, all_params, hists):
         summary = demand_summary(params)
         cdf = gaussian_cdf(hist, summary)
-        distance = ks_distance(hist, cdf)
         notes.append(
-            f"pe={pe:g}: ks={distance:.5f}, empirical mean {hist.mean():.4f} "
+            f"pe={pe:g}: ks={ks_distance(hist, cdf):.5f}, empirical mean {hist.mean():.4f} "
             f"vs analytic {summary.mean:.4f}, runs={hist.runs}"
         )
-        runs, cumulative = hist.runs, 0
-        for value, count, cdf_lo, cdf_hi in zip(hist.values.tolist(), hist.counts.tolist(), cdf, cdf[1:]):
-            cumulative += count
-            rows.append(schema.row % (pe, value, count / runs, cumulative / runs, cdf_hi - cdf_lo, cdf_hi))
-    _write_csv(cfg.out, schema.header, rows)
-    cfg.say("\n".join(notes))
-    return EXIT_OK
+        tables.append((pe, hist, cdf))
+    row = SCHEMAS["validate-clt"].row
+    rows = (row % (pe, value, count / hist.runs, cumulative / hist.runs, cdf_hi - cdf_lo, cdf_hi)
+            for pe, hist, cdf in tables
+            for value, count, cumulative, cdf_lo, cdf_hi in zip(
+                hist.values.tolist(), hist.counts.tolist(), hist.counts.cumsum().tolist(), cdf, cdf[1:]))
+    return rows, "\n".join(notes)
 
 
-def cmd_simulate(cfg: _Config) -> int:
+def cmd_simulate(cfg: _Config) -> Output:
     if cfg.runs < 1:
         raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
@@ -349,18 +351,15 @@ def cmd_simulate(cfg: _Config) -> int:
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound = failure_bound(capacity, summary or demand_summary(params), params.p_e, params.max_attempts)
-    schema = SCHEMAS["simulate"]
-    _write_csv(cfg.out, schema.header, [schema.row % (
+    return [SCHEMAS["simulate"].row % (
         params.n_devices, params.p_e, params.max_attempts, capacity, cfg.policy, cfg.runs,
         estimate.reports_total, estimate.reports_failed, estimate.p_hat, estimate.ci_low,
         estimate.ci_high, bound,
-    )])
-    cfg.say(
+    )], (
         f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
         f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
         f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound:.10g}"
     )
-    return EXIT_OK
 
 
 def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
@@ -385,7 +384,7 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
     return var, start, stop, step
 
 
-def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
+def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> Iterator[str]:
     # what the swept value leaves alone is computed at the first point, in the
     # order every point is checked in: parameters, profile, dimensioning, plan,
     # simulation.  The values grow from the first, so its checks of N, the report
@@ -402,7 +401,6 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
     policy = SchedulerPolicy(cfg.policy)
     simulated, estimate = ("", ""), None
     row = SCHEMAS["sweep"].row
-    rows: list[str] = []
     for value in values:
         if by_devices:
             n_devices = value
@@ -417,19 +415,16 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> list[str]:
             point = cfg.system_params(devices=value) if by_devices else params
             estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
             simulated = ("%.10g" % estimate.p_hat, "%.10g" % estimate.ci_high)
-        rows.append(row % (n_devices, report_bytes, mean, std, capacity, rbs, x_p, x_c, fraction, *simulated))
-    return rows
+        yield row % (n_devices, report_bytes, mean, std, capacity, rbs, x_p, x_c, fraction, *simulated)
 
 
-def cmd_sweep(cfg: _Config) -> int:
+def cmd_sweep(cfg: _Config) -> Output:
     var, start, stop, step = _parse_sweep(cfg.sweep)
     if cfg.runs < 0:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
     values = range(start, stop + 1, step)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
-    _write_csv(cfg.out, SCHEMAS["sweep"].header, rows)
-    cfg.say(f"sweep {var} {start}..{stop} step {step}: {len(rows)} points")
-    return EXIT_OK
+    return rows, f"sweep {var} {start}..{stop} step {step}: {len(values)} points"
 
 
 _COMMANDS = {
@@ -448,7 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _Config(args)
-        return _COMMANDS[args.command][0](cfg)
+        rows, summary = _COMMANDS[cfg.command][0](cfg)
+        _write_csv(cfg.out, SCHEMAS[cfg.command].header, rows)
+        print(summary, file=sys.stdout if cfg.out else sys.stderr)
+        return EXIT_OK
     except (ParameterError, IndeterminateEstimateError) as exc:
         print(f"m2mpool: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

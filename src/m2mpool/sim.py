@@ -591,16 +591,26 @@ def _ring_finish(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarra
 
 
 def _blocks(
-    params: SystemParams,
+    params: Sequence[SystemParams],
     runs: int,
     seed: int,
     capacity: int,
     policy: SchedulerPolicy,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """`_draw_block` over `runs` intervals; block k draws from stream (seed, k)."""
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """(entry index, `_draw_outcomes` of it) of each block of `runs` intervals.
+    Block k draws from stream (seed, k): the arrivals once, by the first entry,
+    whose device count and arrival model every entry shares, then each entry's
+    outcomes from the stream state that follows them, as if drawn alone."""
+    if capacity < 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
         gen = RngStream(seed, index).generator
-        yield _draw_block(gen, params, min(BLOCK_INTERVALS, runs - start), capacity, policy)
+        active, excess = _draw_arrivals(gen, params[0], min(BLOCK_INTERVALS, runs - start))
+        state = gen.bit_generator.state if len(params) > 1 else None
+        for i, entry in enumerate(params):
+            if i:
+                gen.bit_generator.state = state
+            yield i, _draw_outcomes(gen, entry, active, excess, capacity, policy)
 
 
 def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[DemandHistogram]:
@@ -610,13 +620,11 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     The demands of `runs` intervals drawn as counts (see `_draw_block`)
     against a pool no demand exceeds, so nothing is served; interval i lies
     in block i // BLOCK_INTERVALS.  The entries must share the device count
-    and the arrival model, and so share each block's arrival draw: block k
-    draws the devices by report count once from stream (seed, k), and every
-    entry draws its outcomes from the stream state that follows it.  Each
-    histogram is therefore the one a call with that entry alone gives (the
-    stream layout is v6 either way).  Each block's demands are added to its
-    entry's histogram as they come, so memory grows with the histograms'
-    width, not with `runs`.  A histogram spread over more than
+    and the arrival model, and so share each block's arrival draw (see
+    `_blocks`).  Each histogram is therefore the one a call with that entry
+    alone gives (the stream layout is v6 either way).  Each block's demands
+    are added to its entry's histogram as they come, so memory grows with the
+    histograms' width, not with `runs`.  A histogram spread over more than
     MAX_HISTOGRAM_WIDTH values is refused at the block that widens it past
     that limit, before any histogram is returned.
     """
@@ -628,14 +636,8 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     if any((p.n_devices, p.arrival) != (shared.n_devices, shared.arrival) for p in params):
         raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
     hists = [(0, np.zeros(0, dtype=np.int64))] * len(params)
-    for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
-        gen = RngStream(seed, index).generator
-        active, excess = _draw_arrivals(gen, shared, min(BLOCK_INTERVALS, runs - start))
-        state = gen.bit_generator.state
-        for i, entry in enumerate(params):
-            gen.bit_generator.state = state
-            demand = _draw_outcomes(gen, entry, active, excess, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)[2]
-            hists[i] = _add_demands(*hists[i], demand, entry.p_e)
+    for i, (_, _, demand, _) in _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM):
+        hists[i] = _add_demands(*hists[i], demand, params[i].p_e)
     return [DemandHistogram(counts=counts, offset=low) for low, counts in hists]
 
 
@@ -712,7 +714,7 @@ def estimate_failure_prob(
         raise ParameterError(f"intervals must be positive, got {intervals!r}")
     total = 0
     failed = 0
-    for reports, failures, _, _ in _blocks(params, intervals, seed, capacity, policy):
+    for _, (reports, failures, _, _) in _blocks([params], intervals, seed, capacity, policy):
         total += int(reports.sum())
         failed += int(failures.sum())
     if total == 0:

@@ -89,15 +89,18 @@ class TestAttemptMoments:
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("arrival", [PoissonPerRI(), OnePerRI()], ids=["poisson", "one-per-ri"])
-    def test_retry_limit_beyond_float_range_matches_a_large_one(self, arrival):
+    # the doubling follows L's leading binary digits until p_e^n underflows, so at
+    # p_e = 0.97 each L past 2**64 moved the variance's last bit until L was capped
+    @pytest.mark.parametrize("p_e, large", [(0.1, 10**6), (0.97, 2**64)], ids=["pe0.1", "pe0.97"])
+    def test_retry_limit_beyond_float_range_matches_a_large_one(self, arrival, p_e, large):
         # 10**309 does not convert to a float
-        huge, large = SystemParams(30_000, 0.1, 10**309, arrival), SystemParams(30_000, 0.1, 10**6, arrival)
+        huge, big = (SystemParams(30_000, p_e, limit, arrival) for limit in (10**309, large))
         assert huge.failure_floor == 0.0
-        assert expected_attempts(0.1, 10**309) == expected_attempts(0.1, 10**6)
-        assert demand_summary(huge) == demand_summary(large)
-        assert dimension_capacity(huge) == dimension_capacity(large)
+        assert expected_attempts(p_e, 10**309) == expected_attempts(p_e, large)
+        assert demand_summary(huge) == demand_summary(big)
+        assert dimension_capacity(huge) == dimension_capacity(big)
         summary = demand_summary(huge)
-        assert failure_bound(14_000, summary, 0.1, 10**309) == failure_bound(14_000, summary, 0.1, 10**6)
+        assert failure_bound(14_000, summary, p_e, 10**309) == failure_bound(14_000, summary, p_e, large)
 
     def test_second_moment_rejects_a_boolean_limit_even_when_cached(self):
         assert attempts_second_moment(0.1, 1) == 1.0

@@ -9,6 +9,7 @@ import os
 import stat
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -506,6 +507,87 @@ class TestSweepErrors:
         assert result == (code, "", message + "\n")
         assert list(tmp_path.iterdir()) == []
 
+
+
+class TestStreamingWrite:
+    """A --out CSV is written a chunk of cli._CHUNK_LINES lines, the header
+    among them, at a time as the rows are made; a row that fails after some
+    are written, or an open or write that fails, leaves nothing behind, and
+    the failing row's error comes first."""
+
+    GEOMETRY = TestSweepErrors.CASES[3]
+
+    @staticmethod
+    def record_writes(monkeypatch, fail=None):
+        write, sizes = os.write, []
+
+        def recorded(fd, data):
+            sizes.append(len(data))
+            if fail is not None:
+                raise OSError(fail, os.strerror(fail))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", recorded)
+        return sizes
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--sweep", "devices:1000:5000:1000"],
+        ["validate-clt", "--runs", "200"],  # p_e 0.1 and 0.4
+        ["dimension"],
+    ], ids=lambda args: args[0])
+    def test_the_bytes_of_stdout_one_write_a_chunk(self, tmp_path, monkeypatch, args, chunk):
+        code, out, summary = run_cli(args)
+        assert code == 0
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+        sizes = self.record_writes(monkeypatch)
+        target = tmp_path / "x.csv"
+        result = run_cli([*args, "--out", str(target)])
+        monkeypatch.undo()
+        assert result == (0, summary, "")
+        assert target.read_bytes() == out.replace("\n", os.linesep).encode()
+        lines = out.count("\n")
+        assert len(sizes) == -(-lines // chunk)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_point_failing_after_rows_are_written_leaves_nothing(self, tmp_path, monkeypatch):
+        args, code, message = self.GEOMETRY
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 1)
+        sizes = self.record_writes(monkeypatch)
+        result = run_cli(["sweep", "--sweep", *args, "--out", str(tmp_path / "x.csv")])
+        assert result == (code, "", message + "\n")
+        assert len(sizes) == 2  # the header and the first point
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_point_comes_before_a_failed_open(self, tmp_path):
+        args, code, message = self.GEOMETRY
+        result = run_cli(["sweep", "--sweep", *args, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert result == (code, "", message + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_point_comes_before_a_failed_write(self, tmp_path, monkeypatch):
+        args, code, message = self.GEOMETRY
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 1)
+        sizes = self.record_writes(monkeypatch, fail=errno.ENOSPC)
+        result = run_cli(["sweep", "--sweep", *args, "--out", str(tmp_path / "x.csv")])
+        assert result == (code, "", message + "\n")
+        assert len(sizes) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_grows_with_the_chunk_not_the_rows(self, tmp_path, monkeypatch):
+        # 10,000 rows, 662 kB of CSV: every row held until the last peaked at 2.5 MB
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 64)
+        args = ["sweep", "--sweep", "devices:1000:10000000:1000", "--bandwidth-rbs", "100000",
+                "--ri-seconds", "86400", "--out", str(tmp_path / "x.csv")]
+        assert run_cli(args)[0] == 0  # what the first run caches is not counted
+        tracemalloc.start()
+        try:
+            code = run_cli(args)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and (tmp_path / "x.csv").read_text().count("\n") == 10_001
+        assert peak <= 2**18
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
