@@ -11,14 +11,13 @@ Monte Carlo engine that checks both against simulated intervals (`sim`).
 
 from .analytic import (
     ArrivalModel,
+    AttemptLaw,
     DemandSummary,
     OnePerRI,
     PoissonPerRI,
     SystemParams,
-    attempts_second_moment,
     demand_summary,
     dimension_capacity,
-    expected_attempts,
     failure_bound,
 )
 from .errors import (
@@ -51,6 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalModel",
+    "AttemptLaw",
     "DemandHistogram",
     "DemandSummary",
     "FailureEstimate",
@@ -67,12 +67,10 @@ __all__ = [
     "RngStream",
     "SchedulerPolicy",
     "SystemParams",
-    "attempts_second_moment",
     "build_pool_plan",
     "demand_summary",
     "dimension_capacity",
     "estimate_failure_prob",
-    "expected_attempts",
     "failure_bound",
     "ks_distance",
     "q_function",

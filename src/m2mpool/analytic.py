@@ -23,19 +23,102 @@ failure probability.
 
 Each arrival model owns the law of U: its mean (`mean_reports`), its pmf
 from k = 0 (`count_pmf`, built with numpy on first use) and R_i's moments
-at (p_e, L) (`demand_moments`).  `device_moments`, the engine and
-the command line read these and never ask which model they hold.
+under the attempt law (`demand_moments`).  `device_moments`, the engine and
+the command line read these and never ask which model they hold.  The law
+of W is `AttemptLaw`: the floor p_e^L, W's moments and the engine's outcomes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import InfeasibleTargetError, ParameterError
 from .numerics import check_error_prob, check_positive_int, np, q_function, q_inverse
+
+
+@dataclass(frozen=True)
+class AttemptLaw:
+    """A report's attempt count W: truncated geometric, P[W > k] = p_e^k
+    for k < L = `limit`.  The one check of (p_e, L)."""
+
+    p_e: float
+    limit: int
+
+    def __post_init__(self) -> None:
+        check_error_prob(self.p_e)
+        check_positive_int("max_attempts", self.limit)
+
+    @property
+    def floor(self) -> float:
+        """p_e^L, the failure probability no capacity removes.  L is capped at 2**64, as an
+        int past about 1.8e308 is no float; p^(2**64) is 0.0 for every double p < 1."""
+        return self.p_e ** min(self.limit, 2**64)
+
+    @property
+    def mean(self) -> float:
+        """E[W] = (1 - p_e^L) / (1 - p_e), the truncated geometric series in closed form."""
+        return (1.0 - self.floor) / (1.0 - self.p_e)
+
+    @property
+    def second_moment(self) -> float:
+        """E[W^2] = sum_{k<L} (2k + 1) p_e^k = A(L) + 2 B(L) (`_attempt_sums`), where
+        the closed form ((2L-1) p^(L+1) - (2L+1) p^L + p + 1) / (1-p)^2 cancels as
+        p_e nears 1 (1.5e-6 relative error at p_e = 1 - 1e-6, L = 10)."""
+        a, b, _ = _attempt_sums(self.p_e, self.limit)
+        return a + 2.0 * b
+
+    @property
+    def retry_moments(self) -> tuple[float, float]:
+        """E[W - 1] = p_e A(L - 1) and Var[W - 1] = (1 - p_e) S(L) (`_attempt_sums`),
+        summed directly, as P[W - 1 >= k] = p_e^k for 0 < k < L.  E[W] - 1 would cancel
+        all of a mean of about p_e as p_e nears 0, and E[(W - 1)^2] - E[W - 1]^2 most of
+        the variance as p_e nears 1."""
+        # every L past 2**64 is taken as 2**64, where _attempt_sums caps its n
+        a = _attempt_sums(self.p_e, min(self.limit, 2**64) - 1)[0]
+        return self.p_e * a, (1.0 - self.p_e) * _attempt_sums(self.p_e, self.limit)[2]
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """The engine's categories, one per attempt (so for short chains only): P[done
+        at attempt j] = p_e^(j-1) (1 - p_e) for j = 1..L, then P[all L fail] = p_e^L."""
+        return np.append(self.p_e ** np.arange(self.limit) * (1.0 - self.p_e), self.floor)
+
+
+def _attempt_sums(p_e: float, terms: int) -> tuple[float, float, float]:
+    """(A(n), B(n), S(n)) at n = `terms`, (0, 0, 0) at n = 0: A(n) = sum_{k<n} p_e^k,
+    B(n) = sum_{k<n} k p_e^k and S(n) = sum_{i<k<n} (2(k - i) - 1) p_e^(k+i),
+    built along the binary digits of n in O(log n) steps:
+
+        A(2n) = A(n) + p^n A(n)        B(2n) = B(n) + p^n (B(n) + n A(n))
+        A(n+1) = A(n) + p^n            B(n+1) = B(n) + n p^n
+
+    With F = W - 1 and P[F >= k] = p^k for 0 < k < L, Var F = sum over
+    0 < j, k < L of P[F >= max(j, k)] - P[F >= j] P[F >= k] =
+    p^max(j,k) (1 - p^min(j,k)), and 1 - p^m = (1 - p) A(m); summed, that is
+    (1 - p) S(L).  S is built alongside A and R(n) = sum_{i<n} (n - 1 - i) p^i:
+
+        S(2n) = (1 + p^2n) S(n) + (2n - 1) p^n A(n)^2    S(n+1) = S(n) + p^n (A(n) + 2 R(n))
+        R(2n) = (1 + p^n) R(n) + n A(n)                  R(n+1) = R(n) + A(n)
+
+    Every term is non-negative, so nothing cancels as p_e nears 1; each step adds a
+    few ulp of relative error.  Once p^n underflows, the sums take nothing more; n is
+    capped at 2**64 as L is in AttemptLaw.floor, so a larger one gives the same doubles.
+    """
+    a = b = r = s = 0.0
+    n = 0
+    for bit in bin(min(terms, 2**64))[2:]:
+        power = p_e**n
+        if power == 0.0:
+            break
+        a, b, r, s, n = (a + power * a, b + power * (b + n * a), r + power * r + n * a,
+                         s + power * power * s + (2 * n - 1) * power * a * a, 2 * n)
+        if bit == "1":
+            power = p_e**n
+            a, b, r, s, n = a + power, b + n * power, r + a, s + power * (a + 2.0 * r), n + 1
+    return a, b, s
 
 
 @dataclass(frozen=True)
@@ -57,7 +140,7 @@ class PoissonPerRI:
         k = np.arange(int(2 * self.load) + 41)
         return np.exp(k * math.log(self.load) - self.load - np.append(0.0, np.log(k[1:]).cumsum()))
 
-    def demand_moments(self, p_e: float, max_attempts: int) -> tuple[float, float]:
+    def demand_moments(self, attempts: AttemptLaw) -> tuple[float, float]:
         """R_i's mean and variance from E[W] and E[W^2], conditioning on U
         (at lambda = 1 the published dimensioning rule):
 
@@ -72,11 +155,10 @@ class PoissonPerRI:
         load = self.load
         active = -math.expm1(-load)
         if load < 0.5:
-            d, v = OnePerRI().demand_moments(p_e, max_attempts)
+            d, v = attempts.retry_moments
             g = load * load * math.fsum((-load) ** j / math.factorial(j + 2) for j in range(16))
             return load * d + g, load * (v + d * d + 2.0 * d * active) + (load * load - g - g * g)
-        e_w = expected_attempts(p_e, max_attempts)
-        e_w2 = attempts_second_moment(p_e, max_attempts)
+        e_w, e_w2 = attempts.mean, attempts.second_moment
         silent = math.exp(-load)
         # grouped so that load 1 repeats the published rule's arithmetic exactly
         mean1 = load * e_w - active
@@ -96,29 +178,12 @@ class OnePerRI:
         """P[U = k] for k = 0, 1."""
         return np.array([0.0, 1.0])
 
-    def demand_moments(self, p_e: float, max_attempts: int) -> tuple[float, float]:
-        """E[R_i] and Var[R_i] of R_i = W - 1, summed directly: P[W - 1 >= k]
-        = p_e^k for 0 < k < L, so E[W - 1] = p_e A(L - 1), with A as in
-        attempts_second_moment, and Var[W - 1] = (1 - p_e) S(L) (see
-        _attempt_sums).  E[W] - 1 would cancel all of a mean of about p_e as p_e
-        nears 0, and E[(W - 1)^2] - E[W - 1]^2 most of the variance as p_e
-        nears 1."""
-        # every L past 2**64 is taken as 2**64, where _attempt_sums caps its n
-        a = _attempt_sums(p_e, min(max_attempts, 2**64) - 1)[0]
-        return p_e * a, (1.0 - p_e) * _attempt_sums(p_e, max_attempts)[2]
+    def demand_moments(self, attempts: AttemptLaw) -> tuple[float, float]:
+        """E[R_i] and Var[R_i] of R_i = W - 1."""
+        return attempts.retry_moments
 
 
 ArrivalModel = Union[PoissonPerRI, OnePerRI]
-
-
-def _all_fail(p_e: float, attempts: int) -> float:
-    """p_e^attempts, the chance that `attempts` transmissions all fail.
-
-    An int beyond about 1.8e308 does not convert to a float, so the exponent
-    is capped at 2**64, past which it changes no result: p^(2**64) is 0.0 for
-    every double p < 1 (1 - 2**-53 gives about e^-2048).
-    """
-    return p_e ** min(attempts, 2**64)
 
 
 @dataclass(frozen=True)
@@ -130,20 +195,15 @@ class SystemParams:
     max_attempts: int
     arrival: ArrivalModel = PoissonPerRI()
     target_failure: float = 1e-3
+    attempts: AttemptLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_positive_int("n_devices", self.n_devices)
-        check_error_prob(self.p_e)
-        check_positive_int("max_attempts", self.max_attempts)
+        object.__setattr__(self, "attempts", AttemptLaw(self.p_e, self.max_attempts))
         if not (0.0 < self.target_failure < 1.0):
             raise ParameterError(f"target_failure must be in (0, 1), got {self.target_failure!r}")
         if not isinstance(self.arrival, (PoissonPerRI, OnePerRI)):
             raise ParameterError(f"unknown arrival model: {self.arrival!r}")
-
-    @property
-    def failure_floor(self) -> float:
-        """p_e^L, the failure probability no amount of capacity removes."""
-        return _all_fail(self.p_e, self.max_attempts)
 
 
 @dataclass(frozen=True)
@@ -164,71 +224,11 @@ class DemandSummary:
         return math.sqrt(self.variance)
 
 
-def expected_attempts(p_e: float, max_attempts: int) -> float:
-    """E[W] = (1 - p_e^L) / (1 - p_e), the truncated geometric series in closed form."""
-    check_error_prob(p_e)
-    check_positive_int("max_attempts", max_attempts)
-    return (1.0 - _all_fail(p_e, max_attempts)) / (1.0 - p_e)
-
-
-def attempts_second_moment(p_e: float, max_attempts: int) -> float:
-    """E[W^2] = sum_{k<L} (2k + 1) p_e^k, since P[W > k] = p_e^k below L.
-
-    With A(n) = sum_{k<n} p^k and B(n) = sum_{k<n} k p^k it is A(L) + 2 B(L),
-    built along the binary digits of L in O(log L) steps:
-
-        A(2n) = A(n) + p^n A(n)        B(2n) = B(n) + p^n (B(n) + n A(n))
-        A(n+1) = A(n) + p^n            B(n+1) = B(n) + n p^n
-
-    Every term is non-negative, so nothing cancels as p_e nears 1, where the
-    closed form ((2L-1) p^(L+1) - (2L+1) p^L + p + 1) / (1-p)^2 does (1.5e-6
-    relative error at p_e = 1 - 1e-6, L = 10); each step adds a few ulp of
-    relative error.  Once p^n underflows, the rest of the series is below
-    double resolution.
-    """
-    check_error_prob(p_e)
-    check_positive_int("max_attempts", max_attempts)
-    a, b, _ = _attempt_sums(p_e, max_attempts)
-    return a + 2.0 * b
-
-
-def _attempt_sums(p_e: float, terms: int) -> tuple[float, float, float]:
-    """(A(n), B(n), S(n)) at n = `terms`: A(n) = sum_{k<n} p_e^k and
-    B(n) = sum_{k<n} k p_e^k by the doubling steps of attempts_second_moment,
-    and S(n) = sum_{i<k<n} (2(k - i) - 1) p_e^(k+i); (0, 0, 0) at n = 0.
-
-    With F = W - 1 and P[F >= k] = p^k for 0 < k < L, Var F = sum over
-    0 < j, k < L of P[F >= max(j, k)] - P[F >= j] P[F >= k] =
-    p^max(j,k) (1 - p^min(j,k)), and 1 - p^m = (1 - p) A(m); summed, that is
-    (1 - p) S(L).  S is built alongside A and R(n) = sum_{i<n} (n - 1 - i) p^i:
-
-        S(2n) = (1 + p^2n) S(n) + (2n - 1) p^n A(n)^2    S(n+1) = S(n) + p^n (A(n) + 2 R(n))
-        R(2n) = (1 + p^n) R(n) + n A(n)                  R(n+1) = R(n) + A(n)
-
-    Every term is non-negative, so nothing cancels as p_e nears 1.  Once p^n
-    underflows, the sums take nothing more; n is capped at 2**64 as in
-    _all_fail, so that a larger one takes the same steps and gives the same doubles.
-    """
-    a = b = r = s = 0.0
-    n = 0
-    for bit in bin(min(terms, 2**64))[2:]:
-        power = p_e**n
-        if power == 0.0:
-            break
-        a, b, r, s, n = (a + power * a, b + power * (b + n * a), r + power * r + n * a,
-                         s + power * power * s + (2 * n - 1) * power * a * a, 2 * n)
-        if bit == "1":
-            power = p_e**n
-            a, b, r, s, n = a + power, b + n * power, r + a, s + power * (a + 2.0 * r), n + 1
-    return a, b, s
-
-
 def device_moments(p_e: float, max_attempts: int, arrival: ArrivalModel) -> tuple[float, float]:
     """Mean and variance of one device's shared-pool demand R_i, by the
     arrival model's own law.  A variance that rounds below 0 is taken as 0."""
-    check_error_prob(p_e)
-    check_positive_int("max_attempts", max_attempts)
-    mean1, var1 = arrival.demand_moments(p_e, max_attempts)
+    attempts = AttemptLaw(p_e, max_attempts)  # checked before the arrival model is asked
+    mean1, var1 = arrival.demand_moments(attempts)
     return mean1, max(var1, 0.0)
 
 
@@ -279,11 +279,10 @@ def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempt
     the scheduling discipline, but it is not a bound: the right-skewed demand
     has a heavier upper tail, so it can understate P[R > C].
     """
-    check_error_prob(p_e)
-    check_positive_int("max_attempts", max_attempts)
+    floor = AttemptLaw(p_e, max_attempts).floor
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    return _gaussian_term(capacity, summary.mean, summary.std, _all_fail(p_e, max_attempts))
+    return _gaussian_term(capacity, summary.mean, summary.std, floor)
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def capacity_rule(params: SystemParams) -> CapacityRule:
     Raises InfeasibleTargetError when the target is at or below the floor
     p_e^L, which no capacity lowers.
     """
-    floor = params.failure_floor
+    floor = params.attempts.floor
     eps = params.target_failure
     if eps <= floor:
         raise InfeasibleTargetError(

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, TypeAlias
 
-from .analytic import ArrivalModel, DemandSummary, SystemParams
+from .analytic import ArrivalModel, AttemptLaw, DemandSummary, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
 from .numerics import RngStream, leading_failure_counts, np, q_function
 
@@ -128,7 +128,8 @@ class DemandHistogram:
         return np.arange(self.offset, self.offset + self.counts.size)
 
     def mean(self) -> float:
-        return int(self.values @ self.counts) / self.runs
+        # the offset's share in Python ints: summed in int64, values x counts pass 2**63 and wrap
+        return (self.offset * self.runs + int(np.arange(self.counts.size) @ self.counts)) / self.runs
 
     def variance(self) -> float:
         """Unbiased sample variance."""
@@ -260,10 +261,9 @@ def _report_count_law(arrival: ArrivalModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _outcome_law(p_e: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """P[done at attempt j] = p_e^(j-1) (1 - p_e) for j = 1..steps, then
-    P[beyond] = p_e^steps, `_drawn_in_order`."""
-    return _drawn_in_order(np.append(p_e ** np.arange(steps) * (1.0 - p_e), p_e**steps))
+def _outcome_law(attempts: AttemptLaw) -> tuple[np.ndarray, np.ndarray]:
+    """`attempts.outcomes` (done at attempt j = 1..L, then beyond), `_drawn_in_order`."""
+    return _drawn_in_order(attempts.outcomes)
 
 
 # (pool slots needed, retry-limit flag) of each class, and its report count
@@ -321,7 +321,7 @@ def _draw_outcomes(
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
     remaining = min(params.max_attempts - steps, _INT64_MAX)
-    pmf, back = _outcome_law(p_e, steps)
+    pmf, back = _outcome_law(AttemptLaw(p_e, steps))
     # [kind (first, excess), interval, outcome (done at attempt 1..steps, beyond)]
     outcomes = gen.multinomial(np.stack([active, excess]), pmf)[..., back]
     beyond = outcomes[..., steps].T

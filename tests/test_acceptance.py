@@ -15,16 +15,15 @@ from pathlib import Path
 import pytest
 
 from m2mpool import (
+    AttemptLaw,
     InfeasibleTargetError,
     LteProfile,
     SchedulerPolicy,
     SystemParams,
-    attempts_second_moment,
     build_pool_plan,
     demand_summary,
     dimension_capacity,
     estimate_failure_prob,
-    expected_attempts,
     failure_bound,
     ks_distance,
     sample_demand,
@@ -134,7 +133,7 @@ def test_criterion_5_oracle_equivalence():
                 bracket = (
                     (2 * cap - 1) * p_e ** (cap + 1) - (2 * cap + 1) * p_e**cap + p_e + 1.0
                 ) / (1.0 - p_e) ** 2
-                assert bracket == pytest.approx(attempts_second_moment(p_e, cap), abs=1e-10)
+                assert bracket == pytest.approx(AttemptLaw(p_e, cap).second_moment, abs=1e-10)
 
 
 def _assert_pmf_normalization():

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from m2mpool import (
+    AttemptLaw,
     DemandSummary,
     InfeasibleTargetError,
     OnePerRI,
     ParameterError,
     PoissonPerRI,
     SystemParams,
-    attempts_second_moment,
     demand_summary,
     dimension_capacity,
-    expected_attempts,
     failure_bound,
     sim,
 )
@@ -44,22 +43,22 @@ LOAD_GRID = [0.05, 0.5, 1.0, 2.0, 5.0]
 
 class TestAttemptMoments:
     def test_error_free(self):
-        assert expected_attempts(0.0, 10) == 1.0
-        assert attempts_second_moment(0.0, 10) == 1.0
+        assert AttemptLaw(0.0, 10).mean == 1.0
+        assert AttemptLaw(0.0, 10).second_moment == 1.0
 
     @pytest.mark.parametrize("p_e", PE_GRID)
     def test_cap_one(self, p_e):
-        assert expected_attempts(p_e, 1) == 1.0
-        assert attempts_second_moment(p_e, 1) == 1.0
+        assert AttemptLaw(p_e, 1).mean == 1.0
+        assert AttemptLaw(p_e, 1).second_moment == 1.0
 
     def test_mean_value(self):
-        assert expected_attempts(0.1, 10) == pytest.approx(1.111111111, abs=1e-9)
+        assert AttemptLaw(0.1, 10).mean == pytest.approx(1.111111111, abs=1e-9)
 
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)
     def test_mean_matches_pmf_sum(self, p_e, cap):
         direct = sum(k * w for k, w in enumerate(truncated_geometric_pmf(p_e, cap), start=1))
-        assert expected_attempts(p_e, cap) == pytest.approx(direct, abs=1e-12)
+        assert AttemptLaw(p_e, cap).mean == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("p_e", PE_GRID)
     @pytest.mark.parametrize("cap", CAP_GRID)
@@ -69,14 +68,14 @@ class TestAttemptMoments:
         closed = ((2 * cap - 1) * p_e ** (cap + 1) - (2 * cap + 1) * p_e**cap + p_e + 1.0) / (
             1.0 - p_e
         ) ** 2
-        assert closed == pytest.approx(attempts_second_moment(p_e, cap), abs=1e-10)
+        assert closed == pytest.approx(AttemptLaw(p_e, cap).second_moment, abs=1e-10)
 
     @pytest.mark.parametrize("p_e", [0.0, 0.1, 0.9, 0.999, 1.0 - 1e-6])
     @pytest.mark.parametrize("cap", [1, 2, 10, 64, 10**6])
     def test_second_moment_matches_the_high_precision_closed_form(self, p_e, cap):
         # the double closed form is 1.5e-6 off at p_e = 1 - 1e-6, L = 10
         exact = attempts_second_moment_reference(p_e, cap)
-        assert abs(attempts_second_moment(p_e, cap) - exact) <= 1e-13 * exact
+        assert abs(AttemptLaw(p_e, cap).second_moment - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize("arrival", ["poisson", "one-per-ri"])
     def test_huge_retry_limit_is_fast(self, arrival):
@@ -95,17 +94,17 @@ class TestAttemptMoments:
     def test_retry_limit_beyond_float_range_matches_a_large_one(self, arrival, p_e, large):
         # 10**309 does not convert to a float
         huge, big = (SystemParams(30_000, p_e, limit, arrival) for limit in (10**309, large))
-        assert huge.failure_floor == 0.0
-        assert expected_attempts(p_e, 10**309) == expected_attempts(p_e, large)
+        assert huge.attempts.floor == 0.0
+        assert AttemptLaw(p_e, 10**309).mean == AttemptLaw(p_e, large).mean
         assert demand_summary(huge) == demand_summary(big)
         assert dimension_capacity(huge) == dimension_capacity(big)
         summary = demand_summary(huge)
         assert failure_bound(14_000, summary, p_e, 10**309) == failure_bound(14_000, summary, p_e, large)
 
     def test_second_moment_rejects_a_boolean_limit_even_when_cached(self):
-        assert attempts_second_moment(0.1, 1) == 1.0
+        assert AttemptLaw(0.1, 1).second_moment == 1.0
         with pytest.raises(ParameterError):
-            attempts_second_moment(0.1, True)
+            AttemptLaw(0.1, True)
 
 
 class TestDemandSummary:
@@ -156,7 +155,8 @@ class TestDemandSummary:
     @pytest.mark.parametrize("p_e", [0.0, 1e-9, 0.1, 0.4, 0.9, 0.999])
     @pytest.mark.parametrize("cap", [1, 2, 10, 64, 100, 10**9])
     def test_load_one_repeats_the_published_arithmetic(self, p_e, cap):
-        e_w, e_w2 = expected_attempts(p_e, cap), attempts_second_moment(p_e, cap)
+        # E[W] in the closed form, so that a change to the package's E[W] fails here
+        e_w, e_w2 = (1.0 - p_e**cap) / (1.0 - p_e), AttemptLaw(p_e, cap).second_moment
         published = (e_w - (1.0 - E_INV), e_w2 + E_INV * (1.0 - 2.0 * e_w - E_INV))
         assert device_moments(p_e, cap, PoissonPerRI(1.0)) == published
 
@@ -183,7 +183,7 @@ class TestDemandSummary:
         # E[W^2]; the Poisson reference and closed forms need no such slack
         floor = 0.0
         if isinstance(arrival, OnePerRI):
-            floor = 8 * sys.float_info.epsilon * attempts_second_moment(p_e, cap)
+            floor = 8 * sys.float_info.epsilon * AttemptLaw(p_e, cap).second_moment
         for closed, conditioned in zip(device_moments(p_e, cap, arrival), (mean, variance)):
             assert abs(closed - conditioned) <= 1e-9 * conditioned + floor
 

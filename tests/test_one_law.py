@@ -1,9 +1,13 @@
-"""The arrival models own their report-count law: no module outside their
-validation asks which model it holds, and the engine never names one."""
+"""One home for each per-device law.  The arrival models own their
+report-count law: no module outside their validation asks which model it
+holds, and the engine never names one.  `analytic.AttemptLaw` owns the
+attempt law: it alone raises p_e to a power (with the sums it reads) and
+checks (p_e, L)."""
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "m2mpool"
@@ -23,22 +27,23 @@ def names(node: ast.AST) -> set[str]:
     return found
 
 
-def model_checks(tree: ast.Module) -> list[tuple[str, int]]:
-    """(enclosing class.function, line) of each isinstance call naming a model."""
-    found = []
+def scoped(node: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
+    """(enclosing class.function, node) of every node under `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}".lstrip(".")
+        else:
+            yield scope, child
+        yield from scoped(child, inner)
 
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "isinstance" and names(child) & MODELS):
-                found.append((scope, child.lineno))
-            visit(child, scope)
 
-    visit(tree, "")
-    return found
+def called(node: ast.AST) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
 
 
 def test_the_engine_never_names_an_arrival_model():
@@ -46,7 +51,25 @@ def test_the_engine_never_names_an_arrival_model():
 
 
 def test_only_parameter_validation_asks_which_model_it_has():
-    found = [(path.name, scope, line) for path in sorted(SRC.glob("*.py"))
-             for scope, line in model_checks(ast.parse(path.read_text()))
-             if (path.name, scope) != ("analytic.py", "SystemParams.__post_init__")]
+    found = [(path.name, scope, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for scope, node in scoped(ast.parse(path.read_text()))
+             if called(node) == "isinstance" and names(node) & MODELS
+             and (path.name, scope) != ("analytic.py", "SystemParams.__post_init__")]
     assert found == []
+
+
+def test_only_the_attempt_law_raises_p_e_to_a_power():
+    homes = {"AttemptLaw", "_attempt_sums"}
+    found = [(path.name, scope.split(".")[0], node.lineno) for path in sorted(SRC.glob("*.py"))
+             for scope, node in scoped(ast.parse(path.read_text()))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and "p_e" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))]
+    assert {(name, home) for name, home, _ in found} == {("analytic.py", home) for home in homes}, found
+
+
+def test_only_the_attempt_law_checks_p_e_and_the_retry_limit():
+    found = [(path, scope) for path in ("analytic.py", "sim.py")
+             for scope, node in scoped(ast.parse((SRC / path).read_text()))
+             if called(node) == "check_error_prob" or (
+                 called(node) == "check_positive_int" and getattr(node.args[0], "value", None) == "max_attempts")]
+    assert found == [("analytic.py", "AttemptLaw.__post_init__")] * 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from m2mpool import (
+    AttemptLaw,
     DemandHistogram,
     IndeterminateEstimateError,
     OnePerRI,
@@ -122,6 +123,16 @@ class TestSampleDemand:
     def test_rejects_zero_runs(self):
         with pytest.raises(ParameterError):
             sample_demand([SystemParams(10, 0.1, 5)], 0, seed=1)
+
+    @pytest.mark.parametrize("counts, mean, variance", [
+        ([10**4], 10**15, 0.0),
+        ([3000, 0, 1000, 6000], 10**15 + 2, 18_000 / 9_999),
+    ])
+    def test_moments_of_a_far_offset_do_not_wrap(self, counts, mean, variance):
+        # offset x runs passes 2**63, which a sum in int64 wraps (to a mean of -844674407370955.1 here)
+        hist = DemandHistogram(np.array(counts), offset=10**15)
+        assert hist.mean() == mean
+        assert hist.variance() == variance
 
     @pytest.mark.parametrize("arrival", [PoissonPerRI(50.0), OnePerRI()], ids=["load50", "one-per-ri"])
     @pytest.mark.parametrize("cap", [10, 100])
@@ -260,7 +271,7 @@ def attempt_counts(gen, p_e: float, cap: int, first: np.ndarray, excess: np.ndar
     """Reports by attempt count (index 1..cap) as `_draw_block` draws them:
     one multinomial over the outcomes, then per-report draws past the chain."""
     steps = min(cap, 64)
-    outcomes = by_category(gen, np.stack([first, excess]), _outcome_law(p_e, steps)).sum(axis=(0, 1))
+    outcomes = by_category(gen, np.stack([first, excess]), _outcome_law(AttemptLaw(p_e, steps))).sum(axis=(0, 1))
     counts = np.zeros(cap + 1, dtype=np.int64)
     counts[1 : steps + 1] = outcomes[:steps]
     if cap == steps:
@@ -356,7 +367,7 @@ class TestBlockDraws:
         # remainder falls to its own rounding error by attempt 17 at
         # p_e = 0.1, which then comes 26% short and 18 never comes
         n, p_e, rows = 10**15, 0.1, 200_000
-        outcomes = by_category(RngStream(505, 0).generator, np.full(rows, n), _outcome_law(p_e, 20))
+        outcomes = by_category(RngStream(505, 0).generator, np.full(rows, n), _outcome_law(AttemptLaw(p_e, 20)))
         for attempt in range(14, 19):
             expected = rows * n * p_e ** (attempt - 1) * (1.0 - p_e)
             assert abs(outcomes[:, attempt - 1].sum() - expected) <= 5.0 * math.sqrt(expected), attempt
@@ -374,7 +385,7 @@ class TestBlockDraws:
 def attempt_law(p_e: float, cap: int) -> np.ndarray:
     """P[W = k], k = 1..cap <= 64, from the engine's outcome table: a report
     is done at attempt k < cap, or reaches the cap done or failing there."""
-    pmf, back = _outcome_law(p_e, cap)
+    pmf, back = _outcome_law(AttemptLaw(p_e, cap))
     law = pmf[back]
     return np.append(law[: cap - 1], law[cap - 1 :].sum())
 
@@ -393,6 +404,15 @@ class TestOutcomeTable:
     @settings(max_examples=200)
     def test_normalization_property(self, p_e, cap):
         assert attempt_law(p_e, cap).sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p_e", [0.0, 1e-300, 0.1, 0.4, 0.97, 1.0 - 2**-53])
+    @pytest.mark.parametrize("steps", [1, 2, 10, 64])
+    def test_the_table_is_the_inline_formula_it_replaced(self, p_e, steps):
+        # the table written out from its formula, beside the engine's: the same floats in the same order
+        inline = sim._drawn_in_order(np.append(p_e ** np.arange(steps) * (1 - p_e), p_e**steps))
+        for table, expected in zip(_outcome_law(AttemptLaw(p_e, steps)), inline, strict=True):
+            assert np.array_equal(table, expected)
+            assert table.dtype == expected.dtype
 
 
 class TestKsDistance:
@@ -968,7 +988,7 @@ class TestOverflowBeyondTheChain:
         devices = by_category(gen, params.n_devices, _report_count_law(params.arrival), size)
         active = params.n_devices - devices[:, 0]
         excess = devices @ np.arange(devices.shape[1]) - active
-        outcomes = by_category(gen, np.stack([active, excess]), _outcome_law(params.p_e, steps))
+        outcomes = by_category(gen, np.stack([active, excess]), _outcome_law(AttemptLaw(params.p_e, steps)))
         beyond = outcomes[..., steps].T.ravel()
         fails = np.split(sim.leading_failure_counts(gen, params.p_e, int(beyond.sum())),
                          np.cumsum(beyond)[:-1])
