@@ -100,19 +100,24 @@ COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
 
 
 # each command's CSV layout: the header, and one %-format that writes a whole
-# row from its values in header order (%d an int, %s a text, %.10g and %.Nf a
-# float); the sweep's p_hat and ci_high come as text, empty without --runs
+# row from its values in header order (%d an int, %.10g and %.Nf a float, %s a
+# text: p_e and eps as `_float_text`, the sweep's p_hat and ci_high empty without --runs)
 Schema = NamedTuple("Schema", [("header", str), ("row", str)])
 SCHEMAS = {
     "dimension": Schema("N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s",
-                        "%d,%.10g,%d,%.10g,%.6f,%.6f,%d,%d,%.6f,%d,%d,%d,%.6f,%.3f"),
+                        "%d,%s,%d,%s,%.6f,%.6f,%d,%d,%.6f,%d,%d,%d,%.6f,%.3f"),
     "validate-clt": Schema("pe,value,empirical_pdf,empirical_cdf,gaussian_pdf,gaussian_cdf",
-                           "%.10g,%d,%.10g,%.10g,%.10g,%.10g"),
+                           "%s,%d,%.10g,%.10g,%.10g,%.10g"),
     "simulate": Schema("N,pe,L,capacity,policy,intervals,reports,failures,p_hat,ci_low,ci_high,bound",
-                       "%d,%.10g,%d,%d,%s,%d,%d,%d,%.10g,%.10g,%.10g,%.10g"),
+                       "%d,%s,%d,%d,%s,%d,%d,%d,%.10g,%.10g,%.10g,%.10g"),
     "sweep": Schema("N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high",
                     "%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%s,%s"),
 }
+
+
+def _float_text(value: float) -> str:
+    """%.10g of `value` where that parses back to it, else its shortest round-trip form."""
+    return text if float(text := "%.10g" % value) == value else repr(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,13 +308,14 @@ def cmd_dimension(cfg: _Config) -> Output:
     summary = demand_summary(params)
     capacity = dimension_capacity(params, summary)
     plan = build_pool_plan(params.n_devices, profile, capacity)
+    pe, eps = _float_text(params.p_e), _float_text(params.target_failure)
     return [SCHEMAS["dimension"].row % (
-        params.n_devices, params.p_e, params.max_attempts, params.target_failure,
+        params.n_devices, pe, params.max_attempts, eps,
         summary.mean, summary.std, capacity, plan.rbs_per_report, plan.alpha,
         plan.preallocated_subframes, plan.common_subframes, plan.total_subframes,
         plan.capacity_fraction, plan.worst_case_delay_seconds,
     )], (
-        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} eps={params.target_failure:g}: "
+        f"N={params.n_devices} pe={pe} L={params.max_attempts} eps={eps}: "
         f"C_min={capacity}, mu={summary.mean:.1f}, sigma={summary.std:.2f}, "
         f"pool={plan.total_subframes} subframes (X_P={plan.preallocated_subframes}, "
         f"X_C={plan.common_subframes}), fraction={plan.capacity_fraction:.4f}, "
@@ -325,11 +331,11 @@ def cmd_validate_clt(cfg: _Config) -> Output:
     # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
     tables, notes = [], []
-    for pe, params, hist in zip(pe_values, all_params, hists):
+    for pe, params, hist in zip(map(_float_text, pe_values), all_params, hists):
         summary = demand_summary(params)
         cdf = gaussian_cdf(hist, summary)
         notes.append(
-            f"pe={pe:g}: ks={ks_distance(hist, cdf):.5f}, empirical mean {hist.mean():.4f} "
+            f"pe={pe}: ks={ks_distance(hist, cdf):.5f}, empirical mean {hist.mean():.4f} "
             f"vs analytic {summary.mean:.4f}, runs={hist.runs}"
         )
         tables.append((pe, hist, cdf))
@@ -351,12 +357,13 @@ def cmd_simulate(cfg: _Config) -> Output:
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound = failure_bound(capacity, summary or demand_summary(params), params.p_e, params.max_attempts)
+    pe = _float_text(params.p_e)
     return [SCHEMAS["simulate"].row % (
-        params.n_devices, params.p_e, params.max_attempts, capacity, cfg.policy, cfg.runs,
+        params.n_devices, pe, params.max_attempts, capacity, cfg.policy, cfg.runs,
         estimate.reports_total, estimate.reports_failed, estimate.p_hat, estimate.ci_low,
         estimate.ci_high, bound,
     )], (
-        f"N={params.n_devices} pe={params.p_e:g} L={params.max_attempts} C={capacity} "
+        f"N={params.n_devices} pe={pe} L={params.max_attempts} C={capacity} "
         f"policy={cfg.policy}: p_hat={estimate.p_hat:.6g} "
         f"ci=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}] bound={bound:.10g}"
     )

@@ -132,10 +132,11 @@ class DemandHistogram:
         return (self.offset * self.runs + int(np.arange(self.counts.size) @ self.counts)) / self.runs
 
     def variance(self) -> float:
-        """Unbiased sample variance."""
+        """Unbiased sample variance, from offsets: values - mean in doubles rounds above 2**53."""
         if self.runs < 2:
             return 0.0
-        return float(self.counts @ (self.values - self.mean()) ** 2) / (self.runs - 1)
+        k = np.arange(self.counts.size)
+        return float(self.counts @ (k - int(k @ self.counts) / self.runs) ** 2) / (self.runs - 1)
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,12 @@ MAX_LOAD = 1_000.0
 MAX_HISTOGRAM_WIDTH = 1_000_000
 # rings drawn in one pass of the random policy's clocks (moves speed, not draws)
 _RING_GROUP = 1 << 13
-# the random policy's leap (`_leap`): only for C above the floor and where it
-# saves at least the gain in rings per multinomial category it walks (it broke
-# even near 10 over 13 measured operating points), aimed at the margin times
-# sqrt(C), 4 sd of F or more, short of C, and no longer than _MAX_LEAP (which
-# bounds its tables' width)
-_LEAP_FLOOR, _LEAP_GAIN, _LEAP_MARGIN, _MAX_LEAP = 32, 10.0, 4.0, 256.0
+# the random policy's leap (`_leap`): only where it saves at least the gain in
+# rings per multinomial category it walks (it broke even near 10 over 13
+# measured operating points, and so never pays at C <= 32; see `_random_unserved`),
+# aimed at the margin times sqrt(C), 4 sd of F or more, short of C, and no
+# longer than _MAX_LEAP (which bounds its tables' width)
+_LEAP_GAIN, _LEAP_MARGIN, _MAX_LEAP = 10.0, 4.0, 256.0
 # most rings the random policy draws for one overflowing interval, and most
 # reports in flight past the chain in one interval, drawn in one call (about
 # 64 MB of each float array either way); fewest reports of one kind FIFO
@@ -272,21 +273,6 @@ def _outcome_law(attempts: AttemptLaw) -> tuple[np.ndarray, np.ndarray]:
 _Table: TypeAlias = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
-def _draw_block(
-    gen: np.random.Generator,
-    params: SystemParams,
-    size: int,
-    capacity: int,
-    policy: SchedulerPolicy,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reports, failures, demand and unserved failures of `size` intervals:
-    `_draw_arrivals`, then `_draw_outcomes` from the same stream."""
-    if capacity < 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    active, excess = _draw_arrivals(gen, params, size)
-    return _draw_outcomes(gen, params, active, excess, capacity, policy)
-
-
 def _draw_arrivals(
     gen: np.random.Generator, params: SystemParams, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +303,8 @@ def _draw_outcomes(
     interval and first reports first, then one pool service of the group's
     intervals whose demand exceeds `capacity`.
     """
+    if capacity < 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     p_e, size = params.p_e, active.size
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
@@ -466,9 +454,11 @@ def _random_unserved(gen: np.random.Generator, pending: np.ndarray, flags: np.nd
     slots = np.where((pending > capacity) @ counts < reports, capacity, 0)  # 0: none can complete
     target = max(capacity - _LEAP_MARGIN * math.sqrt(capacity), 0.0)
     t = np.minimum(target / np.maximum(reports, 1), _MAX_LEAP)
-    # the leap's multinomial walks about t + 1 categories a cell, each dearer than a ring
+    # the leap's multinomial walks about t + 1 categories a cell, each dearer than a ring.
+    # Every interval here holds a live report, so the cost is at least _LEAP_GAIN an
+    # interval, more than the C - 4 sqrt(C) <= 9.37 rings it saves at C <= 32
     cost = np.count_nonzero(counts) * (t.mean() + 1.0) * _LEAP_GAIN
-    if capacity <= _LEAP_FLOOR or not slots.any() or cost > target * t.size:
+    if not slots.any() or cost > target * t.size:
         return _ring_finish(gen, pending, flags, counts, slots)
     unserved, unflagged = reports, ~flags @ counts
     cols = np.flatnonzero(slots)
@@ -601,8 +591,6 @@ def _blocks(
     Block k draws from stream (seed, k): the arrivals once, by the first entry,
     whose device count and arrival model every entry shares, then each entry's
     outcomes from the stream state that follows them, as if drawn alone."""
-    if capacity < 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
     for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
         gen = RngStream(seed, index).generator
         active, excess = _draw_arrivals(gen, params[0], min(BLOCK_INTERVALS, runs - start))
@@ -617,7 +605,7 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     """Histograms of the shared-pool demand R over independent interval
     replays, one per entry of `params`.
 
-    The demands of `runs` intervals drawn as counts (see `_draw_block`)
+    The demands of `runs` intervals drawn as counts (see `_draw_outcomes`)
     against a pool no demand exceeds, so nothing is served; interval i lies
     in block i // BLOCK_INTERVALS.  The entries must share the device count
     and the arrival model, and so share each block's arrival draw (see
@@ -664,11 +652,13 @@ def gaussian_cdf(hist: DemandHistogram, summary: DemandSummary) -> list[float]:
     """The matched Gaussian CDF at v + 1/2 (the continuity correction for an
     integer-valued quantity) for v from hist.offset - 1 to the largest demand,
     one Q evaluation each: entry k + 1 is read at demand offset + k, and entry
-    k at its lower edge offset + k - 1/2 (the same double below 2**53)."""
+    k at its lower edge offset + k - 1/2.  Each v - floor(mean) is taken in
+    ints, so the steps stay apart above 2**53."""
     if summary.variance <= 0.0:
         raise ParameterError("zero-variance summary has no Gaussian comparison")
-    sigma = summary.std
-    return [1.0 - q_function((value + 0.5 - summary.mean) / sigma)
+    sigma, base = summary.std, math.floor(summary.mean)
+    half = 0.5 - (summary.mean - base)
+    return [1.0 - q_function((value - base + half) / sigma)
             for value in range(hist.offset - 1, hist.offset + hist.counts.size)]
 
 
@@ -690,10 +680,11 @@ def simulate_interval(
 
     Returns total reports, failed reports, the realized shared-pool demand,
     and how many of the failures were reports left unserved at pool end
-    (zero whenever demand fits the pool).  The one-interval case of
-    `_draw_block`, drawn from `rng`.
+    (zero whenever demand fits the pool).  One interval's `_draw_arrivals`,
+    then its `_draw_outcomes`, drawn from `rng`.
     """
-    results = _draw_block(rng.generator, params, 1, capacity, policy)
+    gen = rng.generator
+    results = _draw_outcomes(gen, params, *_draw_arrivals(gen, params, 1), capacity, policy)
     return IntervalResult(*(int(values[0]) for values in results))
 
 

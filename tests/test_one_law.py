@@ -2,7 +2,8 @@
 report-count law: no module outside their validation asks which model it
 holds, and the engine never names one.  `analytic.AttemptLaw` owns the
 attempt law: it alone raises p_e to a power (with the sums it reads) and
-checks (p_e, L)."""
+checks (p_e, L).  The engine draws a block on one path, arrivals then
+outcomes, and checks the capacity once on it."""
 
 from __future__ import annotations
 
@@ -73,3 +74,25 @@ def test_only_the_attempt_law_checks_p_e_and_the_retry_limit():
              if called(node) == "check_error_prob" or (
                  called(node) == "check_positive_int" and getattr(node.args[0], "value", None) == "max_attempts")]
     assert found == [("analytic.py", "AttemptLaw.__post_init__")] * 2
+
+
+def test_the_engine_checks_the_capacity_once_on_its_one_block_path():
+    tree = ast.parse((SRC / "sim.py").read_text())
+    raising = [scope for scope, node in scoped(tree) if isinstance(node, ast.Raise)
+               and any("capacity must be non-negative" in str(getattr(part, "value", ""))
+                       for part in ast.walk(node))]
+    assert raising == ["_draw_outcomes"]
+    for draw in ("_draw_arrivals", "_draw_outcomes"):
+        assert sorted(scope for scope, node in scoped(tree) if called(node) == draw) == [
+            "_blocks", "simulate_interval"], draw
+
+
+def test_no_second_block_path_or_leap_floor_is_left():
+    for path in sorted(SRC.glob("*.py")):
+        assert not names(ast.parse(path.read_text())) & {"_draw_block", "_LEAP_FLOOR"}, path.name
+
+
+def test_the_only_keep_alive_imports_are_the_tracer_s_two():
+    found = [(path.name, line.split(" import ")[-1].split()[0]) for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines() if "# noqa: F401" in line]
+    assert found == [("cli.py", "q_function"), ("sim.py", "poisson_counts")]

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from m2mpool import (
     estimate_failure_prob,
 )
 from m2mpool.analytic import capacity_rule
-from m2mpool.cli import SCHEMAS, main
+from m2mpool.cli import SCHEMAS, _float_text, main
 from m2mpool.lte import MODULATION_BITS
 
 INTS = st.integers(-10**400, 10**400) | st.sampled_from([0, 2**53, 2**63 - 1, 2**63, 2**64, 10**27, 10**400])
@@ -46,11 +47,13 @@ def _f3(value: float) -> str:
 
 
 INT, TEXT, G, F6, F3 = (INTS, str), (TEXTS, str), (FLOATS, _g), (FLOATS, _f6), (FLOATS, _f3)
+# p_e and eps: the commands pass `_float_text` of the value to the row's %s
+EXACT = (FLOATS, _float_text)
 # each field's values and the formatting rows were written with, one call per field
 FIELDS = {
-    "dimension": [INT, G, INT, G, F6, F6, INT, INT, F6, INT, INT, INT, F6, F3],
-    "validate-clt": [G, INT, G, G, G, G],
-    "simulate": [INT, G, INT, INT, TEXT, INT, INT, INT, G, G, G, G],
+    "dimension": [INT, EXACT, INT, EXACT, F6, F6, INT, INT, F6, INT, INT, INT, F6, F3],
+    "validate-clt": [EXACT, INT, G, G, G, G],
+    "simulate": [INT, EXACT, INT, INT, TEXT, INT, INT, INT, G, G, G, G],
     "sweep": [INT, INT, F6, F6, INT, INT, INT, INT, F6, TEXT, TEXT],
 }
 
@@ -68,7 +71,41 @@ def test_every_command_has_a_schema_of_one_format_per_field():
 def test_row_format_is_the_per_field_formatting(command, data):
     fields = FIELDS[command]
     values = tuple(data.draw(values) for values, _ in fields)
-    assert SCHEMAS[command].row % values == ",".join(fmt(v) for (_, fmt), v in zip(fields, values))
+    passed = tuple(fmt(v) if fmt is _float_text else v for (_, fmt), v in zip(fields, values))
+    assert SCHEMAS[command].row % passed == ",".join(fmt(v) for (_, fmt), v in zip(fields, values))
+
+
+def run_fields(argv: list[str], name: str) -> tuple[list[float], list[float]]:
+    """The field `name` of every CSV row a command writes, and each `name=`
+    value of its summary, parsed back to doubles."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 0
+    header, *rows = out.getvalue().splitlines()
+    column = header.split(",").index(name)
+    return ([float(row.split(",")[column]) for row in rows],
+            [float(text) for text in re.findall(rf"\b{name}=([^:\s]+)", err.getvalue())])
+
+
+# p_e in [0, 1): near 1, %.10g alone rounded 1 - 1e-12 to 1, which the command line refuses
+P_E = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.999999999999, 1.0 - 2.0**-53, 5e-324, 0.1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pe=P_E)
+def test_simulate_and_validate_clt_print_p_e_as_given(pe):
+    for argv in (["simulate", "--devices", "10", "--runs", "5", "--capacity", "100"],
+                 ["validate-clt", "--devices", "10", "--runs", "20"]):
+        rows, summary = run_fields([*argv, "--pe", repr(pe)], "pe")
+        assert set(rows) == {pe} and summary == [pe], argv[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pe=st.floats(0.0, 0.4), eps=st.floats(1e-3, 0.999))
+def test_dimension_prints_p_e_and_eps_as_given(pe, eps):
+    argv = ["dimension", "--pe", repr(pe), "--target-eps", repr(eps)]
+    assert run_fields(argv, "pe") == ([pe], [pe])
+    assert run_fields(argv, "eps") == ([eps], [eps])
 
 
 def point_row(flags: dict, n_devices: int, report_bytes: int) -> str:

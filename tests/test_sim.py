@@ -36,7 +36,8 @@ from m2mpool.sim import (
     _INT64_MAX,
     _RING_GROUP,
     Z95,
-    _draw_block,
+    _draw_arrivals,
+    _draw_outcomes,
     _outcome_law,
     _random_unserved,
     _report_count_law,
@@ -54,6 +55,11 @@ from oracles import (
     serve_slots,
     truncated_geometric_pmf,
 )
+
+
+def draw_block(gen, params: SystemParams, size: int, capacity: int, policy: SchedulerPolicy):
+    """Reports, failures, demand and unserved failures of `size` intervals drawn from `gen`."""
+    return _draw_outcomes(gen, params, *_draw_arrivals(gen, params, size), capacity, policy)
 
 
 def exact_demand_law(device_pmf: dict[int, float], n_devices: int) -> np.ndarray:
@@ -146,8 +152,8 @@ class TestSampleDemand:
             [alone] = sample_demand([entry], runs, seed=21)
             # every block's demands, from its own stream, histogrammed at once
             demands = np.concatenate([
-                _draw_block(RngStream(21, k).generator, entry, min(1000, runs - start),
-                            _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)[2]
+                draw_block(RngStream(21, k).generator, entry, min(1000, runs - start),
+                           _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)[2]
                 for k, start in enumerate(range(0, runs, 1000))
             ])
             low = int(demands.min())
@@ -181,8 +187,8 @@ class TestSampleDemand:
     def test_width_limit_counts_every_block(self, monkeypatch):
         params = SystemParams(100, 0.4, 10)
         [hist] = sample_demand([params], 3000, seed=1)
-        widths = [np.ptp(_draw_block(RngStream(1, k).generator, params, 1000, _INT64_MAX,
-                                     SchedulerPolicy.RANDOM_UNIFORM)[2]) + 1 for k in range(3)]
+        widths = [np.ptp(draw_block(RngStream(1, k).generator, params, 1000, _INT64_MAX,
+                                    SchedulerPolicy.RANDOM_UNIFORM)[2]) + 1 for k in range(3)]
         # no block alone is as wide as the three together
         assert max(widths) < hist.counts.size
         monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", hist.counts.size)
@@ -262,13 +268,13 @@ class RecordingGenerator:
 
 def by_category(gen, counts, law, size=None) -> np.ndarray:
     """A multinomial draw over the categories of one of the engine's laws, as
-    `_draw_block` makes it, put back in category order."""
+    `draw_block` makes it, put back in category order."""
     pmf, back = law
     return gen.multinomial(counts, pmf, size)[..., back]
 
 
 def attempt_counts(gen, p_e: float, cap: int, first: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """Reports by attempt count (index 1..cap) as `_draw_block` draws them:
+    """Reports by attempt count (index 1..cap) as `draw_block` draws them:
     one multinomial over the outcomes, then per-report draws past the chain."""
     steps = min(cap, 64)
     outcomes = by_category(gen, np.stack([first, excess]), _outcome_law(AttemptLaw(p_e, steps))).sum(axis=(0, 1))
@@ -378,7 +384,7 @@ class TestBlockDraws:
         # counts: a per-step chain of draws fails this; past the chain, one
         # uniform draw for the group, not one per interval and kind
         gen = RecordingGenerator(RngStream(506, params.max_attempts).generator)
-        _draw_block(gen, params, 50, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
+        draw_block(gen, params, 50, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM)
         assert gen.calls == calls
 
 
@@ -433,6 +439,18 @@ class TestKsDistance:
     def test_single_run_is_bounded(self):
         [hist] = sample_demand([SystemParams(10, 0.1, 5)], 1, seed=4)
         assert 0.0 <= ks_distance(hist, gaussian_cdf(hist, demand_summary(SystemParams(10, 0.1, 5)))) <= 1.0
+
+    def test_a_far_offset_keeps_every_step(self):
+        # doubles at 2**60 are 256 apart: v + 1/2 - mean formed in doubles gave
+        # a run of 256 demands one CDF value, and values - mean one deviation
+        from m2mpool import DemandSummary
+
+        counts = np.arange(1025) % 7
+        hist = DemandHistogram(counts, offset=2**60)
+        cdf = np.array(gaussian_cdf(hist, DemandSummary(float(2**60 + 512), 100.0**2)))
+        near = np.abs(np.arange(-1, counts.size) - 512) <= 300  # within 3 sigma of the mean
+        assert (np.diff(cdf[near]) > 0).all()
+        assert hist.variance() == DemandHistogram(counts).variance()
 
     def test_rejects_zero_variance(self):
         from m2mpool import DemandSummary
@@ -707,7 +725,7 @@ REFERENCE_BLOCKS = [
 class TestRandomServiceAgainstTheOldRule:
     """The ring-finish stage read from each interval's C-th ring time against
     the rule it replaced, which marks every late ring
-    (`random_unserved_reference`), on the tables `_draw_block` hands it."""
+    (`random_unserved_reference`), on the tables `draw_block` hands it."""
 
     @pytest.mark.parametrize("group", [None, 1 << 10], ids=["engine-group", "small-group"])
     @pytest.mark.parametrize("params,capacity,size", REFERENCE_BLOCKS,
@@ -727,7 +745,7 @@ class TestRandomServiceAgainstTheOldRule:
         for seed in range(50):
             tables.clear()
             gen = RngStream(700 + seed, 0).generator
-            _draw_block(gen, params, size, capacity, SchedulerPolicy.RANDOM_UNIFORM)
+            draw_block(gen, params, size, capacity, SchedulerPolicy.RANDOM_UNIFORM)
             assert tables
             crossings = 0
             for pending, flags, counts, slots in tables:
@@ -832,9 +850,8 @@ class TestLeap:
     @pytest.mark.parametrize("margin", [0.5, -0.25], ids=["leap", "overshoot"])
     @pytest.mark.parametrize("first,excess,capacity,seed", SERVING_PARAMS)
     def test_whole_path_follows_the_exact_law(self, monkeypatch, margin, first, excess, capacity, seed):
-        # these pools are below the floor and too small to gain: forced on
-        # here.  A margin below 0 aims past the pool, so most leaps overshoot.
-        monkeypatch.setattr(sim, "_LEAP_FLOOR", 0)
+        # these pools are too small to gain: forced on here.  A margin below
+        # 0 aims past the pool, so most leaps overshoot.
         monkeypatch.setattr(sim, "_LEAP_GAIN", 0.0)
         monkeypatch.setattr(sim, "_LEAP_MARGIN", margin)
         leaps = []
@@ -854,6 +871,34 @@ class TestLeap:
         assert np.count_nonzero(slots_left < capacity) + overshot > DRAWS // 10
         if margin < 0:
             assert overshot > DRAWS // 10
+
+    @pytest.mark.parametrize("params", [SystemParams(1000, 0.4, 10), SystemParams(40, 0.6, 8),
+                                        SystemParams(20, 0.97, 100, OnePerRI())],
+                             ids=["overload", "flagged", "past-the-chain"])
+    def test_no_leap_pays_at_a_pool_of_32_or_fewer(self, monkeypatch, params):
+        # every interval served holds a live report, so the leap costs at least
+        # _LEAP_GAIN = 10 rings an interval and saves C - 4 sqrt(C) <= 9.37
+        leaps, served = [], []
+        leap, random_unserved = sim._leap, sim._random_unserved
+
+        def record_leap(*args):
+            leaps.append(args[4])
+            return leap(*args)
+
+        def record_service(gen, pending, flags, counts, capacity):
+            served.append(counts.shape[1])
+            return random_unserved(gen, pending, flags, counts, capacity)
+
+        monkeypatch.setattr(sim, "_leap", record_leap)
+        monkeypatch.setattr(sim, "_random_unserved", record_service)
+        for capacity in (0, 1, 2, 7, 16, 31, 32):
+            served.clear()
+            estimate_failure_prob(params, capacity, SchedulerPolicy.RANDOM_UNIFORM, 200, seed=capacity)
+            assert sum(served) > 100, capacity  # most intervals overflow
+        assert leaps == []
+        # the spy sees a leap where one pays
+        estimate_failure_prob(SystemParams(1000, 0.4, 10), 926, SchedulerPolicy.RANDOM_UNIFORM, 50, seed=1)
+        assert leaps and set(leaps) == {926}
 
     def test_overload_draws_at_most_400_variates_per_overflowing_interval(self, monkeypatch):
         # the ring rule alone draws about 1039 clock rings per overflowing
@@ -887,8 +932,8 @@ class TestLeap:
         gen = RecordingGenerator(RngStream(121, 0).generator)
         unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
         assert (unserved[0], unflagged[0]) == (5, 3)
-        if capacity <= sim._LEAP_FLOOR:
-            # the second interval's rings alone, each report's capped at C + 1
+        if capacity <= 32:
+            # no leap pays at C <= 32: the second interval's rings alone, each report's capped at C + 1
             assert gen.sizes == [3 * (capacity + 1) + capacity + 1 + 2]
 
     def test_near_p_e_1_only_intervals_with_a_report_that_can_complete_draw(self, monkeypatch):
@@ -982,8 +1027,8 @@ class TestOverflowBeyondTheChain:
             return np.zeros((2, first[2].shape[1]), dtype=np.int64)
 
         monkeypatch.setattr(sim, "_serve", record)
-        _, _, demand, _ = _draw_block(RngStream(410, 0).generator, params, size, capacity,
-                                      SchedulerPolicy.FIFO)
+        _, _, demand, _ = draw_block(RngStream(410, 0).generator, params, size, capacity,
+                                     SchedulerPolicy.FIFO)
         gen = RngStream(410, 0).generator
         devices = by_category(gen, params.n_devices, _report_count_law(params.arrival), size)
         active = params.n_devices - devices[:, 0]
