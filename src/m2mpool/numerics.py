@@ -1,5 +1,6 @@
 """Gaussian tail functions, reproducible sampling primitives, and the
-parameter validators every module shares.
+parameter validators every module shares.  The normal quantile is the
+standard library's and the Poisson draws are numpy's; Q itself is erfc.
 
 Everything here is deterministic given an :class:`RngStream`, so simulation
 replications can be farmed out to workers and still reduce to bit-identical
@@ -13,7 +14,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import ModuleType
 from typing import TYPE_CHECKING
 
@@ -41,7 +42,6 @@ else:
     np = _lazy_numpy()
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def q_function(x: float) -> float:
@@ -56,38 +56,13 @@ def q_function(x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Solve q_function(x) = p for 0 < p < 1.
-
-    The upper tail q = min(p, 1 - p) (1 - p is exact for p >= 1/2) is
-    inverted from the closed-form start of Abramowitz & Stegun 26.2.23,
-    t - (c0 + c1 t + c2 t^2) / (1 + d1 t + d2 t^2 + d3 t^3) with
-    t = sqrt(-2 ln q), whose error is below 4.5e-4, refined by two Halley
-    steps on log q_function(y) = log q.  In logs the Mills ratio
-    Q(y) / phi(y) comes from exp(log Q(y) + y^2/2 + log sqrt(2 pi)), which
-    neither overflows nor divides by an underflowed density in the far
-    tail; a subnormal q whose tail rounds to 0 ends the refinement.  Each
-    step costs one q_function call, so two calls in all.  |Q(x) - p| / p
-    stays below 4e-13 for 1e-300 <= p <= 1/2 (the limit is the spacing of
-    doubles near x, about x^2 * 1.1e-16 relative), and |Q(x) - p| below
-    1.2e-16 for p >= 1/2.
-    """
+    """Solve q_function(x) = p for 0 < p < 1: x = -Phi^-1(p), by the standard library's
+    AS241 (`statistics.NormalDist.inv_cdf`), imported here so that only a command that
+    dimensions loads it."""
     if not (0.0 < p < 1.0):
         raise ParameterError(f"q_inverse requires 0 < p < 1, got {p!r}")
-    log_q = math.log(min(p, 1.0 - p))
-    t = math.sqrt(-2.0 * log_q)
-    y = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    for _ in range(2):
-        tail = q_function(y)
-        if tail == 0.0:
-            break
-        log_tail = math.log(tail)
-        # Halley on g(y) = log Q(y) - log q, with g' = -1/m and g'' = (y m - 1)/m^2
-        g = log_tail - log_q
-        mills = math.exp(log_tail + 0.5 * y * y + _LOG_SQRT_2PI)
-        y += g * mills / (1.0 + 0.5 * g * (1.0 - y * mills))
-    return y if p <= 0.5 else -y
+    from statistics import NormalDist
+    return -NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -115,34 +90,11 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@lru_cache(maxsize=64)
-def _poisson_cdf(mean: float) -> np.ndarray:
-    # table extended until the truncated tail is below ~1e-18 (invisible at
-    # double precision and at any realistic replication count)
-    terms = [math.exp(-mean)]
-    while terms[-1] > 1e-19 or len(terms) < 2 * mean + 10:
-        terms.append(terms[-1] * mean / len(terms))
-    return np.cumsum(terms)
-
-
-def _poisson_draw(gen: np.random.Generator, mean: float, size: int) -> np.ndarray:
-    cdf = _poisson_cdf(mean)
-    return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
-
-
 def poisson_counts(gen: np.random.Generator, mean: float, size: int) -> np.ndarray:
-    """Poisson(mean) draws by inversion of the cumulative sum.
-
-    Means above 500 are split additively across several inversion passes so
-    the table head exp(-mean) never underflows.
-    """
+    """`size` Poisson(mean) draws, by numpy's own sampler."""
     if not (mean > 0.0 and math.isfinite(mean)):
         raise ParameterError(f"Poisson mean must be positive and finite, got {mean!r}")
-    total = np.zeros(size, dtype=np.int64)
-    while mean > 500.0:
-        total += _poisson_draw(gen, 500.0, size)
-        mean -= 500.0
-    return total + _poisson_draw(gen, mean, size)
+    return gen.poisson(mean, size)
 
 
 def leading_failure_counts(gen: np.random.Generator, p_e: float, size: int) -> np.ndarray:

@@ -305,6 +305,8 @@ def _draw_outcomes(
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    if not isinstance(policy, SchedulerPolicy):
+        raise ParameterError(f"unknown scheduler policy: {policy!r}")
     p_e, size = params.p_e, active.size
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
@@ -381,10 +383,8 @@ def _serve(
     pending, flags, counts = (np.concatenate(column) for column in zip(first, excess))
     if policy is SchedulerPolicy.FIFO:
         unserved, unflagged = _fifo_unserved(gen, pending, flags, counts, first[0].size, capacity)
-    elif policy is SchedulerPolicy.RANDOM_UNIFORM:
-        unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
     else:
-        raise ParameterError(f"unknown scheduler policy: {policy!r}")
+        unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
     return counts[flags].sum(axis=0) + unflagged, unserved
 
 
@@ -443,15 +443,15 @@ def _random_unserved(gen: np.random.Generator, pending: np.ndarray, flags: np.nd
     pays, and the ring rule (`_ring_finish`) serves what is left."""
     live = pending > 0
     pending, flags, counts = pending[live], flags[live], counts[live]
-    # each report rings at most C + 1 times: its rings past the pool's last slot are never served
-    demand = np.minimum(pending, capacity + 1) @ counts
-    if demand.max() > _MAX_RINGS:
+    reports = counts.sum(axis=0)
+    slots = np.where((pending > capacity) @ counts < reports, capacity, 0)  # 0: none can complete
+    # only an interval with slots draws rings, at most C + 1 a report (none past the pool's last slot is served)
+    demand = np.minimum(pending, capacity + 1) @ counts[:, slots > 0]
+    if demand.max(initial=0) > _MAX_RINGS:
         raise ParameterError(
             f"an overflowing interval needs {demand.max()} rings under the random policy, "
             f"more than the {_MAX_RINGS} it may draw"
         )
-    reports = counts.sum(axis=0)
-    slots = np.where((pending > capacity) @ counts < reports, capacity, 0)  # 0: none can complete
     target = max(capacity - _LEAP_MARGIN * math.sqrt(capacity), 0.0)
     t = np.minimum(target / np.maximum(reports, 1), _MAX_LEAP)
     # the leap's multinomial walks about t + 1 categories a cell, each dearer than a ring.

@@ -23,7 +23,7 @@ from m2mpool import (
     failure_bound,
     sim,
 )
-from m2mpool.analytic import capacity_rule, device_moments
+from m2mpool.analytic import _attempt_sums, capacity_rule, device_moments
 
 from oracles import (
     attempts_second_moment_reference,
@@ -155,10 +155,19 @@ class TestDemandSummary:
     @pytest.mark.parametrize("p_e", [0.0, 1e-9, 0.1, 0.4, 0.9, 0.999])
     @pytest.mark.parametrize("cap", [1, 2, 10, 64, 100, 10**9])
     def test_load_one_repeats_the_published_arithmetic(self, p_e, cap):
-        # E[W] in the closed form, so that a change to the package's E[W] fails here
-        e_w, e_w2 = (1.0 - p_e**cap) / (1.0 - p_e), AttemptLaw(p_e, cap).second_moment
+        # E[W] as the series A(L), which keeps its precision as p_e nears 1
+        # where the closed form (1 - p_e^L) / (1 - p_e) does not
+        e_w, e_w2 = _attempt_sums(p_e, cap)[0], AttemptLaw(p_e, cap).second_moment
         published = (e_w - (1.0 - E_INV), e_w2 + E_INV * (1.0 - 2.0 * e_w - E_INV))
         assert device_moments(p_e, cap, PoissonPerRI(1.0)) == published
+
+    @pytest.mark.parametrize("p_e", [0.0, 1e-9, 1e-3, 0.1, 0.4, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 10, 64, 100])
+    def test_load_one_moments_keep_their_relative_precision_near_p_e_one(self, p_e, cap):
+        # E[W] in the closed form put the mean 4.8e-9 off at p_e = 1 - 1e-9, L = 10
+        exact = poisson_moments_reference(1.0, p_e, cap)
+        for value, oracle in zip(device_moments(p_e, cap, PoissonPerRI(1.0)), exact):
+            assert abs(value - oracle) <= 1e-14 * oracle
 
     @given(st.one_of(st.just(OnePerRI()), st.floats(1e-3, 1000.0).map(PoissonPerRI)),
            st.floats(0.0, 0.98), st.integers(1, 100))

@@ -3,7 +3,8 @@ report-count law: no module outside their validation asks which model it
 holds, and the engine never names one.  `analytic.AttemptLaw` owns the
 attempt law: it alone raises p_e to a power (with the sums it reads) and
 checks (p_e, L).  The engine draws a block on one path, arrivals then
-outcomes, and checks the capacity once on it."""
+outcomes, and checks the capacity and the policy once on it.  The normal
+quantile and the Poisson draws are the libraries' own."""
 
 from __future__ import annotations
 
@@ -78,10 +79,10 @@ def test_only_the_attempt_law_checks_p_e_and_the_retry_limit():
 
 def test_the_engine_checks_the_capacity_once_on_its_one_block_path():
     tree = ast.parse((SRC / "sim.py").read_text())
-    raising = [scope for scope, node in scoped(tree) if isinstance(node, ast.Raise)
-               and any("capacity must be non-negative" in str(getattr(part, "value", ""))
-                       for part in ast.walk(node))]
-    assert raising == ["_draw_outcomes"]
+    for message in ("capacity must be non-negative", "unknown scheduler policy"):
+        raising = [scope for scope, node in scoped(tree) if isinstance(node, ast.Raise)
+                   and any(message in str(getattr(part, "value", "")) for part in ast.walk(node))]
+        assert raising == ["_draw_outcomes"], message
     for draw in ("_draw_arrivals", "_draw_outcomes"):
         assert sorted(scope for scope, node in scoped(tree) if called(node) == draw) == [
             "_blocks", "simulate_interval"], draw
@@ -96,3 +97,9 @@ def test_the_only_keep_alive_imports_are_the_tracer_s_two():
     found = [(path.name, line.split(" import ")[-1].split()[0]) for path in sorted(SRC.glob("*.py"))
              for line in path.read_text().splitlines() if "# noqa: F401" in line]
     assert found == [("cli.py", "q_function"), ("sim.py", "poisson_counts")]
+
+
+def test_numerics_hand_rolls_no_quantile_or_poisson_sampler():
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    assert not names(tree) & {"_poisson_cdf", "_poisson_draw", "_LOG_SQRT_2PI"}
+    assert "q_function" not in {called(node) for scope, node in scoped(tree) if scope == "q_inverse"}

@@ -554,6 +554,12 @@ class TestEstimateFailureProb:
             fuzz = 3.0 * ((hi.ci_high - hi.ci_low) + (lo.ci_high - lo.ci_low)) / (2.0 * Z95)
             assert lo.p_hat <= hi.p_hat + fuzz
 
+    @pytest.mark.parametrize("capacity", [0, 10**6])
+    def test_an_unknown_policy_is_refused_whether_or_not_an_interval_overflows(self, capacity):
+        # at 10**6 no interval overflows, so serving, which alone checked it, never ran
+        with pytest.raises(ParameterError, match="unknown scheduler policy: 'bogus'"):
+            estimate_failure_prob(SystemParams(100, 0.1, 10), capacity, "bogus", 100, 1)
+
     def test_indeterminate_without_reports(self):
         # the single device reports with probability 1 - e^-1e-13 < 1e-12,
         # so no stream layout draws a report
@@ -935,6 +941,13 @@ class TestLeap:
         if capacity <= 32:
             # no leap pays at C <= 32: the second interval's rings alone, each report's capped at C + 1
             assert gen.sizes == [3 * (capacity + 1) + capacity + 1 + 2]
+
+    def test_an_interval_that_draws_nothing_counts_no_rings_against_the_limit(self, monkeypatch):
+        # three reports needing 5 slots of a pool of 2 would ring 3 x 3 = 9
+        # times, but none can complete, so none rings; the limit counted them
+        monkeypatch.setattr(sim, "_MAX_RINGS", 8)
+        unserved, unflagged = _random_unserved(None, np.array([5]), np.array([False]), np.array([[3]]), 2)
+        assert (unserved.tolist(), unflagged.tolist()) == ([3], [3])
 
     def test_near_p_e_1_only_intervals_with_a_report_that_can_complete_draw(self, monkeypatch):
         # almost every report needs more than C = 1000 slots; the ring rule

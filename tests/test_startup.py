@@ -1,5 +1,5 @@
 """Start-up: the analytic commands never load numpy, and when numpy loads
-changes no output byte.
+changes no output byte; only a command that dimensions loads `statistics`.
 
 Each check runs the CLI in a fresh interpreter, since this test process has
 imported numpy long before.
@@ -88,6 +88,30 @@ def test_eager_and_lazy_numpy_give_the_same_bytes(tmp_path):
     assert eager["at_import"] != [] and lazy["at_import"] == []
     assert eager["codes"] == lazy["codes"] == [0] * len(commands)
     assert eager["outputs"] == lazy["outputs"]
+
+
+# prints whether `statistics` is loaded after `import m2mpool.cli`, after
+# `build_parser()` and after `main(argv)` for the JSON argv list given
+STATISTICS_CHILD = """
+import contextlib, io, json, sys
+import m2mpool.cli
+loaded = ["statistics" in sys.modules]
+m2mpool.cli.build_parser()
+loaded.append("statistics" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    m2mpool.cli.main(json.loads(sys.argv[1]))
+print(json.dumps(loaded + ["statistics" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, dimensions", [(["--help"], False), (["dimension", "--help"], False),
+                                              (["validate-clt", "--runs", "10"], False), (["dimension"], True)])
+def test_only_a_command_that_dimensions_loads_statistics(argv, dimensions):
+    done = subprocess.run(
+        [sys.executable, "-c", STATISTICS_CHILD, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == [False, False, dimensions]
 
 
 def test_numpy_already_imported_is_used_as_it_is():
