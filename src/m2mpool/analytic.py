@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import InfeasibleTargetError, ParameterError
-from .numerics import check_error_prob, check_positive_int, np, q_function, q_inverse
+from .numerics import check_error_prob, check_positive_int, float_text, np, q_function, q_inverse
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def capacity_rule(params: SystemParams) -> CapacityRule:
     eps = params.target_failure
     if eps <= floor:
         raise InfeasibleTargetError(
-            f"target failure {eps:g} is at or below the floor p_e^L = {floor:g}; "
+            f"target failure {float_text(eps)} is at or below the floor p_e^L = {floor:g}; "
             "no capacity can reach it"
         )
     return CapacityRule(eps, floor, q_inverse((eps - floor) / (1.0 - floor)))

@@ -44,6 +44,7 @@ from .errors import (
     ParameterError,
 )
 from .lte import MODULATION_BITS, SUBFRAME_SECONDS, LteProfile, build_pool_plan, pool_layout, rbs_per_report
+from .numerics import float_text
 # q_function is unused here since validate-clt reads its Gaussian column from
 # sim.gaussian_cdf, kept importable because the benchmark tracer
 # (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
@@ -101,7 +102,7 @@ COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
 
 # each command's CSV layout: the header, and one %-format that writes a whole
 # row from its values in header order (%d an int, %.10g and %.Nf a float, %s a
-# text: p_e and eps as `_float_text`, the sweep's p_hat and ci_high empty without --runs)
+# text: p_e and eps as `float_text`, the sweep's p_hat and ci_high empty without --runs)
 Schema = NamedTuple("Schema", [("header", str), ("row", str)])
 SCHEMAS = {
     "dimension": Schema("N,pe,L,eps,mu,sigma,C_min,r_rbs,alpha,X_P,X_C,X,fraction,delay_s",
@@ -113,11 +114,6 @@ SCHEMAS = {
     "sweep": Schema("N,rs_bytes,mu,sigma,C_min,r_rbs,X_P,X_C,fraction,p_hat,ci_high",
                     "%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%s,%s"),
 }
-
-
-def _float_text(value: float) -> str:
-    """%.10g of `value` where that parses back to it, else its shortest round-trip form."""
-    return text if float(text := "%.10g" % value) == value else repr(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,7 +304,7 @@ def cmd_dimension(cfg: _Config) -> Output:
     summary = demand_summary(params)
     capacity = dimension_capacity(params, summary)
     plan = build_pool_plan(params.n_devices, profile, capacity)
-    pe, eps = _float_text(params.p_e), _float_text(params.target_failure)
+    pe, eps = float_text(params.p_e), float_text(params.target_failure)
     return [SCHEMAS["dimension"].row % (
         params.n_devices, pe, params.max_attempts, eps,
         summary.mean, summary.std, capacity, plan.rbs_per_report, plan.alpha,
@@ -331,7 +327,7 @@ def cmd_validate_clt(cfg: _Config) -> Output:
     # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
     tables, notes = [], []
-    for pe, params, hist in zip(map(_float_text, pe_values), all_params, hists):
+    for pe, params, hist in zip(map(float_text, pe_values), all_params, hists):
         summary = demand_summary(params)
         cdf = gaussian_cdf(hist, summary)
         notes.append(
@@ -357,7 +353,7 @@ def cmd_simulate(cfg: _Config) -> Output:
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound = failure_bound(capacity, summary or demand_summary(params), params.p_e, params.max_attempts)
-    pe = _float_text(params.p_e)
+    pe = float_text(params.p_e)
     return [SCHEMAS["simulate"].row % (
         params.n_devices, pe, params.max_attempts, capacity, cfg.policy, cfg.runs,
         estimate.reports_total, estimate.reports_failed, estimate.p_hat, estimate.ci_low,

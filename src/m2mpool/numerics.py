@@ -113,6 +113,11 @@ def leading_failure_counts(gen: np.random.Generator, p_e: float, size: int) -> n
     return np.floor(u, out=u).astype(np.int64)
 
 
+def float_text(value: float) -> str:
+    """%.10g of `value` where that parses back to it, else its shortest round-trip form."""
+    return text if float(text := "%.10g" % value) == value else repr(value)
+
+
 def check_error_prob(p_e: float) -> None:
     """Reject a reception-failure probability outside [0, 1) (NaN included)."""
     if not (0.0 <= p_e < 1.0):

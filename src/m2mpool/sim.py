@@ -23,7 +23,9 @@ block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
 whole block (see _drawn_in_order for the category order): the N devices of
 each interval by report count, over the arrival model's count pmf; then
 each interval's first and excess reports, as two rows, by outcome: done at
-attempt j <= _CHAIN_STEPS, or failing every attempt drawn (`beyond`).
+attempt j <= _CHAIN_STEPS, or failing every attempt drawn (`beyond`).  A
+pool no demand can exceed (`sample_demand`'s) serves nothing, so there the
+two kinds are one row (v7).
 Demand and retry-limit failures follow for the whole block at once, at a
 cost that does not grow with N.  Fixing each report's attempt count before
 serving is distribution-identical to drawing a Bernoulli outcome per served
@@ -78,7 +80,7 @@ from typing import NamedTuple, TypeAlias
 
 from .analytic import ArrivalModel, AttemptLaw, DemandSummary, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
-from .numerics import RngStream, leading_failure_counts, np, q_function
+from .numerics import RngStream, float_text, leading_failure_counts, np, q_function
 
 # unused here since the engine draws counts, kept importable because the
 # benchmark tracer (perfbench/tracing.py) patches m2mpool.sim.poisson_counts
@@ -217,7 +219,7 @@ def check_simulable(n_devices: int, arrival: ArrivalModel) -> None:
     if n_devices * load > MAX_MEAN_REPORTS:
         raise ParameterError(
             f"devices x load must be at most {MAX_MEAN_REPORTS:g} reports per interval "
-            f"to simulate, got {n_devices} x {load:g}"
+            f"to simulate, got {n_devices} x {float_text(load)}"
         )
 
 
@@ -298,10 +300,17 @@ def _draw_outcomes(
     arrivals `_draw_arrivals` drew.
 
     The stream yields, for the whole block: the first and the excess reports
-    by outcome (one multinomial).  Then, group by group of consecutive
-    intervals: one uniform per report in flight past the chain, interval by
-    interval and first reports first, then one pool service of the group's
-    intervals whose demand exceeds `capacity`.
+    by outcome (one multinomial, a row for each kind).  Then, group by group
+    of consecutive intervals: one uniform per report in flight past the
+    chain, interval by interval and first reports first, then one pool
+    service of the group's intervals whose demand exceeds `capacity`.
+
+    At a capacity of _INT64_MAX or more no interval is served, and the kinds
+    share one row (stream layout v7): all of an interval's reports draw
+    their outcome from the same law, and a sum of two multinomials over the
+    same probabilities is one multinomial over the sum of their trials.  So
+    demand and retry-limit failures keep their law.  Any finite pool below
+    that draws the two rows of v6, byte for byte.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
@@ -312,8 +321,12 @@ def _draw_outcomes(
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
     remaining = min(params.max_attempts - steps, _INT64_MAX)
     pmf, back = _outcome_law(AttemptLaw(p_e, steps))
-    # [kind (first, excess), interval, outcome (done at attempt 1..steps, beyond)]
-    outcomes = gen.multinomial(np.stack([active, excess]), pmf)[..., back]
+    # only serving tells a first report from an excess one, and no int64
+    # demand exceeds a pool of _INT64_MAX: there both kinds share one row (v7)
+    rows = np.stack([active, excess]) if capacity < _INT64_MAX else (active + excess)[None]
+    kinds = rows.shape[0]
+    # [kind (first, excess; or both), interval, outcome (done at attempt 1..steps, beyond)]
+    outcomes = gen.multinomial(rows, pmf)[..., back]
     beyond = outcomes[..., steps].T
     demand = (outcomes @ np.append(np.arange(1, steps + 1), steps)).sum(axis=0) - active
     failures = beyond.sum(axis=1)
@@ -333,7 +346,7 @@ def _draw_outcomes(
             cells = np.arange(1, size - start + 1) * np.cumsum(failures[start:])
             span = slice(start, start + max(1, np.count_nonzero(cells <= _MAX_CELLS)))
         start = span.stop
-        # records (2 interval + kind) of `count` reports, keyed by min(failures
+        # records (kinds x interval + kind) of `count` reports, keyed by min(failures
         # past the chain, remaining): a key below `remaining` needs key + 1
         # more attempts, one at it is flagged (all of them at L <= 64)
         reports = beyond[span].ravel()
@@ -342,8 +355,8 @@ def _draw_outcomes(
             keys = np.minimum(leading_failure_counts(gen, p_e, int(reports.sum())), remaining)
             record, count = np.repeat(record, reports), np.broadcast_to(np.int64(1), keys.shape)
             # min(key + 1, remaining) attempts each: the keys, and one per unflagged report
-            np.add.at(demand[span], record // 2, keys)
-            flagged = np.bincount(record[keys == remaining] // 2, minlength=reports.size // 2)
+            np.add.at(demand[span], record // kinds, keys)
+            flagged = np.bincount(record[keys == remaining] // kinds, minlength=reports.size // kinds)
             demand[span] += failures[span] - flagged
             failures[span] = flagged
         over = demand[span] > capacity
@@ -610,7 +623,8 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     in block i // BLOCK_INTERVALS.  The entries must share the device count
     and the arrival model, and so share each block's arrival draw (see
     `_blocks`).  Each histogram is therefore the one a call with that entry
-    alone gives (the stream layout is v6 either way).  Each block's demands
+    alone gives (the stream layout is v7 either way: each interval's reports
+    by outcome in one row, first and excess alike).  Each block's demands
     are added to its entry's histogram as they come, so memory grows with the
     histograms' width, not with `runs`.  A histogram spread over more than
     MAX_HISTOGRAM_WIDTH values is refused at the block that widens it past
@@ -638,7 +652,7 @@ def _add_demands(low: int, counts: np.ndarray, demand: np.ndarray, p_e: float) -
     start, stop = min(first, low), max(last + 1, low + counts.size)
     if stop - start > MAX_HISTOGRAM_WIDTH:
         raise ParameterError(
-            f"sampled demand at p_e={p_e:g} spans {stop - start} values, "
+            f"sampled demand at p_e={float_text(p_e)} spans {stop - start} values, "
             f"more than the {MAX_HISTOGRAM_WIDTH} a histogram may hold"
         )
     if (start, stop) != (low, low + counts.size):

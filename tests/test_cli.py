@@ -6,6 +6,7 @@ import csv
 import errno
 import io
 import os
+import re
 import stat
 import sys
 import time
@@ -863,6 +864,30 @@ class TestHistogramWidthLimit:
     def test_limit_is_in_the_help(self):
         text = " ".join(run_cli(["validate-clt", "--help"])[1].split())
         assert f"at most {MAX_HISTOGRAM_WIDTH} per p_e" in text
+
+
+class TestMessagesNameTheValuesGiven:
+    """A float given and named in an error message parses back to the value
+    given: `:g` rounded each of these to six digits, naming a value nobody
+    gave.  (The floor p_e^L is derived, not given, and keeps `:g`.)"""
+
+    CASES = [
+        (["validate-clt", "--runs", "5", "--pe", "0.999999999", "--max-attempts", "1000000000000",
+          "--devices", "3"], r"sampled demand at p_e=(\S+) spans ", [0.999999999]),
+        (["dimension", "--pe", "0.1", "--max-attempts", "3", "--target-eps", "0.0009999999"],
+         r"target failure (\S+) is at or below the floor", [0.0009999999]),
+        (["simulate", "--devices", "10000000000000", "--load", "999.99999999", "--runs", "2"],
+         r"got 10000000000000 x (\S+)$", [999.99999999]),
+    ]
+
+    @pytest.mark.parametrize("args, pattern, given", CASES, ids=["validate-clt", "dimension", "simulate"])
+    def test_each_float_named_is_the_value_given(self, args, pattern, given, tmp_path):
+        code, stdout, err = run_cli([*args, "--out", str(tmp_path / "out.csv")])
+        assert (code, stdout, err.count("\n")) == (1 + (args[0] == "dimension"), "", 1)
+        named = re.search(pattern, err.rstrip("\n"))
+        assert named, err
+        assert [float(text) for text in named.groups()] == given
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserReuse:

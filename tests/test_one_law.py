@@ -3,8 +3,10 @@ report-count law: no module outside their validation asks which model it
 holds, and the engine never names one.  `analytic.AttemptLaw` owns the
 attempt law: it alone raises p_e to a power (with the sums it reads) and
 checks (p_e, L).  The engine draws a block on one path, arrivals then
-outcomes, and checks the capacity and the policy once on it.  The normal
-quantile and the Poisson draws are the libraries' own."""
+outcomes, and checks the capacity and the policy once on it; the outcome
+law is drawn there alone, validate-clt included, with one row per interval or
+two as the capacity alone decides.  The normal quantile and the Poisson draws
+are the libraries' own."""
 
 from __future__ import annotations
 
@@ -86,6 +88,27 @@ def test_the_engine_checks_the_capacity_once_on_its_one_block_path():
     for draw in ("_draw_arrivals", "_draw_outcomes"):
         assert sorted(scope for scope, node in scoped(tree) if called(node) == draw) == [
             "_blocks", "simulate_interval"], draw
+
+
+def test_the_outcome_law_is_drawn_in_one_place():
+    # one multinomial each: the arrivals, the outcomes, the random policy's leap
+    found = [(path.name, scope, called(node)) for path in sorted(SRC.glob("*.py"))
+             for scope, node in scoped(ast.parse(path.read_text()))
+             if called(node) in ("multinomial", "_outcome_law")]
+    assert sorted(found) == [("sim.py", "_draw_arrivals", "multinomial"), ("sim.py", "_draw_outcomes", "_outcome_law"),
+                             ("sim.py", "_draw_outcomes", "multinomial"), ("sim.py", "_leap", "multinomial")]
+
+
+def test_the_outcome_rows_follow_the_capacity_alone():
+    tree = ast.parse((SRC / "sim.py").read_text())
+    [draw] = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_draw_outcomes"]
+    assert [arg.arg for arg in draw.args.args] == ["gen", "params", "active", "excess", "capacity", "policy"]
+    [choice] = [node.value for node in ast.walk(draw) if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["rows"]]
+    assert isinstance(choice, ast.IfExp)
+    assert names(choice.test) == {"capacity", "_INT64_MAX"}
+    # nor does anything else in it ask who called
+    assert not names(draw) & {"inspect", "_getframe", "currentframe", "sample_demand", "estimate_failure_prob"}
 
 
 def test_no_second_block_path_or_leap_floor_is_left():

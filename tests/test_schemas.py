@@ -25,8 +25,9 @@ from m2mpool import (
     estimate_failure_prob,
 )
 from m2mpool.analytic import capacity_rule
-from m2mpool.cli import SCHEMAS, _float_text, main
+from m2mpool.cli import SCHEMAS, main
 from m2mpool.lte import MODULATION_BITS
+from m2mpool.numerics import float_text
 
 INTS = st.integers(-10**400, 10**400) | st.sampled_from([0, 2**53, 2**63 - 1, 2**63, 2**64, 10**27, 10**400])
 FLOATS = st.floats() | st.sampled_from(
@@ -47,8 +48,8 @@ def _f3(value: float) -> str:
 
 
 INT, TEXT, G, F6, F3 = (INTS, str), (TEXTS, str), (FLOATS, _g), (FLOATS, _f6), (FLOATS, _f3)
-# p_e and eps: the commands pass `_float_text` of the value to the row's %s
-EXACT = (FLOATS, _float_text)
+# p_e and eps: the commands pass `float_text` of the value to the row's %s
+EXACT = (FLOATS, float_text)
 # each field's values and the formatting rows were written with, one call per field
 FIELDS = {
     "dimension": [INT, EXACT, INT, EXACT, F6, F6, INT, INT, F6, INT, INT, INT, F6, F3],
@@ -71,7 +72,7 @@ def test_every_command_has_a_schema_of_one_format_per_field():
 def test_row_format_is_the_per_field_formatting(command, data):
     fields = FIELDS[command]
     values = tuple(data.draw(values) for values, _ in fields)
-    passed = tuple(fmt(v) if fmt is _float_text else v for (_, fmt), v in zip(fields, values))
+    passed = tuple(fmt(v) if fmt is float_text else v for (_, fmt), v in zip(fields, values))
     assert SCHEMAS[command].row % passed == ",".join(fmt(v) for (_, fmt), v in zip(fields, values))
 
 

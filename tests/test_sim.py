@@ -36,6 +36,7 @@ from m2mpool.sim import (
     _INT64_MAX,
     _RING_GROUP,
     Z95,
+    _add_demands,
     _draw_arrivals,
     _draw_outcomes,
     _outcome_law,
@@ -185,17 +186,23 @@ class TestSampleDemand:
         assert peak <= 2**20
 
     def test_width_limit_counts_every_block(self, monkeypatch):
+        # a limit of the histogram's own width passes, one less refuses
         params = SystemParams(100, 0.4, 10)
         [hist] = sample_demand([params], 3000, seed=1)
-        widths = [np.ptp(draw_block(RngStream(1, k).generator, params, 1000, _INT64_MAX,
-                                    SchedulerPolicy.RANDOM_UNIFORM)[2]) + 1 for k in range(3)]
-        # no block alone is as wide as the three together
-        assert max(widths) < hist.counts.size
         monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", hist.counts.size)
         assert np.array_equal(sample_demand([params], 3000, seed=1)[0].counts, hist.counts)
         monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", hist.counts.size - 1)
         with pytest.raises(ParameterError, match=f"^sampled demand at p_e=0.4 spans {hist.counts.size} values"):
             sample_demand([params], 3000, seed=1)
+        # two blocks, each narrower than the limit, whose union is wider, on either side
+        monkeypatch.setattr(sim, "MAX_HISTOGRAM_WIDTH", 10)
+        low, counts = _add_demands(0, np.zeros(0, dtype=np.int64), np.array([100, 106, 103]), 0.4)
+        assert (low, counts.tolist()) == (100, [1, 0, 0, 1, 0, 0, 1])
+        for block in (np.array([109, 104]), np.array([97, 98])):
+            assert _add_demands(low, counts.copy(), block, 0.4)[1].size == 10
+        for block in (np.array([110, 104]), np.array([96, 98])):
+            with pytest.raises(ParameterError, match="^sampled demand at p_e=0.4 spans 11 values"):
+                _add_demands(low, counts.copy(), block, 0.4)
 
     def test_draws_each_block_of_arrivals_once(self, monkeypatch):
         # one arrival multinomial per block (3 at 2500 runs), then one
@@ -210,10 +217,30 @@ class TestSampleDemand:
         params = [SystemParams(100, p_e, 10) for p_e in (0.1, 0.4)]
         sample_demand(params, 2500, seed=4)
         assert len(streams) == 3
-        for gen in streams:
+        for gen, size in zip(streams, (1000, 1000, 500)):
             assert gen.calls == ["multinomial"] * 3
-            # the device count is a scalar, the reports by kind a 2-row array
-            assert [np.ndim(args[0]) for args in gen.args] == [0, 2, 2]
+            # the device count is a scalar; a pool never served draws each
+            # interval's reports, first and excess alike, as one row
+            assert [np.shape(args[0]) for args in gen.args] == [(), (1, size), (1, size)]
+        streams.clear()
+        # a finite pool (here never exceeded) draws first and excess reports as two rows
+        estimate_failure_prob(params[0], 10**6, SchedulerPolicy.RANDOM_UNIFORM, 2500, seed=4)
+        assert [[np.shape(args[0]) for args in gen.args] for gen in streams] == [
+            [(), (2, size)] for size in (1000, 1000, 500)]
+
+    # alpha = 1e-6 for each of the three histograms: a correct sampler fails
+    # one at about three seeds in a million
+    @pytest.mark.parametrize("p_e_values, cap, seed", [
+        pytest.param((0.1, 0.4), 10, 120, id="both-pe-L10"),
+        # about 14% of the reports outlast the chain, each drawn alone
+        pytest.param((0.97,), 100, 121, id="pe0.97-L100"),
+    ])
+    def test_one_row_draw_keeps_the_exact_law(self, p_e_values, cap, seed):
+        # at N = 5 and load 1 a quarter of the devices send excess reports
+        params = [SystemParams(5, p_e, cap) for p_e in p_e_values]
+        for p_e, hist in zip(p_e_values, sample_demand(params, 100_000, seed=seed)):
+            law = exact_demand_law(poisson_demand_pmf(p_e, cap), 5)
+            assert pooled_chisquare_pvalue(hist, law) > 1e-6, p_e
 
     @pytest.mark.parametrize(
         "arrival,p_e,cap,seed",
@@ -1091,6 +1118,23 @@ class TestOverflowBeyondTheChain:
         assert cli_main(["simulate", "--devices", "10000000", "--pe", "0.97", "--max-attempts", "100",
                          "--runs", "2", "--capacity", str(10**20), "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 2
+
+
+class TestUnservedPoolFailures:
+    # alpha = 1e-6 for each of the two runs: a correct engine fails one at
+    # about two seeds in a million
+    @pytest.mark.parametrize("p_e, cap", [(0.5, 3), (0.97, 100)], ids=["in-chain", "past-chain"])
+    def test_int64_pool_fails_reports_at_the_retry_limit_rate(self, p_e, cap, tmp_path):
+        # no demand exceeds the pool, so every failure is a report failing its
+        # L attempts, independently with probability p_e^L
+        out = tmp_path / "out.csv"
+        assert cli_main(["simulate", "--devices", "20", "--pe", str(p_e), "--max-attempts", str(cap),
+                         "--capacity", str(_INT64_MAX), "--runs", "20000", "--seed", "9",
+                         "--out", str(out)]) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        reports, failures = int(row["reports"]), int(row["failures"])
+        assert reports > 300_000
+        assert stats.binomtest(failures, reports, AttemptLaw(p_e, cap).floor).pvalue > 1e-6
 
 
 class TestWilsonInterval:
