@@ -328,7 +328,7 @@ def capacity_rule(params: SystemParams) -> CapacityRule:
     eps = params.target_failure
     if eps <= floor:
         raise InfeasibleTargetError(
-            f"target failure {float_text(eps)} is at or below the floor p_e^L = {floor:g}; "
+            f"target failure {float_text(eps)} is at or below the floor p_e^L = {float_text(floor)}; "
             "no capacity can reach it"
         )
     return CapacityRule(eps, floor, q_inverse((eps - floor) / (1.0 - floor)))

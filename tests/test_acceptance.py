@@ -14,24 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from m2mpool import (
-    AttemptLaw,
-    InfeasibleTargetError,
-    LteProfile,
+from m2mpool.analytic import AttemptLaw, SystemParams, demand_summary, dimension_capacity, failure_bound
+from m2mpool.cli import main as cli_main
+from m2mpool.errors import InfeasibleTargetError
+from m2mpool.lte import LteProfile, build_pool_plan
+from m2mpool.numerics import RngStream
+from m2mpool.sim import (
+    Z95,
     SchedulerPolicy,
-    SystemParams,
-    build_pool_plan,
-    demand_summary,
-    dimension_capacity,
     estimate_failure_prob,
-    failure_bound,
+    gaussian_cdf,
     ks_distance,
     sample_demand,
     simulate_interval,
 )
-from m2mpool.cli import main as cli_main
-from m2mpool.numerics import RngStream
-from m2mpool.sim import Z95, gaussian_cdf
 
 from oracles import pmf_moments, poisson_demand_pmf, truncated_geometric_pmf
 

@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from m2mpool import (
+from m2mpool import sim
+from m2mpool.analytic import (
     AttemptLaw,
     DemandSummary,
-    InfeasibleTargetError,
     OnePerRI,
-    ParameterError,
     PoissonPerRI,
     SystemParams,
+    _attempt_sums,
+    capacity_rule,
     demand_summary,
+    device_moments,
     dimension_capacity,
     failure_bound,
-    sim,
 )
-from m2mpool.analytic import _attempt_sums, capacity_rule, device_moments
+from m2mpool.errors import InfeasibleTargetError, ParameterError
 
 from oracles import (
     attempts_second_moment_reference,

@@ -15,8 +15,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from m2mpool import DemandSummary, PoolPlan, SystemParams, analytic, cli, demand_summary, numerics, sim
+from m2mpool import analytic, cli, numerics, sim
+from m2mpool.analytic import AttemptLaw, DemandSummary, SystemParams, demand_summary
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
+from m2mpool.lte import PoolPlan
 from m2mpool.numerics import q_function
 from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS, _MAX_RINGS
 
@@ -490,7 +492,7 @@ class TestSweepErrors:
          "m2mpool: error: n_devices must be a positive integer, got 0"),
         (["devices:1000:3000:1000", "--target-eps", "1e-12"], 2,
          "m2mpool: infeasible reliability target: target failure 1e-12 is at or below the "
-         "floor p_e^L = 1e-10; no capacity can reach it"),
+         "floor p_e^L = 1.0000000000000006e-10; no capacity can reach it"),
         # the profile is checked before the dimensioning
         (["devices:1000:3000:1000", "--report-bytes", "0", "--target-eps", "1e-12"], 1,
          "m2mpool: error: report_bytes must be positive, got 0"),
@@ -869,7 +871,8 @@ class TestHistogramWidthLimit:
 class TestMessagesNameTheValuesGiven:
     """A float given and named in an error message parses back to the value
     given: `:g` rounded each of these to six digits, naming a value nobody
-    gave.  (The floor p_e^L is derived, not given, and keeps `:g`.)"""
+    gave.  The floor p_e^L is derived, not given; it parses back to
+    `AttemptLaw(p_e, L).floor`."""
 
     CASES = [
         (["validate-clt", "--runs", "5", "--pe", "0.999999999", "--max-attempts", "1000000000000",
@@ -878,9 +881,14 @@ class TestMessagesNameTheValuesGiven:
          r"target failure (\S+) is at or below the floor", [0.0009999999]),
         (["simulate", "--devices", "10000000000000", "--load", "999.99999999", "--runs", "2"],
          r"got 10000000000000 x (\S+)$", [999.99999999]),
+        (["dimension", "--pe", "0.1", "--max-attempts", "3", "--target-eps", "0.001"],
+         r"the floor p_e\^L = (\S+);", [AttemptLaw(0.1, 3).floor]),
+        (["dimension", "--pe", "0.4", "--max-attempts", "10", "--target-eps", "0.0001"],
+         r"the floor p_e\^L = (\S+);", [AttemptLaw(0.4, 10).floor]),
     ]
 
-    @pytest.mark.parametrize("args, pattern, given", CASES, ids=["validate-clt", "dimension", "simulate"])
+    @pytest.mark.parametrize("args, pattern, given", CASES,
+                             ids=["validate-clt", "dimension", "simulate", "floor-L3", "floor-L10"])
     def test_each_float_named_is_the_value_given(self, args, pattern, given, tmp_path):
         code, stdout, err = run_cli([*args, "--out", str(tmp_path / "out.csv")])
         assert (code, stdout, err.count("\n")) == (1 + (args[0] == "dimension"), "", 1)

@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from m2mpool import (
-    InfeasibleGeometryError,
-    LteProfile,
-    ParameterError,
-    build_pool_plan,
-    rbs_per_report,
-)
+from m2mpool.errors import InfeasibleGeometryError, ParameterError
+from m2mpool.lte import LteProfile, build_pool_plan, rbs_per_report
 
 HEADLINE_DEVICES = 30_000
 

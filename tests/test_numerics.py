@@ -10,8 +10,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from m2mpool import numerics
-from m2mpool import OnePerRI, ParameterError, RngStream, SystemParams, q_function, q_inverse, sample_demand
-from m2mpool.numerics import check_positive_int, leading_failure_counts, poisson_counts
+from m2mpool.analytic import OnePerRI, SystemParams
+from m2mpool.errors import ParameterError
+from m2mpool.numerics import (
+    RngStream,
+    check_positive_int,
+    leading_failure_counts,
+    poisson_counts,
+    q_function,
+    q_inverse,
+)
+from m2mpool.sim import sample_demand
 
 from oracles import q_reference, truncated_geometric_pmf
 

@@ -126,3 +126,15 @@ def test_numerics_hand_rolls_no_quantile_or_poisson_sampler():
     tree = ast.parse((SRC / "numerics.py").read_text())
     assert not names(tree) & {"_poisson_cdf", "_poisson_draw", "_LOG_SQRT_2PI"}
     assert "q_function" not in {called(node) for scope, node in scoped(tree) if scope == "q_inverse"}
+
+
+def test_the_package_root_binds_only_what_the_benchmark_self_test_reads():
+    bound = []
+    for node in ast.parse((SRC / "__init__.py").read_text()).body[1:]:  # after the docstring
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [getattr(target, "id", None) for target in node.targets]
+        else:
+            bound.append(f"{type(node).__name__} {getattr(node, 'name', '')}".rstrip())
+    assert sorted(bound) == ["SystemParams", "__all__", "__version__", "demand_summary"]

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from m2mpool.cli import SCHEMAS, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+# every backticked dotted name of the package, with or without `m2mpool.`
+CODE_NAMES = sorted(set(re.findall(
+    r"`((?:m2mpool|analytic|cli|errors|lte|numerics|sim)(?:\.\w+)+)`", README)))
 
 # one small run of each command, for the header it writes
 COMMANDS = {
@@ -47,3 +55,13 @@ def test_csv_schemas_are_the_headers_written(tmp_path):
 def test_schema_paragraph_names_where_the_schemas_live():
     start = README.index("\nCSV schemas")
     assert "`m2mpool.cli.SCHEMAS`" in README[start:README.index("\n\n", start)]
+
+
+def test_the_readme_names_code():
+    assert "m2mpool.sim.sample_demand" in CODE_NAMES and "numerics.q_inverse" in CODE_NAMES
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_each_code_name_resolves(name):
+    module, *attributes = name.removeprefix("m2mpool.").split(".")
+    functools.reduce(getattr, attributes, importlib.import_module(f"m2mpool.{module}"))

@@ -14,20 +14,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from m2mpool import (
-    LteProfile,
-    OnePerRI,
-    PoissonPerRI,
-    SchedulerPolicy,
-    SystemParams,
-    build_pool_plan,
-    demand_summary,
-    estimate_failure_prob,
-)
-from m2mpool.analytic import capacity_rule
+from m2mpool.analytic import OnePerRI, PoissonPerRI, SystemParams, capacity_rule, demand_summary
 from m2mpool.cli import SCHEMAS, main
-from m2mpool.lte import MODULATION_BITS
+from m2mpool.lte import MODULATION_BITS, LteProfile, build_pool_plan
 from m2mpool.numerics import float_text
+from m2mpool.sim import SchedulerPolicy, estimate_failure_prob
 
 INTS = st.integers(-10**400, 10**400) | st.sampled_from([0, 2**53, 2**63 - 1, 2**63, 2**64, 10**27, 10**400])
 FLOATS = st.floats() | st.sampled_from(

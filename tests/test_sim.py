@@ -11,31 +11,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from m2mpool import (
+from m2mpool import sim
+from m2mpool.analytic import (
     AttemptLaw,
-    DemandHistogram,
-    IndeterminateEstimateError,
     OnePerRI,
-    ParameterError,
     PoissonPerRI,
-    RngStream,
-    SchedulerPolicy,
     SystemParams,
     demand_summary,
     dimension_capacity,
-    estimate_failure_prob,
     failure_bound,
-    ks_distance,
-    sample_demand,
-    simulate_interval,
-    wilson_interval,
 )
-from m2mpool import sim
 from m2mpool.cli import main as cli_main
+from m2mpool.errors import IndeterminateEstimateError, ParameterError
+from m2mpool.numerics import RngStream
 from m2mpool.sim import (
     _INT64_MAX,
     _RING_GROUP,
     Z95,
+    DemandHistogram,
+    SchedulerPolicy,
     _add_demands,
     _draw_arrivals,
     _draw_outcomes,
@@ -44,7 +38,12 @@ from m2mpool.sim import (
     _report_count_law,
     _ring_finish,
     _serve,
+    estimate_failure_prob,
     gaussian_cdf,
+    ks_distance,
+    sample_demand,
+    simulate_interval,
+    wilson_interval,
 )
 
 from oracles import (
@@ -454,7 +453,7 @@ class TestKsDistance:
         draws = np.rint(RngStream(9, 0).generator.normal(mean, std, 1_000_000)).astype(int)
         low = int(draws.min())
         hist = DemandHistogram(np.bincount(draws - low), low)
-        from m2mpool import DemandSummary
+        from m2mpool.analytic import DemandSummary
 
         assert ks_distance(hist, gaussian_cdf(hist, DemandSummary(mean, std**2))) < 0.005
 
@@ -470,7 +469,7 @@ class TestKsDistance:
     def test_a_far_offset_keeps_every_step(self):
         # doubles at 2**60 are 256 apart: v + 1/2 - mean formed in doubles gave
         # a run of 256 demands one CDF value, and values - mean one deviation
-        from m2mpool import DemandSummary
+        from m2mpool.analytic import DemandSummary
 
         counts = np.arange(1025) % 7
         hist = DemandHistogram(counts, offset=2**60)
@@ -480,7 +479,7 @@ class TestKsDistance:
         assert hist.variance() == DemandHistogram(counts).variance()
 
     def test_rejects_zero_variance(self):
-        from m2mpool import DemandSummary
+        from m2mpool.analytic import DemandSummary
 
         hist = DemandHistogram(np.array([5]))
         with pytest.raises(ParameterError):

@@ -1,8 +1,9 @@
 """Start-up: the analytic commands never load numpy, and when numpy loads
-changes no output byte; only a command that dimensions loads `statistics`.
+changes no output byte; only a command that dimensions loads `statistics`;
+`import m2mpool` alone loads neither `sim` nor `lte`.
 
-Each check runs the CLI in a fresh interpreter, since this test process has
-imported numpy long before.
+The start-up checks run in a fresh interpreter, since this test process
+has imported numpy and every module of the package long before.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ def test_only_a_command_that_dimensions_loads_statistics(argv, dimensions):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, check=True,
     )
     assert json.loads(done.stdout) == [False, False, dimensions]
+
+
+def test_the_package_root_loads_neither_the_engine_nor_the_grid():
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys, m2mpool; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, check=True,
+    )
+    loaded = [name for name in json.loads(done.stdout) if name.startswith("m2mpool")]
+    assert loaded == ["m2mpool", "m2mpool.analytic", "m2mpool.errors", "m2mpool.numerics"]
 
 
 def test_numpy_already_imported_is_used_as_it_is():
