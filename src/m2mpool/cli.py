@@ -1,8 +1,8 @@
 """Command-line front end: dimensioning, CLT validation, simulation, sweeps.
 
 Configuration precedence is flag > config file (plain key=value lines) >
-per-command default > global default.  A command validates its whole
-configuration before computing anything, then returns its CSV rows and a
+per-command default > global default.  A command validates the keys it
+reads before computing anything, then returns its CSV rows and a
 short human summary, which `main` alone writes.  With --out the rows go, as
 they are made, to a new temporary .m2mpool-*.csv of mode 0600 in the target's
 directory, renamed onto the target (without fsync) only after the last row,
@@ -72,7 +72,7 @@ MAX_SWEEP_POINTS = MAX_HISTOGRAM_WIDTH
 
 
 # key -> (converter, global default, metavar, help); a tuple converter lists
-# the allowed strings.  Each key is both a --flag and a config-file key.
+# the allowed strings.  Every key is a config-file key; each is a --flag of the commands that read it.
 _OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str | None, str]] = {
     "devices": (int, 30_000, "N", "number of reporting devices"),
     "pe": (float, 0.1, "P", "per-transmission reception failure probability"),
@@ -91,8 +91,6 @@ _OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str
     "policy": (tuple(p.value for p in SchedulerPolicy), "random", None, "shared-pool scheduler"),
     "capacity": (int, None, "C", "shared-pool capacity in transmissions (default: dimensioned)"),
 }
-# keys that are flags of some commands only; every key stays a config-file key
-_FLAG_COMMANDS = {"policy": ("simulate", "sweep"), "capacity": ("simulate",)}
 
 COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
     "validate-clt": {"devices": 100},
@@ -129,11 +127,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="m2mpool", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command, (_, command_help) in _COMMANDS.items():
+    for command, (_, command_help, keys) in _COMMANDS.items():
         sub = commands.add_parser(command, help=command_help, description=command_help)
-        for key, (convert, _, metavar, help_text) in _OPTIONS.items():
-            if command not in _FLAG_COMMANDS.get(key, (command,)):
-                continue
+        for key in keys:
+            convert, _, metavar, help_text = _OPTIONS[key]
             flag = "--" + key.replace("_", "-")
             if isinstance(convert, tuple):
                 sub.add_argument(flag, choices=convert, help=help_text)
@@ -194,24 +191,23 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 class _Config:
-    """Fully resolved run configuration."""
+    """Fully resolved run configuration; a key its command does not read keeps its global default."""
 
     def __init__(self, args: argparse.Namespace) -> None:
-        file_values = _load_config(args.config) if args.config else {}
+        file_values = _load_config(args.config) if args.config is not None else {}
         overrides = COMMAND_DEFAULTS.get(args.command, {})
+        keys = _COMMANDS[args.command][2]
         self.explicit: set[str] = set()
         for key, (_, default, _, _) in _OPTIONS.items():
-            flag_value = getattr(args, key, None)
+            flag_value = getattr(args, key, None)  # only the keys read are flags
             if flag_value is not None:
                 value = flag_value
                 self.explicit.add(key)
-            elif key in file_values:
+            elif key in file_values and key in keys:
                 try:
                     value = _convert(key, file_values[key])
                 except (TypeError, ValueError) as exc:
-                    raise ParameterError(
-                        f"invalid config value {key}={file_values[key]!r}: {exc}"
-                    ) from exc
+                    raise ParameterError(f"invalid config value {key}={file_values[key]!r}: {exc}") from exc
                 self.explicit.add(key)
             elif key in overrides:
                 value = overrides[key]
@@ -223,12 +219,8 @@ class _Config:
         self.out: str | None = args.out
         self.sweep: str | None = getattr(args, "sweep", None)
         self.arrival_model = OnePerRI() if self.arrival == "one-per-ri" else PoissonPerRI(self.load)
-        if self.command in ("simulate", "validate-clt") or (self.command == "sweep" and self.runs > 0):
+        if self.command in ("simulate", "validate-clt"):
             check_simulable(self.devices, self.arrival_model)
-        if not (math.isfinite(self.ri_seconds) and self.ri_seconds <= _MAX_RI_SECONDS):
-            raise ParameterError(
-                f"ri_seconds must be finite and at most {_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}"
-            )
 
     def system_params(self, *, devices: int | None = None, pe: float | None = None) -> SystemParams:
         return SystemParams(self.devices if devices is None else devices, self.pe if pe is None else pe,
@@ -238,16 +230,16 @@ class _Config:
         size = self.report_bytes if report_bytes is None else report_bytes
         if size < 1:
             raise ParameterError(f"report_bytes must be positive, got {size!r}")
-        ri_subframes = round(self.ri_seconds / SUBFRAME_SECONDS)
-        if ri_subframes < 1:
-            raise ParameterError(f"ri_seconds too small: {self.ri_seconds!r}")
-        bandwidth = self.bandwidth_rbs
+        subframes = self.ri_seconds / SUBFRAME_SECONDS  # above 0.5 exactly where it rounds to 1 or more
+        if not (subframes > 0.5 and self.ri_seconds <= _MAX_RI_SECONDS):
+            raise ParameterError(f"ri_seconds must be more than {SUBFRAME_SECONDS / 2:g} and at most "
+                                 f"{_MAX_RI_SECONDS:g}, got {self.ri_seconds!r}")
         return LteProfile(
-            rbs_per_subframe_total=bandwidth,
-            m2m_rbs_per_subframe=self.m2m_rbs if self.m2m_rbs is not None else bandwidth,
+            rbs_per_subframe_total=self.bandwidth_rbs,
+            m2m_rbs_per_subframe=self.m2m_rbs if self.m2m_rbs is not None else self.bandwidth_rbs,
             bits_per_re=MODULATION_BITS[self.modulation],
             report_size_bits=8 * size,
-            ri_subframes=ri_subframes,
+            ri_subframes=round(subframes),
         )
 
 
@@ -426,16 +418,25 @@ def cmd_sweep(cfg: _Config) -> Output:
     if cfg.runs < 0:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
     values = range(start, stop + 1, step)
+    if cfg.runs > 0 and values:  # every limit grows with N: the largest simulated is checked
+        check_simulable(values[-1] if var == "devices" else cfg.devices, cfg.arrival_model)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
     return rows, f"sweep {var} {start}..{stop} step {step}: {len(values)} points"
 
 
+# command -> (function, help, the _OPTIONS keys it reads, in _OPTIONS order)
 _COMMANDS = {
-    "dimension": (cmd_dimension, "dimension the shared pool and lay it out"),
+    "dimension": (cmd_dimension, "dimension the shared pool and lay it out",
+                  ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "report_bytes",
+                   "modulation", "bandwidth_rbs", "m2m_rbs", "ri_seconds")),
     "validate-clt": (cmd_validate_clt, "compare sampled demand against its Gaussian model "
-                     f"(one CSV row per demand value, at most {MAX_HISTOGRAM_WIDTH} per p_e)"),
-    "simulate": (cmd_simulate, "estimate the empirical report-failure probability"),
-    "sweep": (cmd_sweep, "dimension across a parameter range, one CSV row per point"),
+                     f"(one CSV row per demand value, at most {MAX_HISTOGRAM_WIDTH} per p_e)",
+                     ("devices", "pe", "max_attempts", "arrival", "load", "runs", "seed")),
+    "simulate": (cmd_simulate, "estimate the empirical report-failure probability",
+                 ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "runs", "seed",
+                  "policy", "capacity")),
+    "sweep": (cmd_sweep, "dimension across a parameter range, one CSV row per point",
+              tuple(key for key in _OPTIONS if key != "capacity")),
 }
 
 

@@ -39,6 +39,24 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
+# the keys each command reads: each a --flag of it, and the config-file keys it resolves
+READ_KEYS = {
+    "dimension": ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "report_bytes",
+                  "modulation", "bandwidth_rbs", "m2m_rbs", "ri_seconds"),
+    "validate-clt": ("devices", "pe", "max_attempts", "arrival", "load", "runs", "seed"),
+    "simulate": ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "runs", "seed",
+                 "policy", "capacity"),
+    "sweep": tuple(key for key in _OPTIONS if key != "capacity"),
+}
+# one small run of each command
+SMALL_RUNS = {
+    "dimension": ["dimension"],
+    "validate-clt": ["validate-clt", "--devices", "10", "--runs", "1"],
+    "simulate": ["simulate", "--devices", "10", "--runs", "1"],
+    "sweep": ["sweep", "--sweep", "devices:10:20:10"],
+}
+
+
 class TestDimension:
     def test_defaults_reproduce_headline(self, tmp_path):
         out = tmp_path / "dimension.csv"
@@ -501,6 +519,17 @@ class TestSweepErrors:
          "m2mpool: infeasible geometry: pool needs 1775998 subframes but the interval has only 10000"),
         (["report-bytes:100:2000:500"], 3,
          "m2mpool: infeasible geometry: a report needs 31 RBs but only 25 are reserved per subframe"),
+        # ri_seconds is part of the profile: after the parameters, before the dimensioning
+        (["devices:0:10:5", "--ri-seconds", "nan"], 1,
+         "m2mpool: error: n_devices must be a positive integer, got 0"),
+        (["devices:1000:3000:1000", "--ri-seconds", "0", "--target-eps", "1e-12"], 1,
+         "m2mpool: error: ri_seconds must be more than 0.0005 and at most 86400, got 0.0"),
+        # the largest N simulated is checked before any point
+        (["devices:1000000000000000:2000000000000000:1000000000000000", "--runs", "1"], 1,
+         "m2mpool: error: devices x load must be at most 1e+15 reports per interval to simulate, "
+         "got 2000000000000000 x 1"),
+        (["devices:1:2"], 1, "m2mpool: error: expected VAR:START:STOP:STEP, got 'devices:1:2'"),
+        (["devices:a:b:1"], 1, "m2mpool: error: sweep bounds must be integers: 'devices:a:b:1'"),
     ]
 
     @pytest.mark.parametrize("args, code, message", CASES)
@@ -510,6 +539,12 @@ class TestSweepErrors:
         assert result == (code, "", message + "\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_devices_sweep_checks_the_devices_it_simulates(self, tmp_path):
+        # --devices is not what a devices sweep simulates
+        out = tmp_path / "out.csv"
+        args = ["sweep", "--sweep", "devices:10:20:10", "--runs", "2"]
+        assert run_cli([*args, "--devices", "100000000000000000000", "--out", str(out)])[0] == 0
+        assert [row["N"] for row in read_rows(out)] == ["10", "20"]
 
 
 class TestStreamingWrite:
@@ -622,6 +657,33 @@ class TestConfigFile:
         code, _, _ = run_cli(["dimension", "--config", str(tmp_path / "nope.cfg")])
         assert code == 4
 
+    def test_empty_config_path_is_io_error(self, tmp_path):
+        out = tmp_path / "dim.csv"
+        code, stdout, err = run_cli(["dimension", "--config", "", "--out", str(out)])
+        assert (code, stdout) == (4, "")
+        assert err.startswith("m2mpool: I/O error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, line", [
+        pytest.param(args, line, id=f"{args[0]}-{line}") for args, line in [
+            (["dimension"], "runs=abc"),
+            (["simulate", "--runs", "5", "--devices", "100"], "ri_seconds=1e9"),
+            (["validate-clt", "--runs", "5"], "target_eps=0"),
+        ] + [
+            # a value no key takes, for each key a command does not read
+            (SMALL_RUNS[command], f"{key}=bogus") for command, keys in READ_KEYS.items()
+            for key in _OPTIONS if key not in keys
+        ]
+    ])
+    def test_a_key_the_command_does_not_read_is_ignored(self, args, line, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with_file, without = tmp_path / "with.csv", tmp_path / "without.csv"
+        result = run_cli([*args, "--config", str(cfg), "--out", str(with_file)])
+        assert result == run_cli([*args, "--out", str(without)])
+        assert result[0] == 0
+        assert with_file.read_bytes() == without.read_bytes()
+
     def test_invalid_config_writes_nothing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("devices=not-a-number\n")
@@ -651,12 +713,18 @@ class TestOptionTable:
         text = _sample_text(convert)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={text}\n")
-        by_flag = resolve(["simulate", "--" + key.replace("_", "-"), text])
-        assert getattr(by_flag, key) != default
-        assert key in by_flag.explicit
-        # every command accepts every config key, even one it does not use
-        for command in ["dimension", "validate-clt", "simulate", "sweep"]:
+        flag = "--" + key.replace("_", "-")
+        # every command accepts every config key, and reads only its own
+        for command, keys in READ_KEYS.items():
             by_file = resolve([command, "--config", str(cfg)])
+            if key not in keys:
+                assert run_cli([command, flag, text])[0] == 1
+                assert getattr(by_file, key) is default
+                assert key not in by_file.explicit
+                continue
+            by_flag = resolve([command, flag, text])
+            assert getattr(by_flag, key) != default
+            assert key in by_flag.explicit
             assert getattr(by_file, key) == getattr(by_flag, key)
             assert type(getattr(by_file, key)) is type(getattr(by_flag, key))
             assert key in by_file.explicit
@@ -665,13 +733,25 @@ class TestOptionTable:
     def test_value_outside_choices_is_usage_error(self, key, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}=bogus\n")
-        small = ["simulate", "--devices", "10", "--runs", "1"]
-        code, out, err = run_cli([*small, "--config", str(cfg)])
-        assert (code, out) == (1, "")
-        assert err.startswith(f"m2mpool: error: invalid config value {key}='bogus'")
-        code, out, err = run_cli([*small, "--" + key.replace("_", "-"), "bogus"])
-        assert (code, out) == (1, "")
-        assert "invalid choice: 'bogus'" in err
+        for command, keys in READ_KEYS.items():
+            small = SMALL_RUNS[command]
+            code, out, err = run_cli([*small, "--config", str(cfg)])
+            if key not in keys:  # `simulate` and `modulation`, say
+                assert (code, out, err) == run_cli(small) and code == 0
+                continue
+            assert (code, out) == (1, "")
+            assert err.startswith(f"m2mpool: error: invalid config value {key}='bogus'")
+            code, out, err = run_cli([*small, "--" + key.replace("_", "-"), "bogus"])
+            assert (code, out) == (1, "")
+            assert "invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("command", list(READ_KEYS))
+    def test_help_names_exactly_the_flags_of_the_keys_read(self, command):
+        code, text, _ = run_cli([command, "--help"])
+        assert code == 0
+        flags = {flag.removeprefix("--").replace("-", "_") for flag in re.findall(r"--[a-z][a-z0-9-]*", text)}
+        assert flags - {"help", "out", "config", "sweep"} == set(READ_KEYS[command])
+        assert ("sweep" in flags) == (command == "sweep")
 
 
 class TestArrivalLoad:
@@ -1023,6 +1103,23 @@ class TestUsage:
 
     def test_non_numeric_flag(self):
         assert run_cli(["dimension", "--devices", "many"])[0] == 1
+
+    @pytest.mark.parametrize("args", [["dimension", "--runs", "5"], ["validate-clt", "--target-eps", "0.1"],
+                                      ["simulate", "--report-bytes", "50"]], ids=lambda args: args[0])
+    def test_a_flag_the_command_does_not_read_is_refused(self, args):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["validate-clt", "--runs", "0"], "validate-clt needs runs >= 1, got 0"),
+        (["simulate", "--runs", "0"], "simulate needs runs >= 1, got 0"),
+        (["dimension", "--ri-seconds", "0.0004"], "ri_seconds must be more than 0.0005 and at most 86400, got 0.0004"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_refusal_writes_one_line_and_no_file(self, args, message, tmp_path):
+        result = run_cli([*args, "--out", str(tmp_path / "out.csv")])
+        assert result == (1, "", f"m2mpool: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     # an L past about 1.8e308 does not convert to a float
     @pytest.mark.parametrize("command", [

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import functools
+import itertools
 import math
 import tracemalloc
 
@@ -736,6 +738,64 @@ class TestServingRules:
         table = (np.array([2**22]), np.array([False]), np.array([[reports]]))
         with pytest.raises(ParameterError, match="an overflowing interval"):
             _serve(None, table, class_table([]), capacity, policy)
+
+
+def report_outcomes(p_e: float, max_attempts: int, excess: bool) -> list[tuple[tuple[int, bool], float]]:
+    """Each (pool slots needed, retry-limit flag) of one report, with its
+    truncated-geometric probability: a report done at attempt j <= L needs
+    j - 1 slots, or j as an excess report, which has no preallocated
+    transmission; one failing all L attempts needs L - 1 (L) and is flagged."""
+    law = [((j - 1 + excess, False), p_e ** (j - 1) * (1 - p_e)) for j in range(1, max_attempts + 1)]
+    return law + [((max_attempts - 1 + excess, True), p_e**max_attempts)]
+
+
+@functools.lru_cache(maxsize=None)
+def pool_laws(first: tuple, excess: tuple, capacity: int):
+    """The exact (failures, unserved) laws under FIFO and the random policy."""
+    return fifo_law(list(first), list(excess), capacity), random_law(list(first + excess), capacity)
+
+
+class TestFailureLawOverAttempts:
+    """Averaged over every draw of the reports' attempts, the exact pool laws
+    give the failure count one law under FIFO and the random policy, of mean
+    n p_e^L + (1 - p_e) E[(R - C)^+] for R the slots needed: each served slot
+    is a fresh Bernoulli trial (Wald's identity).  The joint law with the
+    unserved count agrees in the cases where no report can reach its retry
+    limit inside the pool, C < L - 1, and differs in the others."""
+
+    CASES = [  # (first reports, excess reports, p_e, L, C)
+        (3, 0, 0.5, 3, 2), (2, 2, 0.7, 3, 4), (2, 3, 0.8, 4, 5), (0, 3, 0.3, 2, 3),  # C >= L - 1
+        (2, 1, 0.6, 4, 1), (1, 2, 0.5, 5, 2), (3, 1, 0.4, 3, 0),
+    ]
+
+    @pytest.mark.parametrize("n_first, n_excess, p_e, max_attempts, capacity", CASES)
+    def test_failure_law_and_its_mean_are_those_of_either_policy(
+            self, n_first, n_excess, p_e, max_attempts, capacity):
+        joint = [collections.defaultdict(float), collections.defaultdict(float)]  # FIFO, random
+        stop_loss = 0.0
+        draws = [report_outcomes(p_e, max_attempts, False)] * n_first
+        draws += [report_outcomes(p_e, max_attempts, True)] * n_excess
+        for draw in itertools.product(*draws):
+            reports = [report for report, _ in draw]
+            weight = math.prod(prob for _, prob in draw)
+            first, excess = tuple(sorted(reports[:n_first])), tuple(sorted(reports[n_first:]))
+            for law, exact in zip(joint, pool_laws(first, excess, capacity)):
+                for outcome, prob in exact.items():
+                    law[outcome] += weight * prob
+            stop_loss += weight * max(sum(slots for slots, _ in reports) - capacity, 0)
+        identity = (n_first + n_excess) * p_e**max_attempts + (1 - p_e) * stop_loss
+        failures = [collections.defaultdict(float), collections.defaultdict(float)]
+        for law, marginal in zip(joint, failures):
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            for (count, _), prob in law.items():
+                marginal[count] += prob
+            assert sum(count * prob for count, prob in marginal.items()) == pytest.approx(identity, abs=1e-12)
+        by_fifo, by_random = failures
+        assert all(by_fifo[count] == pytest.approx(by_random[count], abs=1e-12)
+                   for count in by_fifo.keys() | by_random.keys())
+        by_fifo, by_random = joint
+        worst = max(abs(by_fifo[outcome] - by_random[outcome]) for outcome in by_fifo.keys() | by_random.keys())
+        assert (worst < 1e-12) == (capacity < max_attempts - 1), worst
 
 
 # (params, capacity, intervals per block) of the blocks whose ring-finish
