@@ -1,8 +1,8 @@
 """Command-line front end: dimensioning, CLT validation, simulation, sweeps.
 
 Configuration precedence is flag > config file (plain key=value lines) >
-per-command default > global default.  A command validates the keys it
-reads before computing anything, then returns its CSV rows and a
+the command's default in `_COMMANDS` > global default.  A command validates
+the keys it reads before computing anything, then returns its CSV rows and a
 short human summary, which `main` alone writes.  With --out the rows go, as
 they are made, to a new temporary .m2mpool-*.csv of mode 0600 in the target's
 directory, renamed onto the target (without fsync) only after the last row,
@@ -92,12 +92,6 @@ _OPTIONS: dict[str, tuple[Callable[[str], object] | tuple[str, ...], object, str
     "capacity": (int, None, "C", "shared-pool capacity in transmissions (default: dimensioned)"),
 }
 
-COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
-    "validate-clt": {"devices": 100},
-    "sweep": {"runs": 0},
-}
-
-
 # each command's CSV layout: the header, and one %-format that writes a whole
 # row from its values in header order (%d an int, %.10g and %.Nf a float, %s a
 # text: p_e and eps as `float_text`, the sweep's p_hat and ci_high empty without --runs)
@@ -127,7 +121,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="m2mpool", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command, (_, command_help, keys) in _COMMANDS.items():
+    for command, (_, command_help, keys, _) in _COMMANDS.items():
         sub = commands.add_parser(command, help=command_help, description=command_help)
         for key in keys:
             convert, _, metavar, help_text = _OPTIONS[key]
@@ -138,6 +132,7 @@ def build_parser() -> _Parser:
                 sub.add_argument(flag, type=convert, metavar=metavar, help=help_text)
         sub.add_argument("--out", metavar="PATH", help="CSV output path (default: stdout)")
         sub.add_argument("--config", metavar="PATH", help="key=value config file")
+        sub.set_defaults(sweep=None)  # the axis, a flag of the sweep command alone
         if command == "sweep":
             sub.add_argument("--sweep", metavar="VAR:START:STOP:STEP",
                              help="axis to sweep: devices or report-bytes "
@@ -195,32 +190,21 @@ class _Config:
 
     def __init__(self, args: argparse.Namespace) -> None:
         file_values = _load_config(args.config) if args.config is not None else {}
-        overrides = COMMAND_DEFAULTS.get(args.command, {})
-        keys = _COMMANDS[args.command][2]
-        self.explicit: set[str] = set()
+        _, _, keys, defaults = _COMMANDS[args.command]
         for key, (_, default, _, _) in _OPTIONS.items():
-            flag_value = getattr(args, key, None)  # only the keys read are flags
-            if flag_value is not None:
-                value = flag_value
-                self.explicit.add(key)
-            elif key in file_values and key in keys:
+            value = getattr(args, key, None)  # only the keys read are flags
+            if value is None and key in keys and key in file_values:
                 try:
                     value = _convert(key, file_values[key])
                 except (TypeError, ValueError) as exc:
                     raise ParameterError(f"invalid config value {key}={file_values[key]!r}: {exc}") from exc
-                self.explicit.add(key)
-            elif key in overrides:
-                value = overrides[key]
-            else:
-                value = default
-            setattr(self, key, value)
-        self.pe += 0.0  # -0.0 would print as "-0"
+            setattr(self, key, defaults.get(key, default) if value is None else value)
+        if self.pe is not None:
+            self.pe += 0.0  # -0.0 would print as "-0"
         self.command: str = args.command
         self.out: str | None = args.out
-        self.sweep: str | None = getattr(args, "sweep", None)
+        self.sweep: str | None = args.sweep
         self.arrival_model = OnePerRI() if self.arrival == "one-per-ri" else PoissonPerRI(self.load)
-        if self.command in ("simulate", "validate-clt"):
-            check_simulable(self.devices, self.arrival_model)
 
     def system_params(self, *, devices: int | None = None, pe: float | None = None) -> SystemParams:
         return SystemParams(self.devices if devices is None else devices, self.pe if pe is None else pe,
@@ -312,9 +296,10 @@ def cmd_dimension(cfg: _Config) -> Output:
 
 
 def cmd_validate_clt(cfg: _Config) -> Output:
+    check_simulable(cfg.devices, cfg.arrival_model)
     if cfg.runs < 1:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
-    pe_values = [cfg.pe] if "pe" in cfg.explicit else [0.1, 0.4]
+    pe_values = [0.1, 0.4] if cfg.pe is None else [cfg.pe]
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
     # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
@@ -336,15 +321,15 @@ def cmd_validate_clt(cfg: _Config) -> Output:
 
 
 def cmd_simulate(cfg: _Config) -> Output:
+    check_simulable(cfg.devices, cfg.arrival_model)
     if cfg.runs < 1:
         raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
-    # a given capacity leaves the moments to be checked after the run
-    summary = demand_summary(params) if cfg.capacity is None else None
-    capacity = cfg.capacity if summary is None else dimension_capacity(params, summary)
+    summary = demand_summary(params)
+    capacity = dimension_capacity(params, summary) if cfg.capacity is None else cfg.capacity
     policy = SchedulerPolicy(cfg.policy)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
-    bound = failure_bound(capacity, summary or demand_summary(params), params.p_e, params.max_attempts)
+    bound = failure_bound(capacity, summary, params.p_e, params.max_attempts)
     pe = float_text(params.p_e)
     return [SCHEMAS["simulate"].row % (
         params.n_devices, pe, params.max_attempts, capacity, cfg.policy, cfg.runs,
@@ -424,19 +409,21 @@ def cmd_sweep(cfg: _Config) -> Output:
     return rows, f"sweep {var} {start}..{stop} step {step}: {len(values)} points"
 
 
-# command -> (function, help, the _OPTIONS keys it reads, in _OPTIONS order)
+# command -> (function, help, the _OPTIONS keys it reads in _OPTIONS order,
+# its own defaults for some of them); validate-clt's pe None runs both 0.1 and 0.4
 _COMMANDS = {
     "dimension": (cmd_dimension, "dimension the shared pool and lay it out",
                   ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "report_bytes",
-                   "modulation", "bandwidth_rbs", "m2m_rbs", "ri_seconds")),
+                   "modulation", "bandwidth_rbs", "m2m_rbs", "ri_seconds"), {}),
     "validate-clt": (cmd_validate_clt, "compare sampled demand against its Gaussian model "
                      f"(one CSV row per demand value, at most {MAX_HISTOGRAM_WIDTH} per p_e)",
-                     ("devices", "pe", "max_attempts", "arrival", "load", "runs", "seed")),
+                     ("devices", "pe", "max_attempts", "arrival", "load", "runs", "seed"),
+                     {"devices": 100, "pe": None}),
     "simulate": (cmd_simulate, "estimate the empirical report-failure probability",
                  ("devices", "pe", "max_attempts", "target_eps", "arrival", "load", "runs", "seed",
-                  "policy", "capacity")),
+                  "policy", "capacity"), {}),
     "sweep": (cmd_sweep, "dimension across a parameter range, one CSV row per point",
-              tuple(key for key in _OPTIONS if key != "capacity")),
+              tuple(key for key in _OPTIONS if key != "capacity"), {"runs": 0}),
 }
 
 

@@ -57,7 +57,6 @@ class PoolPlan(NamedTuple):
 
     rbs_per_report: int
     alpha: float
-    capacity: int
     preallocated_subframes: int
     common_subframes: int
     total_subframes: int
@@ -105,4 +104,4 @@ def build_pool_plan(n_devices: int, profile: LteProfile, capacity: int) -> PoolP
     total = preallocated + common
     delay = (profile.ri_subframes + total) * SUBFRAME_SECONDS
     alpha = rbs / profile.m2m_rbs_per_subframe
-    return PoolPlan(rbs, alpha, capacity, preallocated, common, total, fraction, delay)
+    return PoolPlan(rbs, alpha, preallocated, common, total, fraction, delay)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import errno
+import inspect
 import io
 import os
 import re
@@ -720,14 +722,11 @@ class TestOptionTable:
             if key not in keys:
                 assert run_cli([command, flag, text])[0] == 1
                 assert getattr(by_file, key) is default
-                assert key not in by_file.explicit
                 continue
             by_flag = resolve([command, flag, text])
             assert getattr(by_flag, key) != default
-            assert key in by_flag.explicit
             assert getattr(by_file, key) == getattr(by_flag, key)
             assert type(getattr(by_file, key)) is type(getattr(by_flag, key))
-            assert key in by_file.explicit
 
     @pytest.mark.parametrize("key", [k for k, row in _OPTIONS.items() if isinstance(row[0], tuple)])
     def test_value_outside_choices_is_usage_error(self, key, tmp_path):
@@ -752,6 +751,32 @@ class TestOptionTable:
         flags = {flag.removeprefix("--").replace("-", "_") for flag in re.findall(r"--[a-z][a-z0-9-]*", text)}
         assert flags - {"help", "out", "config", "sweep"} == set(READ_KEYS[command])
         assert ("sweep" in flags) == (command == "sweep")
+
+    def test_the_configuration_names_no_command(self):
+        # each command's defaults and checks live in its _COMMANDS entry and its function
+        tree = ast.parse(inspect.getsource(cli._Config))
+        literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not literals & set(READ_KEYS)
+
+
+class TestCommandDefaults:
+    def test_a_config_file_pe_runs_validate_clt_at_that_one_value(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "clt.csv"
+        cfg.write_text("pe=0.25\n")
+        code, _, _ = run_cli(["validate-clt", "--config", str(cfg), "--runs", "500", "--seed", "5",
+                              "--out", str(out)])
+        assert code == 0
+        assert {row["pe"] for row in read_rows(out)} == {"0.25"}
+
+    def test_a_config_file_devices_overrides_validate_clts_own_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("devices=40\n")
+        assert resolve(["validate-clt"]).devices == 100
+        assert resolve(["validate-clt", "--config", str(cfg)]).devices == 40
+        by_file = run_cli(["validate-clt", "--config", str(cfg), "--pe", "0.1", "--runs", "300"])
+        assert by_file[0] == 0
+        assert by_file == run_cli(["validate-clt", "--devices", "40", "--pe", "0.1", "--runs", "300"])
+        assert by_file != run_cli(["validate-clt", "--pe", "0.1", "--runs", "300"])
 
 
 class TestArrivalLoad:

@@ -798,6 +798,47 @@ class TestFailureLawOverAttempts:
         assert (worst < 1e-12) == (capacity < max_attempts - 1), worst
 
 
+class TestFailureCountsAcrossPolicies:
+    """The engine's per-interval failure counts under FIFO and the random
+    policy pass a chi-square test of homogeneity where retry limits meet the
+    pool (C >= L - 1), as the exact laws above say they should.  Each policy
+    replays 100,000 intervals from its own fixed seed, so the samples are
+    independent.  Failure counts are merged, in order, into bins of at least
+    10 intervals (at least 5 expected per policy).  At alpha = 1e-3 per point
+    the two points give a false-alarm budget of at most 2e-3 for a correct
+    engine over the choice of seeds."""
+
+    ALPHA = 1e-3
+    INTERVALS = 100_000
+    SEEDS = {SchedulerPolicy.FIFO: 2701, SchedulerPolicy.RANDOM_UNIFORM: 2702}
+
+    @staticmethod
+    def pooled(table):
+        """The columns of a 2-row table merged into consecutive bins of at least 10."""
+        bins, total = [], np.zeros(2, dtype=np.int64)
+        for column in table.T:
+            total = total + column
+            if total.sum() >= 10:
+                bins.append(total)
+                total = np.zeros(2, dtype=np.int64)
+        bins[-1] = bins[-1] + total
+        return np.array(bins).T
+
+    @pytest.mark.parametrize("params, capacity", [
+        (SystemParams(20, 0.5, 3), 10),
+        (SystemParams(50, 0.6, 4), 40),
+    ], ids=["N20-L3-C10", "N50-L4-C40"])
+    def test_fifo_and_random_failure_counts_are_homogeneous(self, params, capacity):
+        counts = []
+        for policy, seed in self.SEEDS.items():
+            blocks = sim._blocks([params], self.INTERVALS, seed, capacity, policy)
+            counts.append(np.bincount(np.concatenate([failures for _, (_, failures, _, _) in blocks])))
+        width = max(map(len, counts))
+        table = self.pooled(np.array([np.pad(c, (0, width - len(c))) for c in counts]))
+        assert table.shape[1] > 10 and table.sum() == 2 * self.INTERVALS
+        assert stats.chi2_contingency(table).pvalue > self.ALPHA
+
+
 # (params, capacity, intervals per block) of the blocks whose ring-finish
 # tables the threshold rule is checked on, 50 seeds each
 REFERENCE_BLOCKS = [
