@@ -19,25 +19,25 @@ exhaustion.
 
 Implementation note: the engine draws counts, not devices or reports.  A
 block of up to BLOCK_INTERVALS intervals comes from one stream (seed, block)
-(stream layout v4) as two multinomial draws, one numpy call each for the
+(stream layout v7) as two multinomial draws, one numpy call each for the
 whole block (see _drawn_in_order for the category order): the N devices of
-each interval by report count, over the arrival model's count pmf; then
-each interval's first and excess reports, as two rows, by outcome: done at
-attempt j <= _CHAIN_STEPS, or failing every attempt drawn (`beyond`).  A
-pool no demand can exceed (`sample_demand`'s) serves nothing, so there the
-two kinds are one row (v7).
+each interval by report count, over the arrival model's count pmf behind
+one zero category; then each interval's first and excess reports, as two
+rows, by outcome: done at attempt j <= _CHAIN_STEPS, or failing every
+attempt drawn (`beyond`).  A pool no demand can exceed (`sample_demand`'s)
+serves nothing, so there the two kinds are one row.
 Demand and retry-limit failures follow for the whole block at once, at a
 cost that does not grow with N.  Fixing each report's attempt count before
 serving is distribution-identical to drawing a Bernoulli outcome per served
 slot because no scheduling decision ever depends on a future outcome.
 Reports still in flight after _CHAIN_STEPS attempts get per-report geometric
-draws for the rest, one call per group of intervals (v5), which keeps the
+draws for the rest, one call per group of intervals, which keeps the
 law (the geometric is memoryless) and the categories few when p_e is near 1.
 
 Only an interval whose demand exceeds the pool is served, and it is served
 from its class table (pool slots needed, retry-limit flag, report count; one
-table for the overflowing intervals of a group), in closed form rather than
-slot by slot:
+table for the overflowing intervals of a group, the first reports' classes
+ahead of the excess reports'), in closed form rather than slot by slot:
 
 - FIFO serves the pending queue round robin: a report whose transmission
   fails goes to the back, behind every report still waiting.  So after K
@@ -55,7 +55,7 @@ slot by slot:
   from each live report with equal probability.  Report j rings p_j times,
   and the pool ends at the C-th ring overall.  No report of an interval
   whose every live report needs more than C slots can complete: it draws
-  nothing.  The others first leap (v6): by a time t, a report has rung
+  nothing.  The others first leap: by a time t, a report has rung
   min(Poisson(t), p_j) times, one multinomial over the (class, interval)
   cells.  If those F rings fit the pool, the clocks restart at t by
   memorylessness, p_j - k pending after k rings, C - F slots left.  If not,
@@ -76,7 +76,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, TypeAlias
+from typing import NamedTuple
 
 from .analytic import ArrivalModel, AttemptLaw, DemandSummary, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
@@ -243,36 +243,28 @@ def _drawn_in_order(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _report_count_law(arrival: ArrivalModel) -> tuple[np.ndarray, np.ndarray]:
-    """`arrival.count_pmf()`, P[U = k] for k = 0, 1, ..., `_drawn_in_order`,
-    kept from the first to the last count where the mass beyond falls below
-    1e-19; no device reports outside them.
+    """`arrival.count_pmf()`, P[U = k] for k = 0, 1, ..., kept from the first
+    to the last count where the mass beyond falls below 1e-19 (no device
+    reports outside them), `_drawn_in_order` behind one zero-probability
+    category.
 
-    The counts left of the first kept one (k = 0 with one report per
-    interval; for Poisson loads above 43.7, where e^-load < 1e-19, 570 of
-    1299 counts are kept at load 1000) share one zero-probability category,
-    drawn first (numpy's binomial returns 0 at p = 0 without a draw), so that
-    the permutation still puts a draw in category order k = 0, 1, ...:
-    column 0 reads 0, and every device is active.
+    The zero category is drawn first and takes nothing from the stream
+    (numpy's binomial returns 0 at p = 0 without a draw).  It stands for the
+    counts left of the first kept one (k = 0 with one report per interval;
+    for Poisson loads above 43.7, where e^-load < 1e-19, 570 of 1299 counts
+    are kept at load 1000; none at lower loads), so that the permutation
+    still puts a draw in category order k = 0, 1, ...
     """
     pmf = arrival.count_pmf()
     kept = (np.cumsum(pmf) > 1e-19) & (np.cumsum(pmf[::-1])[::-1] > 1e-19)
-    first = int(kept.argmax())
     pmf, back = _drawn_in_order(pmf[kept] / pmf[kept].sum())
-    if first == 0:
-        return pmf, back
-    return np.append(0.0, pmf), np.append(np.zeros(first, dtype=back.dtype), back + 1)
+    return np.append(0.0, pmf), np.append(np.zeros(kept.argmax(), dtype=back.dtype), back + 1)
 
 
 @lru_cache(maxsize=64)
 def _outcome_law(attempts: AttemptLaw) -> tuple[np.ndarray, np.ndarray]:
     """`attempts.outcomes` (done at attempt j = 1..L, then beyond), `_drawn_in_order`."""
     return _drawn_in_order(attempts.outcomes)
-
-
-# (pool slots needed, retry-limit flag) of each class, and its report count
-# in each interval: one row per class, one column per interval (a string, so
-# that importing this module does not load numpy)
-_Table: TypeAlias = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
 def _draw_arrivals(
@@ -303,14 +295,16 @@ def _draw_outcomes(
     by outcome (one multinomial, a row for each kind).  Then, group by group
     of consecutive intervals: one uniform per report in flight past the
     chain, interval by interval and first reports first, then one pool
-    service of the group's intervals whose demand exceeds `capacity`.
+    service of the group's intervals whose demand exceeds `capacity`, from
+    one class table (`_serve`).  Per kind, its classes are done at attempt
+    j = 1..steps, then those failing every attempt drawn: at L <= 64 the
+    last outcome column, flagged; past the chain, a class per key.
 
     At a capacity of _INT64_MAX or more no interval is served, and the kinds
-    share one row (stream layout v7): all of an interval's reports draw
-    their outcome from the same law, and a sum of two multinomials over the
-    same probabilities is one multinomial over the sum of their trials.  So
-    demand and retry-limit failures keep their law.  Any finite pool below
-    that draws the two rows of v6, byte for byte.
+    share one row: all of an interval's reports draw their outcome from the
+    same law, and a sum of two multinomials over the same probabilities is
+    one multinomial over the sum of their trials.  So demand and retry-limit
+    failures keep their law.
     """
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
@@ -322,7 +316,7 @@ def _draw_outcomes(
     remaining = min(params.max_attempts - steps, _INT64_MAX)
     pmf, back = _outcome_law(AttemptLaw(p_e, steps))
     # only serving tells a first report from an excess one, and no int64
-    # demand exceeds a pool of _INT64_MAX: there both kinds share one row (v7)
+    # demand exceeds a pool of _INT64_MAX: there both kinds share one row
     rows = np.stack([active, excess]) if capacity < _INT64_MAX else (active + excess)[None]
     kinds = rows.shape[0]
     # [kind (first, excess; or both), interval, outcome (done at attempt 1..steps, beyond)]
@@ -345,57 +339,55 @@ def _draw_outcomes(
         if remaining:
             cells = np.arange(1, size - start + 1) * np.cumsum(failures[start:])
             span = slice(start, start + max(1, np.count_nonzero(cells <= _MAX_CELLS)))
-        start = span.stop
-        # records (kinds x interval + kind) of `count` reports, keyed by min(failures
-        # past the chain, remaining): a key below `remaining` needs key + 1
-        # more attempts, one at it is flagged (all of them at L <= 64)
-        reports = beyond[span].ravel()
-        record, keys, count = np.arange(reports.size), np.zeros(reports.size, dtype=np.int64), reports
-        if remaining:
+            # one record (kinds x interval + kind) per report in flight, keyed by
+            # min(failures past the chain, remaining): a key below `remaining`
+            # needs key + 1 more attempts, one at it is flagged
+            reports = beyond[span].ravel()
+            record = np.repeat(np.arange(reports.size), reports)
             keys = np.minimum(leading_failure_counts(gen, p_e, int(reports.sum())), remaining)
-            record, count = np.repeat(record, reports), np.broadcast_to(np.int64(1), keys.shape)
             # min(key + 1, remaining) attempts each: the keys, and one per unflagged report
             np.add.at(demand[span], record // kinds, keys)
             flagged = np.bincount(record[keys == remaining] // kinds, minlength=reports.size // kinds)
             demand[span] += failures[span] - flagged
             failures[span] = flagged
+        start = span.stop
         over = demand[span] > capacity
         if not over.any():
             continue
         cols = span.start + np.flatnonzero(over)
-        interval, kind = np.divmod(record, 2)
-        mine = over[interval]
-        # a report needing more than C + 1 slots is never served, so its key
-        # caps at C and its pending slots at C + 1 (which merges classes)
-        classes, row = np.unique(np.minimum(keys[mine], capacity), return_inverse=True)
-        past = np.zeros((2, classes.size, cols.size), dtype=np.int64)
-        np.add.at(past, (kind[mine], row, (np.cumsum(over) - 1)[interval[mine]]), count[mine])
-        tables = [(np.append(np.arange(1 - pre, steps + 1 - pre),
-                             np.minimum(steps - pre + np.minimum(classes + 1, remaining), capacity + 1)),
-                   np.append(np.zeros(steps, dtype=bool), classes == remaining),
-                   np.vstack([outcomes[k, cols, :steps].T, past[k]]))
-                  for k, pre in ((0, 1), (1, 0))]  # a first report's first attempt is preallocated
-        failures[cols], unserved[cols] = _serve(gen, *tables, capacity, policy)
+        counts, more, flag = outcomes[:, cols].transpose(0, 2, 1), 0, True  # [kind, class, interval]
+        if remaining:
+            # past the chain, one class per key, capped at C (which merges classes)
+            interval, kind = np.divmod(record, 2)
+            mine = over[interval]
+            classes, row = np.unique(np.minimum(keys[mine], capacity), return_inverse=True)
+            past = np.zeros((2, classes.size, cols.size), dtype=np.int64)
+            np.add.at(past, (kind[mine], row, (np.cumsum(over) - 1)[interval[mine]]), 1)
+            counts = np.concatenate([counts[:, :steps], past], axis=1)
+            more, flag = np.minimum(classes + 1, remaining), classes == remaining
+        # a first report's first attempt is preallocated; past the outcomes done, pending
+        # slots cap at C + 1, since a report needing more is never served either way
+        pending = np.concatenate([np.append(np.arange(1 - pre, steps + 1 - pre),
+                                            np.minimum(steps - pre + more, capacity + 1)) for pre in (1, 0)])
+        flags = np.tile(np.append(np.zeros(steps, dtype=bool), flag), 2)
+        failures[cols], unserved[cols] = _serve(gen, pending, flags, counts.reshape(-1, cols.size),
+                                                counts.shape[1], capacity, policy)
     return active + excess, failures, demand, unserved
 
 
-def _serve(
-    gen: np.random.Generator,
-    first: _Table,
-    excess: _Table,
-    capacity: int,
-    policy: SchedulerPolicy,
-) -> tuple[np.ndarray, np.ndarray]:
+def _serve(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarray, counts: np.ndarray, split: int,
+           capacity: int, policy: SchedulerPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Failures and unserved reports of each interval of a class table whose
-    demand exceeds `capacity`, the first reports' classes ahead of the excess
-    reports'.
+    demand exceeds `capacity`: each class's pool slots needed and retry-limit
+    flag, and its report count in each interval (a row per class, a column
+    per interval).  The first reports' classes come ahead of the excess
+    reports', which start at row `split`; each kind holds at least one class.
 
     A report fails if it is flagged or left unserved; a report done after
     its preallocated slot needs no pool, and fails only if flagged.
     """
-    pending, flags, counts = (np.concatenate(column) for column in zip(first, excess))
     if policy is SchedulerPolicy.FIFO:
-        unserved, unflagged = _fifo_unserved(gen, pending, flags, counts, first[0].size, capacity)
+        unserved, unflagged = _fifo_unserved(gen, pending, flags, counts, split, capacity)
     else:
         unserved, unflagged = _random_unserved(gen, pending, flags, counts, capacity)
     return counts[flags].sum(axis=0) + unflagged, unserved
@@ -431,8 +423,7 @@ def _fifo_unserved(
     # per kind (first, then excess): the reports queued for the last round,
     # those it completes if they get a slot, and the flagged ones among these
     queued_kinds, last_kinds, flagged_kinds = (
-        np.stack([part[:split].sum(axis=0), part[split:].sum(axis=0)])
-        for part in (queued, last, last * flags[:, None])
+        np.add.reduceat(part, [0, split]) for part in (queued, last, last * flags[:, None])
     )
     if queued_kinds.max() >= _MAX_QUEUED:
         raise ParameterError(

@@ -228,7 +228,7 @@ def test_criterion_6_property_suite(tmp_path):
 # Seeded `simulate` at the overload point (N=1000, p_e=0.4, C=926: about 98% of
 # intervals overflow, so both serving rules run), two blocks each.  The FIFO
 # files were recorded under stream layout v4; the random ones under v6,
-# whose leap moved them (see "Stream layout v6" in the README).  A change of
+# whose leap moved them (CHANGES.md holds the layout's history).  A change of
 # the layout must regenerate these files and say so; any other change that
 # moves them changed what the engine draws or how it serves.
 SIMULATE_GOLDENS = [
@@ -248,10 +248,10 @@ def test_seeded_simulate_matches_golden(tmp_path, name, args):
 
 # Seeded runs past the 64-step chain (p_e=0.97, L=100) whose blocks never
 # overflow the pool: the draws past the chain come block by block in interval
-# order (see "Stream layout v5" in the README).  The simulate file, at a
-# finite pool, keeps the bytes recorded under stream layout v4; the
-# validate-clt one was recorded under v7, which draws each interval's
-# reports as one row where no pool is served (see "Stream layout v7").
+# order (see "Stream layout v7: the draw order" in the README).  The simulate
+# file, at a finite pool, keeps the bytes recorded under stream layout v4;
+# the validate-clt one was recorded under v7, which draws each interval's
+# reports as one row where no pool is served.
 PAST_CHAIN_GOLDENS = [
     ("validate_clt_past_chain_seed3.csv",
      ["validate-clt", "--pe", "0.97", "--max-attempts", "100", "--runs", "3000", "--seed", "3"]),
@@ -271,7 +271,8 @@ def test_seeded_runs_past_the_chain_match_golden(tmp_path, name, args):
 def test_seeded_validate_clt_at_both_p_e_matches_golden(tmp_path):
     # p_e = 0.1 and 0.4 share each block's arrival draw; three blocks, the
     # last one partial, recorded under stream layout v7 (each interval's
-    # reports by outcome in one row; see "Stream layout v7" in the README)
+    # reports by outcome in one row; see "Stream layout v7: the draw order"
+    # in the README)
     name = "validate_clt_two_pe_seed4.csv"
     regenerated = tmp_path / name
     assert cli_main(["validate-clt", "--runs", "2500", "--seed", "4", "--out", str(regenerated)]) == 0

@@ -42,6 +42,23 @@ def scoped(node: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
         yield from scoped(child, inner)
 
 
+def under_ifs(node: ast.AST, tests: tuple[str, ...] = ()) -> Iterator[tuple[ast.AST, tuple[str, ...]]]:
+    """(node, the tests of the `if` statements whose body holds it) of every
+    node under `node`."""
+    for field, value in ast.iter_fields(node):
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                inner = (*tests, ast.unparse(node.test)) if isinstance(node, ast.If) and field == "body" else tests
+                yield child, inner
+                yield from under_ifs(child, inner)
+
+
+def engine_function(name: str) -> ast.FunctionDef:
+    [function] = [node for node in ast.walk(ast.parse((SRC / "sim.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
 def called(node: ast.AST) -> str | None:
     """The name a call calls, bare or as an attribute."""
     if isinstance(node, ast.Call):
@@ -109,6 +126,28 @@ def test_the_outcome_rows_follow_the_capacity_alone():
     assert names(choice.test) == {"capacity", "_INT64_MAX"}
     # nor does anything else in it ask who called
     assert not names(draw) & {"inspect", "_getframe", "currentframe", "sample_demand", "estimate_failure_prob"}
+
+
+def test_the_report_count_law_has_one_layout_at_every_load():
+    # the zero category leads every table, so nothing branches on the load
+    law = engine_function("_report_count_law")
+    assert not [node for node in ast.walk(law) if isinstance(node, (ast.If, ast.IfExp))
+                or isinstance(node, ast.comprehension) and node.ifs]
+
+
+def test_the_pool_takes_one_class_table_split_by_kind():
+    for path in sorted(SRC.glob("*.py")):
+        assert "_Table" not in names(ast.parse(path.read_text())), path.name
+    assert [arg.arg for arg in engine_function("_serve").args.args] == [
+        "gen", "pending", "flags", "counts", "split", "capacity", "policy"]
+
+
+def test_only_reports_past_the_chain_are_merged_into_classes():
+    # within the chain the flagged class is the last outcome column as drawn
+    found = [(ast.unparse(node.func), tests) for node, tests in under_ifs(engine_function("_draw_outcomes"))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.unique", "np.add.at")]
+    assert sorted(name for name, _ in found) == ["np.add.at", "np.add.at", "np.unique"]
+    assert all("remaining" in tests for _, tests in found), found
 
 
 def test_no_second_block_path_or_leap_floor_is_left():

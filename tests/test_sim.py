@@ -355,8 +355,10 @@ class TestBlockDraws:
         assert pooled_chisquare_pvalue(DemandHistogram(counts), law) > 0.001
 
     @pytest.mark.parametrize("load", [0.05, 1.0, 40.0])
-    def test_report_count_table_keeps_its_right_cut_only_at_low_loads(self, load):
-        # e^-load >= 1e-19 up to load 43.7: nothing is cut on the left
+    def test_every_report_count_table_leads_with_one_zero_category(self, load):
+        # e^-load >= 1e-19 up to load 43.7: nothing is cut on the left, so the
+        # leading zero category stands for no count and every count is kept
+        # from 0 up to the right cut
         k = np.arange(int(2 * load) + 41)
         pmf = np.exp(k * math.log(load) - load - np.append(0.0, np.log(k[1:]).cumsum()))
         pmf = pmf[np.cumsum(pmf[::-1])[::-1] > 1e-19]
@@ -365,8 +367,26 @@ class TestBlockDraws:
         head = np.count_nonzero(after[1:] > 1e-3)
         order = np.concatenate([order[:head], order[head:][::-1]])
         drawn, back = _report_count_law(PoissonPerRI(load))
-        assert np.array_equal(drawn, (pmf / pmf.sum())[order])
-        assert np.array_equal(back, np.argsort(order))
+        assert drawn[0] == 0.0
+        assert np.array_equal(drawn[1:], (pmf / pmf.sum())[order])
+        assert np.array_equal(back, np.argsort(order) + 1)
+
+    @pytest.mark.parametrize("arrival,seed", [(PoissonPerRI(0.05), 508), (PoissonPerRI(1.0), 509),
+                                              (PoissonPerRI(40.0), 510), (OnePerRI(), 511)])
+    def test_the_leading_zero_category_takes_nothing_from_the_stream(self, arrival, seed):
+        # the arrivals, and the stream state after them, of a multinomial over
+        # the table without its zero category: numpy's binomial at p = 0
+        # returns 0 without a draw
+        params, size = SystemParams(300, 0.4, 10, arrival), 200
+        gen = RngStream(seed, 0).generator
+        active, excess = _draw_arrivals(gen, params, size)
+        drawn, back = _report_count_law(arrival)
+        plain = RngStream(seed, 0).generator
+        devices = np.hstack([np.zeros((size, 1), dtype=np.int64),
+                             plain.multinomial(params.n_devices, drawn[1:], size)])[:, back]
+        assert np.array_equal(active, params.n_devices - devices[:, 0])
+        assert np.array_equal(excess, devices @ np.arange(devices.shape[1]) - active)
+        assert gen.bit_generator.state == plain.bit_generator.state
 
     @pytest.mark.parametrize("load,counts", [(50.0, 125), (1000.0, 570)])
     def test_report_count_table_cuts_both_tails_below_1e_19(self, load, counts):
@@ -634,6 +654,15 @@ def class_table(reports: list[tuple[int, bool]], columns: int = 1):
     )
 
 
+def kinds_table(first, excess):
+    """The class table `_serve` takes, and the row where the kinds split: the
+    first reports' `class_table` stacked on the excess reports' one, a kind
+    with no report holding one empty class, as each kind holds in the engine."""
+    empty = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.zeros((1, first[2].shape[1]), dtype=np.int64))
+    first, excess = (table if table[0].size else empty for table in (first, excess))
+    return (*(np.concatenate(column) for column in zip(first, excess)), first[0].size)
+
+
 def law_pvalue(outcomes, law: dict[tuple[int, int], float]) -> float:
     """Chi-square p-value of observed (failures, unserved) pairs against an
     exact law; outcomes expecting fewer than 5 draws share one bin, which is
@@ -693,7 +722,7 @@ class TestServingRules:
     def test_closed_form_follows_the_exact_law(self, policy, first, excess, capacity, seed):
         failures, unserved = _serve(
             RngStream(seed, 0 if policy is SchedulerPolicy.FIFO else 1).generator,
-            class_table(first, DRAWS), class_table(excess, DRAWS), capacity, policy,
+            *kinds_table(class_table(first, DRAWS), class_table(excess, DRAWS)), capacity, policy,
         )
         law = exact_law(policy, first, excess, capacity)
         assert law_pvalue(zip(failures.tolist(), unserved.tolist()), law) > 0.001
@@ -725,7 +754,7 @@ class TestServingRules:
                 tables = (table, empty) if kind == "first" else (empty, table)
                 for capacity in range(n * r):
                     expected = n - capacity % n if capacity // n == r - 1 else n
-                    failures, unserved = _serve(gen, *tables, capacity, SchedulerPolicy.FIFO)
+                    failures, unserved = _serve(gen, *kinds_table(*tables), capacity, SchedulerPolicy.FIFO)
                     assert (failures.tolist(), unserved.tolist()) == ([expected], [expected])
                     assert serve_slots([r] * n, [False] * n, capacity, "fifo") == (expected, expected)
 
@@ -737,7 +766,7 @@ class TestServingRules:
         capacity = 2**22 if policy is SchedulerPolicy.RANDOM_UNIFORM else 10**9
         table = (np.array([2**22]), np.array([False]), np.array([[reports]]))
         with pytest.raises(ParameterError, match="an overflowing interval"):
-            _serve(None, table, class_table([]), capacity, policy)
+            _serve(None, *kinds_table(table, class_table([])), capacity, policy)
 
 
 def report_outcomes(p_e: float, max_attempts: int, excess: bool) -> list[tuple[tuple[int, bool], float]]:
@@ -995,8 +1024,9 @@ class TestLeap:
             return leaps[-1]
 
         monkeypatch.setattr(sim, "_leap", record)
-        failures, unserved = _serve(RngStream(seed, 3).generator, class_table(first, DRAWS),
-                                    class_table(excess, DRAWS), capacity, SchedulerPolicy.RANDOM_UNIFORM)
+        failures, unserved = _serve(RngStream(seed, 3).generator,
+                                    *kinds_table(class_table(first, DRAWS), class_table(excess, DRAWS)),
+                                    capacity, SchedulerPolicy.RANDOM_UNIFORM)
         assert law_pvalue(zip(failures.tolist(), unserved.tolist()), random_law(first + excess, capacity)) > 0.001
         # the leap served rings in many intervals, and overshot where aimed past the pool
         (leapt,) = leaps
@@ -1162,9 +1192,9 @@ class TestOverflowBeyondTheChain:
         params, size, steps, remaining = SystemParams(20, 0.95, 70, PoissonPerRI(2.0)), 40, 64, 6
         tables = []
 
-        def record(gen, first, excess, capacity, policy):
-            tables.append((first, excess))
-            return np.zeros((2, first[2].shape[1]), dtype=np.int64)
+        def record(gen, pending, flags, counts, split, capacity, policy):
+            tables.append([(pending[rows], flags[rows], counts[rows]) for rows in (slice(split), slice(split, None))])
+            return np.zeros((2, counts.shape[1]), dtype=np.int64)
 
         monkeypatch.setattr(sim, "_serve", record)
         _, _, demand, _ = draw_block(RngStream(410, 0).generator, params, size, capacity,
@@ -1235,6 +1265,43 @@ class TestUnservedPoolFailures:
         reports, failures = int(row["reports"]), int(row["failures"])
         assert reports > 300_000
         assert stats.binomtest(failures, reports, AttemptLaw(p_e, cap).floor).pvalue > 1e-6
+
+
+# (params, seed) at L <= 64: the overload point, a short retry limit (with a
+# target above its floor p_e^L), the chain's last step under one report per
+# interval, and a load above the 43.7 cut
+METAMORPHIC_POINTS = [
+    pytest.param(SystemParams(1000, 0.4, 10), 601, id="overload"),
+    pytest.param(SystemParams(50, 0.6, 4, target_failure=0.2), 602, id="short-retry"),
+    pytest.param(SystemParams(200, 0.85, 64, OnePerRI()), 603, id="chain-edge"),
+    pytest.param(SystemParams(40, 0.3, 8, PoissonPerRI(50.0)), 604, id="load-50"),
+]
+
+
+class TestPoolMetamorphicInTheChain:
+    """Within the 64-step chain a block draws its demand before any pool
+    service, so the demand does not move with the capacity under one seed;
+    and a pool no interval's demand exceeds serves nothing, so only the
+    retry-limit failures remain.  Exact equalities: no significance level."""
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    @pytest.mark.parametrize("params,seed", METAMORPHIC_POINTS)
+    def test_demand_ignores_the_pool_and_an_ample_pool_leaves_retry_limit_failures(self, params, seed, policy):
+        def blocks(capacity):  # three blocks, the last one partial
+            return [outcome for _, outcome in sim._blocks([params], 2_500, seed, capacity, policy)]
+
+        ample, starved = blocks(2**62), blocks(0)
+        assert not any(unserved.any() for *_, unserved in ample)
+        # at C = 0 every interval with demand is served, and loses reports
+        assert any((failures > floor).any() for (_, failures, _, _), (_, floor, _, _) in zip(starved, ample))
+        for drawn in (starved, blocks(dimension_capacity(params))):
+            for (_, failures, demand, _), (_, floor, ample_demand, _) in zip(drawn, ample, strict=True):
+                assert np.array_equal(demand, ample_demand)
+                assert np.all(failures >= floor)
+        largest = max(int(demand.max()) for _, _, demand, _ in ample)
+        for capacity in (largest, largest + 1, 2 * largest):
+            for outcome, expected in zip(blocks(capacity), ample, strict=True):
+                assert all(np.array_equal(got, want) for got, want in zip(outcome, expected)), capacity
 
 
 class TestWilsonInterval:
