@@ -15,7 +15,7 @@ A device's shared-pool demand is therefore
 
 and the pool sees R = sum_i R_i.  With N large, R is treated as Gaussian and
 characterized by its mean and variance alone.  This module provides those
-moments, the per-report failure probability that this Gaussian model gives
+moments, that Gaussian's CDF, the per-report failure probability it gives
 for a pool of capacity C transmissions (its overflow term does not depend on
 the scheduler, but it is an approximation, not a bound, since the demand is
 right-skewed), and the inverse problem: the smallest C meeting a target
@@ -261,29 +261,44 @@ def demand_summary(params: SystemParams) -> DemandSummary:
     return DemandSummary(*scaled_moments(params.n_devices, moments))
 
 
-def _gaussian_term(capacity: int, mean: float, std: float, floor: float) -> float:
-    """Q((C - mu) / sigma) (1 - p_e^L) + p_e^L; without variance the demand
-    is its mean, and the term a step: p_e^L when C covers mu, else 1."""
+def _gaussian_tail(excess: float, std: float, floor: float) -> float:
+    """Q(excess / sigma) (1 - floor) + floor, the one Gaussian evaluation of the demand law: the
+    failure rule at C = mu + excess for floor p_e^L, P[R > C] for floor 0.  Without variance a step
+    (the floor from excess 0 on, else 1); the floor where excess / sigma is past double range."""
     if std == 0.0:
-        return floor if capacity >= mean else 1.0
-    return q_function((capacity - mean) / std) * (1.0 - floor) + floor
+        return floor if excess >= 0.0 else 1.0
+    z = excess / std
+    return q_function(z) * (1.0 - floor) + floor if z < math.inf else floor
+
+
+def gaussian_cdf(summary: DemandSummary, low: int, high: int) -> list[float]:
+    """The matched Gaussian CDF at v + 1/2 (the continuity correction for an integer-valued
+    quantity) for v from `low` - 1 to `high`, one Q evaluation each: entry k + 1 is read at
+    demand low + k, and entry k at its lower edge low + k - 1/2.  Each v - floor(mean) is
+    taken in ints, so the steps stay apart above 2**53."""
+    if summary.variance <= 0.0:
+        raise ParameterError("zero-variance summary has no Gaussian comparison")
+    sigma, base = summary.std, math.floor(summary.mean)
+    half = 0.5 - (summary.mean - base)
+    return [1.0 - _gaussian_tail(value - base + half, sigma, 0.0) for value in range(low - 1, high + 1)]
 
 
 def failure_bound(capacity: int, summary: DemandSummary, p_e: float, max_attempts: int) -> float:
-    """Per-report failure probability bound at pool capacity C, Gaussian demand model.
+    """The paper's per-report failure rule at pool capacity C, Gaussian demand model.
 
-        P[failure] <= Q((C - mu) / sigma) (1 - p_e^L) + p_e^L
+        P[failure] ~ Q((C - mu) / sigma) (1 - p_e^L) + p_e^L
 
     The p_e^L term is the irreducible floor from reports that burn all L
     attempts.  The Q term is the Gaussian approximation of P[R > C], the
-    probability that total demand overflows the pool.  It does not depend on
-    the scheduling discipline, but it is not a bound: the right-skewed demand
-    has a heavier upper tail, so it can understate P[R > C].
+    probability that total demand overflows the pool (0 past double range).
+    It does not depend on the scheduling discipline, but it is not a bound: the
+    right-skewed demand has a heavier upper tail, so it can understate P[R > C].
     """
     floor = AttemptLaw(p_e, max_attempts).floor
     if capacity < 0:
         raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    return _gaussian_term(capacity, summary.mean, summary.std, floor)
+    excess = capacity - summary.mean if capacity < sys.float_info.max else math.inf
+    return _gaussian_tail(excess, summary.std, floor)
 
 
 @dataclass(frozen=True)
@@ -311,9 +326,9 @@ class CapacityRule:
         cap = max(0, math.ceil(mean + std * self.z))
         if cap >= 2**53:
             return cap
-        while cap > 0 and _gaussian_term(cap - 1, mean, std, floor) <= eps:
+        while cap > 0 and _gaussian_tail(cap - 1 - mean, std, floor) <= eps:
             cap -= 1
-        while _gaussian_term(cap, mean, std, floor) > eps:
+        while _gaussian_tail(cap - mean, std, floor) > eps:
             cap += 1
         return cap
 

@@ -35,6 +35,7 @@ from .analytic import (
     device_moments,
     dimension_capacity,
     failure_bound,
+    gaussian_cdf,
     scaled_moments,
 )
 from .errors import (
@@ -45,9 +46,8 @@ from .errors import (
 )
 from .lte import MODULATION_BITS, SUBFRAME_SECONDS, LteProfile, build_pool_plan, pool_layout, rbs_per_report
 from .numerics import float_text
-# q_function is unused here since validate-clt reads its Gaussian column from
-# sim.gaussian_cdf, kept importable because the benchmark tracer
-# (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
+# q_function is unused here since analytic evaluates every Gaussian, kept importable
+# because the benchmark tracer (perfbench/tracing.py) counts calls through m2mpool.cli.q_function
 from .numerics import q_function  # noqa: F401
 from .sim import (
     MAX_HISTOGRAM_WIDTH,
@@ -55,7 +55,6 @@ from .sim import (
     SchedulerPolicy,
     check_simulable,
     estimate_failure_prob,
-    gaussian_cdf,
     ks_distance,
     sample_demand,
 )
@@ -306,7 +305,7 @@ def cmd_validate_clt(cfg: _Config) -> Output:
     tables, notes = [], []
     for pe, params, hist in zip(map(float_text, pe_values), all_params, hists):
         summary = demand_summary(params)
-        cdf = gaussian_cdf(hist, summary)
+        cdf = gaussian_cdf(summary, hist.offset, hist.offset + hist.counts.size - 1)
         notes.append(
             f"pe={pe}: ks={ks_distance(hist, cdf):.5f}, empirical mean {hist.mean():.4f} "
             f"vs analytic {summary.mean:.4f}, runs={hist.runs}"

@@ -78,13 +78,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .analytic import ArrivalModel, AttemptLaw, DemandSummary, SystemParams
+from .analytic import ArrivalModel, AttemptLaw, SystemParams
 from .errors import IndeterminateEstimateError, ParameterError
-from .numerics import RngStream, float_text, leading_failure_counts, np, q_function
+from .numerics import RngStream, float_text, leading_failure_counts, np
 
-# unused here since the engine draws counts, kept importable because the
-# benchmark tracer (perfbench/tracing.py) patches m2mpool.sim.poisson_counts
-from .numerics import poisson_counts  # noqa: F401
+# unused here since the engine draws counts and analytic evaluates the Gaussian, kept
+# importable because the benchmark tracer (perfbench/tracing.py) patches both names here
+from .numerics import poisson_counts, q_function  # noqa: F401
 
 _INT64_MAX = 2**63 - 1  # np.iinfo(np.int64).max, without loading numpy
 
@@ -653,24 +653,10 @@ def _add_demands(low: int, counts: np.ndarray, demand: np.ndarray, p_e: float) -
     return start, counts
 
 
-def gaussian_cdf(hist: DemandHistogram, summary: DemandSummary) -> list[float]:
-    """The matched Gaussian CDF at v + 1/2 (the continuity correction for an
-    integer-valued quantity) for v from hist.offset - 1 to the largest demand,
-    one Q evaluation each: entry k + 1 is read at demand offset + k, and entry
-    k at its lower edge offset + k - 1/2.  Each v - floor(mean) is taken in
-    ints, so the steps stay apart above 2**53."""
-    if summary.variance <= 0.0:
-        raise ParameterError("zero-variance summary has no Gaussian comparison")
-    sigma, base = summary.std, math.floor(summary.mean)
-    half = 0.5 - (summary.mean - base)
-    return [1.0 - q_function((value - base + half) / sigma)
-            for value in range(hist.offset - 1, hist.offset + hist.counts.size)]
-
-
 def ks_distance(hist: DemandHistogram, cdf: list[float]) -> float:
-    """Max gap between the empirical demand CDF and the matched Gaussian one,
-    `cdf` (from gaussian_cdf), over the demand values the histogram actually
-    holds."""
+    """Max gap between the empirical demand CDF and a given one, `cdf` (as
+    `analytic.gaussian_cdf` reads it at the histogram's range), over the
+    demand values the histogram actually holds."""
     gaps = np.abs(np.cumsum(hist.counts) / hist.runs - np.array(cdf[1:]))
     return float(gaps[hist.counts > 0].max())
 

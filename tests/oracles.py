@@ -181,6 +181,25 @@ def random_law(reports: list[tuple[int, bool]], capacity: int) -> dict[tuple[int
             for (failures, unserved), prob in law(live, capacity).items()}
 
 
+def depth_first_law(reports: list[tuple[int, bool]], capacity: int) -> dict[tuple[int, int], float]:
+    """Exact law of (failures, unserved) when the pool takes the reports in a
+    uniformly random order and serves each to the end before the next, by
+    enumerating every order.  A report that needs more slots than are left
+    takes them all and is left unserved, as is every report after it."""
+    law: dict[tuple[int, int], float] = {}
+    orders = list(itertools.permutations(reports))
+    for order in orders:
+        slots = capacity
+        failures = unserved = 0
+        for left, flag in order:
+            if left > slots:
+                slots, failures, unserved = 0, failures + 1, unserved + 1
+            else:
+                slots, failures = slots - left, failures + flag
+        law[failures, unserved] = law.get((failures, unserved), 0.0) + 1.0 / len(orders)
+    return law
+
+
 def random_unserved_reference(gen, pending, flags, counts, capacity, ring_group: int):
     """Unserved reports, and how many of them carry no flag, per interval of a
     class table under the random policy: the clock rule with every ring

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from m2mpool.analytic import AttemptLaw, SystemParams, demand_summary, dimension_capacity, failure_bound
+from m2mpool.analytic import (
+    AttemptLaw,
+    SystemParams,
+    demand_summary,
+    dimension_capacity,
+    failure_bound,
+    gaussian_cdf,
+)
 from m2mpool.cli import main as cli_main
 from m2mpool.errors import InfeasibleTargetError
 from m2mpool.lte import LteProfile, build_pool_plan
@@ -23,7 +30,6 @@ from m2mpool.sim import (
     Z95,
     SchedulerPolicy,
     estimate_failure_prob,
-    gaussian_cdf,
     ks_distance,
     sample_demand,
     simulate_interval,
@@ -65,7 +71,7 @@ def test_criterion_1_clt_validation():
             params = SystemParams(100, p_e, 10)
             summary = demand_summary(params)
             [hist] = sample_demand([params], runs, seed=20260808)
-            distance = ks_distance(hist, gaussian_cdf(hist, summary))
+            distance = ks_distance(hist, gaussian_cdf(summary, hist.offset, hist.offset + hist.counts.size - 1))
             assert distance <= 0.02, f"pe={p_e}: ks={distance:.4f}"
             mean_tolerance = 3.0 * summary.std / math.sqrt(runs)
             assert abs(hist.mean() - summary.mean) <= mean_tolerance

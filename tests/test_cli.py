@@ -182,7 +182,7 @@ class TestValidateClt:
             calls.append(x)
             return q_function(x)
 
-        monkeypatch.setattr(sim, "q_function", counted)
+        monkeypatch.setattr(analytic, "q_function", counted)
         out = tmp_path / "clt.csv"
         code, summary, _ = run_cli(["validate-clt", "--runs", "3000", "--seed", "12", "--out", str(out)])
         assert code == 0
@@ -253,6 +253,19 @@ class TestSimulate:
         )
         assert code == 0
         assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("args, p_e", [
+        (["--capacity", "1" + "0" * 309], 0.1),  # past the largest double, about 1.8e308
+        (["--capacity", "1" + "0" * 200, "--devices", "1", "--arrival", "one-per-ri", "--pe", "1e-300"], 1e-300),
+    ], ids=["capacity-past-double-range", "excess-over-sigma-past-double-range"])
+    def test_the_bound_is_the_floor_where_no_gaussian_tail_is_left(self, args, p_e):
+        # each died in failure_bound, the first with OverflowError at C - mu, the second
+        # with q_function refusing (C - mu) / sigma = inf, after simulating every interval
+        code, out, err = run_cli(["simulate", "--runs", "2", *args])
+        assert code == 0 and "Traceback" not in err and err.count("\n") == 1
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        floor = "%.10g" % AttemptLaw(p_e, 10).floor
+        assert row["bound"] == floor and err.endswith(f" bound={floor}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "validate-clt"])
     def test_retry_limit_beyond_int64_runs(self, command):

@@ -6,7 +6,8 @@ checks (p_e, L).  The engine draws a block on one path, arrivals then
 outcomes, and checks the capacity and the policy once on it; the outcome
 law is drawn there alone, validate-clt included, with one row per interval or
 two as the capacity alone decides.  The normal quantile and the Poisson draws
-are the libraries' own."""
+are the libraries' own, and the Gaussian demand law is evaluated in
+`analytic` alone, by one tail function."""
 
 from __future__ import annotations
 
@@ -155,10 +156,24 @@ def test_no_second_block_path_or_leap_floor_is_left():
         assert not names(ast.parse(path.read_text())) & {"_draw_block", "_LEAP_FLOOR"}, path.name
 
 
-def test_the_only_keep_alive_imports_are_the_tracer_s_two():
-    found = [(path.name, line.split(" import ")[-1].split()[0]) for path in sorted(SRC.glob("*.py"))
-             for line in path.read_text().splitlines() if "# noqa: F401" in line]
-    assert found == [("cli.py", "q_function"), ("sim.py", "poisson_counts")]
+def test_the_only_keep_alive_imports_are_the_tracer_s_three():
+    found = [(path.name, name.strip()) for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines() if "# noqa: F401" in line
+             for name in line.split(" import ")[-1].split("#")[0].split(",")]
+    assert found == [("cli.py", "q_function"), ("sim.py", "poisson_counts"), ("sim.py", "q_function")]
+
+
+def test_one_analytic_function_evaluates_the_gaussian_tail():
+    calls = {path.name: {scope for scope, node in scoped(ast.parse(path.read_text())) if called(node) == "q_function"}
+             for path in sorted(SRC.glob("*.py"))}
+    assert calls["analytic.py"] == {"_gaussian_tail"}
+    assert calls["sim.py"] == calls["cli.py"] == set()
+
+
+def test_the_gaussian_cdf_is_defined_in_analytic_alone():
+    found = [path.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "gaussian_cdf"]
+    assert found == ["analytic.py"]
 
 
 def test_numerics_hand_rolls_no_quantile_or_poisson_sampler():

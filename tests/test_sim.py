@@ -16,12 +16,14 @@ from scipy import stats
 from m2mpool import sim
 from m2mpool.analytic import (
     AttemptLaw,
+    DemandSummary,
     OnePerRI,
     PoissonPerRI,
     SystemParams,
     demand_summary,
     dimension_capacity,
     failure_bound,
+    gaussian_cdf,
 )
 from m2mpool.cli import main as cli_main
 from m2mpool.errors import IndeterminateEstimateError, ParameterError
@@ -41,7 +43,6 @@ from m2mpool.sim import (
     _ring_finish,
     _serve,
     estimate_failure_prob,
-    gaussian_cdf,
     ks_distance,
     sample_demand,
     simulate_interval,
@@ -49,6 +50,7 @@ from m2mpool.sim import (
 )
 
 from oracles import (
+    depth_first_law,
     fifo_law,
     one_per_ri_demand_pmf,
     poisson_demand_pmf,
@@ -469,43 +471,42 @@ class TestOutcomeTable:
             assert table.dtype == expected.dtype
 
 
+def hist_cdf(hist, summary):
+    """The Gaussian CDF over the histogram's demand range, as validate-clt reads it."""
+    return gaussian_cdf(summary, hist.offset, hist.offset + hist.counts.size - 1)
+
+
 class TestKsDistance:
     def test_gaussian_self_consistency(self):
         mean, std = 500.0, 30.0
         draws = np.rint(RngStream(9, 0).generator.normal(mean, std, 1_000_000)).astype(int)
         low = int(draws.min())
         hist = DemandHistogram(np.bincount(draws - low), low)
-        from m2mpool.analytic import DemandSummary
-
-        assert ks_distance(hist, gaussian_cdf(hist, DemandSummary(mean, std**2))) < 0.005
+        assert ks_distance(hist, hist_cdf(hist, DemandSummary(mean, std**2))) < 0.005
 
     def test_fig_scale_match(self):
         params = SystemParams(100, 0.4, 10)
         [hist] = sample_demand([params], 20_000, seed=103)
-        assert ks_distance(hist, gaussian_cdf(hist, demand_summary(params))) <= 0.03
+        assert ks_distance(hist, hist_cdf(hist, demand_summary(params))) <= 0.03
 
     def test_single_run_is_bounded(self):
         [hist] = sample_demand([SystemParams(10, 0.1, 5)], 1, seed=4)
-        assert 0.0 <= ks_distance(hist, gaussian_cdf(hist, demand_summary(SystemParams(10, 0.1, 5)))) <= 1.0
+        assert 0.0 <= ks_distance(hist, hist_cdf(hist, demand_summary(SystemParams(10, 0.1, 5)))) <= 1.0
 
     def test_a_far_offset_keeps_every_step(self):
         # doubles at 2**60 are 256 apart: v + 1/2 - mean formed in doubles gave
         # a run of 256 demands one CDF value, and values - mean one deviation
-        from m2mpool.analytic import DemandSummary
-
         counts = np.arange(1025) % 7
         hist = DemandHistogram(counts, offset=2**60)
-        cdf = np.array(gaussian_cdf(hist, DemandSummary(float(2**60 + 512), 100.0**2)))
+        cdf = np.array(hist_cdf(hist, DemandSummary(float(2**60 + 512), 100.0**2)))
         near = np.abs(np.arange(-1, counts.size) - 512) <= 300  # within 3 sigma of the mean
         assert (np.diff(cdf[near]) > 0).all()
         assert hist.variance() == DemandHistogram(counts).variance()
 
     def test_rejects_zero_variance(self):
-        from m2mpool.analytic import DemandSummary
-
         hist = DemandHistogram(np.array([5]))
         with pytest.raises(ParameterError):
-            ks_distance(hist, gaussian_cdf(hist, DemandSummary(0.0, 0.0)))
+            ks_distance(hist, hist_cdf(hist, DemandSummary(0.0, 0.0)))
 
 
 class TestSimulateInterval:
@@ -780,17 +781,48 @@ def report_outcomes(p_e: float, max_attempts: int, excess: bool) -> list[tuple[t
 
 @functools.lru_cache(maxsize=None)
 def pool_laws(first: tuple, excess: tuple, capacity: int):
-    """The exact (failures, unserved) laws under FIFO and the random policy."""
-    return fifo_law(list(first), list(excess), capacity), random_law(list(first + excess), capacity)
+    """The exact (failures, unserved) laws under FIFO, the random policy and
+    depth-first service."""
+    reports = list(first + excess)
+    return (fifo_law(list(first), list(excess), capacity), random_law(reports, capacity),
+            depth_first_law(reports, capacity))
+
+
+def averaged_laws(n_first, n_excess, p_e, max_attempts, capacity):
+    """pool_laws averaged over every draw of the reports' attempts, as (joint
+    laws, failure-count laws), and the mean failure count by Wald's identity."""
+    joint = [collections.defaultdict(float) for _ in range(3)]  # FIFO, random, depth-first
+    stop_loss = 0.0
+    kinds = [False] * n_first + [True] * n_excess
+    for draw in itertools.product(*(report_outcomes(p_e, max_attempts, kind) for kind in kinds)):
+        reports = [report for report, _ in draw]
+        weight = math.prod(prob for _, prob in draw)
+        first, excess = tuple(sorted(reports[:n_first])), tuple(sorted(reports[n_first:]))
+        for law, exact in zip(joint, pool_laws(first, excess, capacity)):
+            for outcome, prob in exact.items():
+                law[outcome] += weight * prob
+        stop_loss += weight * max(sum(slots for slots, _ in reports) - capacity, 0)
+    failures = [collections.defaultdict(float) for _ in joint]
+    for law, marginal in zip(joint, failures):
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        for (count, _), prob in law.items():
+            marginal[count] += prob
+    return joint, failures, len(kinds) * p_e**max_attempts + (1 - p_e) * stop_loss
+
+
+def worst_gap(law, other) -> float:
+    return max(abs(law[key] - other[key]) for key in law.keys() | other.keys())
 
 
 class TestFailureLawOverAttempts:
     """Averaged over every draw of the reports' attempts, the exact pool laws
-    give the failure count one law under FIFO and the random policy, of mean
-    n p_e^L + (1 - p_e) E[(R - C)^+] for R the slots needed: each served slot
-    is a fresh Bernoulli trial (Wald's identity).  The joint law with the
-    unserved count agrees in the cases where no report can reach its retry
-    limit inside the pool, C < L - 1, and differs in the others."""
+    give the failure count one law under FIFO, the random policy and
+    depth-first service, of mean n p_e^L + (1 - p_e) E[(R - C)^+] for R the
+    slots needed: each served slot is a fresh Bernoulli trial (Wald's
+    identity).  That is README's "Any scheduler, one failure law".  The joint
+    law with the unserved count agrees under FIFO and the random policy in the
+    cases where no report can reach its retry limit inside the pool, C < L - 1,
+    and differs in the others listed."""
 
     CASES = [  # (first reports, excess reports, p_e, L, C)
         (3, 0, 0.5, 3, 2), (2, 2, 0.7, 3, 4), (2, 3, 0.8, 4, 5), (0, 3, 0.3, 2, 3),  # C >= L - 1
@@ -800,31 +832,27 @@ class TestFailureLawOverAttempts:
     @pytest.mark.parametrize("n_first, n_excess, p_e, max_attempts, capacity", CASES)
     def test_failure_law_and_its_mean_are_those_of_either_policy(
             self, n_first, n_excess, p_e, max_attempts, capacity):
-        joint = [collections.defaultdict(float), collections.defaultdict(float)]  # FIFO, random
-        stop_loss = 0.0
-        draws = [report_outcomes(p_e, max_attempts, False)] * n_first
-        draws += [report_outcomes(p_e, max_attempts, True)] * n_excess
-        for draw in itertools.product(*draws):
-            reports = [report for report, _ in draw]
-            weight = math.prod(prob for _, prob in draw)
-            first, excess = tuple(sorted(reports[:n_first])), tuple(sorted(reports[n_first:]))
-            for law, exact in zip(joint, pool_laws(first, excess, capacity)):
-                for outcome, prob in exact.items():
-                    law[outcome] += weight * prob
-            stop_loss += weight * max(sum(slots for slots, _ in reports) - capacity, 0)
-        identity = (n_first + n_excess) * p_e**max_attempts + (1 - p_e) * stop_loss
-        failures = [collections.defaultdict(float), collections.defaultdict(float)]
-        for law, marginal in zip(joint, failures):
-            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
-            for (count, _), prob in law.items():
-                marginal[count] += prob
+        joint, failures, identity = averaged_laws(n_first, n_excess, p_e, max_attempts, capacity)
+        for marginal in failures:
             assert sum(count * prob for count, prob in marginal.items()) == pytest.approx(identity, abs=1e-12)
-        by_fifo, by_random = failures
-        assert all(by_fifo[count] == pytest.approx(by_random[count], abs=1e-12)
-                   for count in by_fifo.keys() | by_random.keys())
-        by_fifo, by_random = joint
-        worst = max(abs(by_fifo[outcome] - by_random[outcome]) for outcome in by_fifo.keys() | by_random.keys())
+        assert worst_gap(*failures[:2]) < 1e-12
+        worst = worst_gap(*joint[:2])
         assert (worst < 1e-12) == (capacity < max_attempts - 1), worst
+
+    # every mix of up to 4 reports, p_e 0.3 and 0.7, L 1 to 4, every C from 0 to n L + 1;
+    # thinned to n L <= 12 (no 4 reports at L = 4) to keep the grid near 2 s
+    GRID = [(n_first, n - n_first, max_attempts) for n in range(1, 5) for n_first in range(n + 1)
+            for max_attempts in range(1, 5) if n * max_attempts <= 12]
+
+    @pytest.mark.parametrize("n_first, n_excess, max_attempts", GRID)
+    def test_fifo_random_and_depth_first_give_one_failure_law(self, n_first, n_excess, max_attempts):
+        for p_e, capacity in itertools.product((0.3, 0.7), range((n_first + n_excess) * max_attempts + 2)):
+            joint, failures, identity = averaged_laws(n_first, n_excess, p_e, max_attempts, capacity)
+            for marginal in failures:
+                assert sum(count * prob for count, prob in marginal.items()) == pytest.approx(identity, abs=1e-12)
+                assert worst_gap(marginal, failures[0]) <= 1e-12, (p_e, capacity)
+            if capacity < max_attempts - 1:
+                assert worst_gap(*joint[:2]) < 1e-12, (p_e, capacity)
 
 
 class TestFailureCountsAcrossPolicies:
