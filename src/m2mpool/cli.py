@@ -54,6 +54,7 @@ from .sim import (
     MAX_LOAD,
     SchedulerPolicy,
     check_simulable,
+    check_work,
     estimate_failure_prob,
     ks_distance,
     sample_demand,
@@ -300,6 +301,7 @@ def cmd_validate_clt(cfg: _Config) -> Output:
         raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [0.1, 0.4] if cfg.pe is None else [cfg.pe]
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
+    check_work(cfg.runs * len(all_params), cfg.max_attempts)
     # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
     tables, notes = [], []
@@ -327,6 +329,7 @@ def cmd_simulate(cfg: _Config) -> Output:
     summary = demand_summary(params)
     capacity = dimension_capacity(params, summary) if cfg.capacity is None else cfg.capacity
     policy = SchedulerPolicy(cfg.policy)
+    check_work(cfg.runs, params.max_attempts)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound = failure_bound(capacity, summary, params.p_e, params.max_attempts)
     pe = float_text(params.p_e)
@@ -404,6 +407,8 @@ def cmd_sweep(cfg: _Config) -> Output:
     values = range(start, stop + 1, step)
     if cfg.runs > 0 and values:  # every limit grows with N: the largest simulated is checked
         check_simulable(values[-1] if var == "devices" else cfg.devices, cfg.arrival_model)
+        # a report-bytes axis simulates its first point alone
+        check_work(cfg.runs * (len(values) if var == "devices" else 1), cfg.max_attempts)
     rows = _sweep_rows(cfg, var == "devices", values) if values else []
     return rows, f"sweep {var} {start}..{stop} step {step}: {len(values)} points"
 

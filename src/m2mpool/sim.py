@@ -102,7 +102,6 @@ class IntervalResult(NamedTuple):
     reports: int
     failures: int
     common_demand: int
-    unserved_failures: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +203,12 @@ MAX_DEVICES = _INT64_MAX
 # times the mean, and the Chernoff bound puts the tail beyond it below
 # exp(-1e16); a block sum at the mean is at most 1e18.
 MAX_MEAN_REPORTS = 10**15
+# most interval steps one command draws (`check_work`): its intervals, each
+# drawn once per parameter set, times min(L, _CHAIN_STEPS), the outcome
+# categories an interval's multinomial walks.  The cheapest step measured
+# about 4.5 ns (N=1, L=64, sample_demand; 2-core VM, numpy 2.4.6), so a
+# refused command would have run for more than two hours; no default draws 10**7
+MAX_WORK = 2 * 10**12
 # mass left after the categories a multinomial draws largest first (see _drawn_in_order)
 _TAIL_MASS = 1e-3
 
@@ -220,6 +225,16 @@ def check_simulable(n_devices: int, arrival: ArrivalModel) -> None:
         raise ParameterError(
             f"devices x load must be at most {MAX_MEAN_REPORTS:g} reports per interval "
             f"to simulate, got {n_devices} x {float_text(load)}"
+        )
+
+
+def check_work(intervals: int, max_attempts: int) -> None:
+    """Reject a command whose `intervals` at a retry limit `max_attempts` pass MAX_WORK."""
+    steps = min(max_attempts, _CHAIN_STEPS)
+    if intervals * steps > MAX_WORK:
+        raise ParameterError(
+            f"a command may draw at most {MAX_WORK:g} interval steps, intervals x min(L, {_CHAIN_STEPS}); "
+            f"got {intervals} x {steps}"
         )
 
 
@@ -287,9 +302,9 @@ def _draw_outcomes(
     excess: np.ndarray,
     capacity: int,
     policy: SchedulerPolicy,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reports, failures, demand and unserved failures of the intervals whose
-    arrivals `_draw_arrivals` drew.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reports, failures and demand of the intervals whose arrivals
+    `_draw_arrivals` drew.
 
     The stream yields, for the whole block: the first and the excess reports
     by outcome (one multinomial, a row for each kind).  Then, group by group
@@ -324,7 +339,6 @@ def _draw_outcomes(
     beyond = outcomes[..., steps].T
     demand = (outcomes @ np.append(np.arange(1, steps + 1), steps)).sum(axis=0) - active
     failures = beyond.sum(axis=1)
-    unserved = np.zeros(size, dtype=np.int64)
     if remaining and failures.max() > _MAX_RINGS:
         raise ParameterError(
             f"an interval holds {failures.max()} reports in flight after {_CHAIN_STEPS} attempts, "
@@ -370,9 +384,9 @@ def _draw_outcomes(
         pending = np.concatenate([np.append(np.arange(1 - pre, steps + 1 - pre),
                                             np.minimum(steps - pre + more, capacity + 1)) for pre in (1, 0)])
         flags = np.tile(np.append(np.zeros(steps, dtype=bool), flag), 2)
-        failures[cols], unserved[cols] = _serve(gen, pending, flags, counts.reshape(-1, cols.size),
-                                                counts.shape[1], capacity, policy)
-    return active + excess, failures, demand, unserved
+        failures[cols], _ = _serve(gen, pending, flags, counts.reshape(-1, cols.size),
+                                   counts.shape[1], capacity, policy)
+    return active + excess, failures, demand
 
 
 def _serve(gen: np.random.Generator, pending: np.ndarray, flags: np.ndarray, counts: np.ndarray, split: int,
@@ -590,11 +604,19 @@ def _blocks(
     seed: int,
     capacity: int,
     policy: SchedulerPolicy,
-) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
-    """(entry index, `_draw_outcomes` of it) of each block of `runs` intervals.
-    Block k draws from stream (seed, k): the arrivals once, by the first entry,
-    whose device count and arrival model every entry shares, then each entry's
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(entry index, `_draw_outcomes` of it: each interval's reports, failures
+    and demand) of each block of `runs` intervals, once it has checked that
+    runs >= 1 and that the entries are one or more.  Block k draws from stream
+    (seed, k): the arrivals once, by the first entry, whose device count and
+    arrival model every entry shares (also checked), then each entry's
     outcomes from the stream state that follows them, as if drawn alone."""
+    if runs < 1:
+        raise ParameterError(f"runs must be positive, got {runs!r}")
+    if not params:
+        raise ParameterError("a simulation needs at least one parameter set")
+    if len({(p.n_devices, p.arrival) for p in params}) > 1:
+        raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
     for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
         gen = RngStream(seed, index).generator
         active, excess = _draw_arrivals(gen, params[0], min(BLOCK_INTERVALS, runs - start))
@@ -611,9 +633,8 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
 
     The demands of `runs` intervals drawn as counts (see `_draw_outcomes`)
     against a pool no demand exceeds, so nothing is served; interval i lies
-    in block i // BLOCK_INTERVALS.  The entries must share the device count
-    and the arrival model, and so share each block's arrival draw (see
-    `_blocks`).  Each histogram is therefore the one a call with that entry
+    in block i // BLOCK_INTERVALS.  The entries share each block's arrival
+    draw (see `_blocks`), so each histogram is the one a call with that entry
     alone gives (the stream layout is v7 either way: each interval's reports
     by outcome in one row, first and excess alike).  Each block's demands
     are added to its entry's histogram as they come, so memory grows with the
@@ -621,15 +642,8 @@ def sample_demand(params: Sequence[SystemParams], runs: int, seed: int) -> list[
     MAX_HISTOGRAM_WIDTH values is refused at the block that widens it past
     that limit, before any histogram is returned.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs!r}")
-    if not params:
-        raise ParameterError("sample_demand needs at least one parameter set")
-    shared = params[0]
-    if any((p.n_devices, p.arrival) != (shared.n_devices, shared.arrival) for p in params):
-        raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
     hists = [(0, np.zeros(0, dtype=np.int64))] * len(params)
-    for i, (_, _, demand, _) in _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM):
+    for i, (_, _, demand) in _blocks(params, runs, seed, _INT64_MAX, SchedulerPolicy.RANDOM_UNIFORM):
         hists[i] = _add_demands(*hists[i], demand, params[i].p_e)
     return [DemandHistogram(counts=counts, offset=low) for low, counts in hists]
 
@@ -669,10 +683,9 @@ def simulate_interval(
 ) -> IntervalResult:
     """Replay one reporting interval against a pool of `capacity` transmissions.
 
-    Returns total reports, failed reports, the realized shared-pool demand,
-    and how many of the failures were reports left unserved at pool end
-    (zero whenever demand fits the pool).  One interval's `_draw_arrivals`,
-    then its `_draw_outcomes`, drawn from `rng`.
+    Returns total reports, failed reports and the realized shared-pool
+    demand: one interval's `_draw_arrivals`, then its `_draw_outcomes`,
+    drawn from `rng`.
     """
     gen = rng.generator
     results = _draw_outcomes(gen, params, *_draw_arrivals(gen, params, 1), capacity, policy)
@@ -692,11 +705,8 @@ def estimate_failure_prob(
     and the reduction is a plain ordered sum, so the estimate depends on
     (seed, intervals) only.
     """
-    if intervals < 1:
-        raise ParameterError(f"intervals must be positive, got {intervals!r}")
-    total = 0
-    failed = 0
-    for _, (reports, failures, _, _) in _blocks([params], intervals, seed, capacity, policy):
+    total = failed = 0
+    for _, (reports, failures, _) in _blocks([params], intervals, seed, capacity, policy):
         total += int(reports.sum())
         failed += int(failures.sum())
     if total == 0:

@@ -22,7 +22,8 @@ from m2mpool.analytic import AttemptLaw, DemandSummary, SystemParams, demand_sum
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
 from m2mpool.lte import PoolPlan
 from m2mpool.numerics import q_function
-from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS, _MAX_RINGS
+from m2mpool.errors import ParameterError
+from m2mpool.sim import MAX_DEVICES, MAX_HISTOGRAM_WIDTH, MAX_LOAD, MAX_MEAN_REPORTS, MAX_WORK, _MAX_RINGS
 
 
 def run_cli(args):
@@ -1153,11 +1154,27 @@ class TestUsage:
         (["validate-clt", "--runs", "0"], "validate-clt needs runs >= 1, got 0"),
         (["simulate", "--runs", "0"], "simulate needs runs >= 1, got 0"),
         (["dimension", "--ri-seconds", "0.0004"], "ri_seconds must be more than 0.0005 and at most 86400, got 0.0004"),
+        # past the work budget, each of these would draw for hours before its first row
+        (["simulate", "--runs", "31250000001", "--max-attempts", "64"],
+         "a command may draw at most 2e+12 interval steps, intervals x min(L, 64); got 31250000001 x 64"),
+        (["validate-clt", "--runs", "15625000001", "--max-attempts", "100"],
+         "a command may draw at most 2e+12 interval steps, intervals x min(L, 64); got 31250000002 x 64"),
+        (["sweep", "--sweep", "devices:1000:30000:1000", "--runs", "6666666667"],
+         "a command may draw at most 2e+12 interval steps, intervals x min(L, 64); got 200000000010 x 10"),
     ], ids=lambda value: value[0] if isinstance(value, list) else None)
     def test_refusal_writes_one_line_and_no_file(self, args, message, tmp_path):
         result = run_cli([*args, "--out", str(tmp_path / "out.csv")])
         assert result == (1, "", f"m2mpool: error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_the_work_budget_counts_intervals_times_chain_steps(self):
+        # the budget itself passes, one interval step more is refused; L counts up to the 64-step chain
+        for intervals, max_attempts in ((MAX_WORK // 64, 10**9), (MAX_WORK, 1)):
+            sim.check_work(intervals, max_attempts)
+            with pytest.raises(ParameterError, match="^a command may draw at most 2e"):
+                sim.check_work(intervals + 1, max_attempts)
+        # the largest default command, validate-clt at its two p_e, draws a 10**5th of it at most
+        assert 2 * _OPTIONS["runs"][1] * _OPTIONS["max_attempts"][1] * 10**5 < MAX_WORK
 
     # an L past about 1.8e308 does not convert to a float
     @pytest.mark.parametrize("command", [

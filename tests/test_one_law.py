@@ -3,17 +3,20 @@ report-count law: no module outside their validation asks which model it
 holds, and the engine never names one.  `analytic.AttemptLaw` owns the
 attempt law: it alone raises p_e to a power (with the sums it reads) and
 checks (p_e, L).  The engine draws a block on one path, arrivals then
-outcomes, and checks the capacity and the policy once on it; the outcome
-law is drawn there alone, validate-clt included, with one row per interval or
-two as the capacity alone decides.  The normal quantile and the Poisson draws
-are the libraries' own, and the Gaussian demand law is evaluated in
-`analytic` alone, by one tail function."""
+outcomes, and checks the capacity and the policy once on it; `_blocks`
+alone checks a simulation call's runs and entries, and hands on three arrays
+an interval each.  The outcome law is drawn there alone, validate-clt
+included, with one row per interval or two as the capacity alone decides.
+The normal quantile and the Poisson draws are the libraries' own, and the
+Gaussian demand law is evaluated in `analytic` alone, by one tail function."""
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
 from pathlib import Path
+
+from m2mpool import sim
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "m2mpool"
 MODELS = {"OnePerRI", "PoissonPerRI"}
@@ -106,6 +109,27 @@ def test_the_engine_checks_the_capacity_once_on_its_one_block_path():
     for draw in ("_draw_arrivals", "_draw_outcomes"):
         assert sorted(scope for scope, node in scoped(tree) if called(node) == draw) == [
             "_blocks", "simulate_interval"], draw
+
+
+def test_only_the_block_loop_checks_a_simulation_call_s_runs_and_entries():
+    # estimate_failure_prob's own run check, "intervals must be positive", is raised nowhere
+    raising = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                text = " ".join(str(getattr(part, "value", "")) for part in ast.walk(node))
+                for message in ("runs must be positive", "intervals must be positive",
+                                "at least one parameter set", "same devices and arrival"):
+                    if message in text:
+                        raising.setdefault(message, []).append((path.name, scope))
+    assert raising == {message: [("sim.py", "_blocks")] for message in (
+        "runs must be positive", "at least one parameter set", "same devices and arrival")}
+
+
+def test_an_engine_block_hands_on_three_arrays():
+    returns = [node.value for node in ast.walk(engine_function("_draw_outcomes")) if isinstance(node, ast.Return)]
+    assert [len(getattr(value, "elts", ())) for value in returns] == [3]
+    assert sim.IntervalResult._fields == ("reports", "failures", "common_demand")
 
 
 def test_the_outcome_law_is_drawn_in_one_place():

@@ -62,7 +62,7 @@ from oracles import (
 
 
 def draw_block(gen, params: SystemParams, size: int, capacity: int, policy: SchedulerPolicy):
-    """Reports, failures, demand and unserved failures of `size` intervals drawn from `gen`."""
+    """Reports, failures and demand of `size` intervals drawn from `gen`."""
     return _draw_outcomes(gen, params, *_draw_arrivals(gen, params, size), capacity, policy)
 
 
@@ -244,6 +244,28 @@ class TestSampleDemand:
         for p_e, hist in zip(p_e_values, sample_demand(params, 100_000, seed=seed)):
             law = exact_demand_law(poisson_demand_pmf(p_e, cap), 5)
             assert pooled_chisquare_pvalue(hist, law) > 1e-6, p_e
+
+    def test_a_load_past_the_table_cut_with_l_past_the_chain_keeps_the_exact_law(self):
+        # a Poisson load above 43.7 drops the zero count from the report-count
+        # table, and at L = 70 about 0.1% of the reports outlast the 64-step
+        # chain.  The exact law: per report count u, the u-fold convolution of
+        # the attempt pmf, less the preallocated attempt.  One chi-square at
+        # alpha = 1e-6 over bins pooled to expect at least 5, and the mean
+        # within 5 SE (about 6e-7): a correct sampler fails at about 1.6
+        # seeds in a million
+        load, p_e, cap, runs = 45.0, 0.9, 70, 100_000
+        attempts = np.append(0.0, truncated_geometric_pmf(p_e, cap))
+        law, total = np.zeros(1), np.ones(1)
+        for u in range(1, 200):
+            total = np.convolve(total, attempts)
+            weight = math.exp(u * math.log(load) - load - math.lgamma(u + 1))
+            law = np.pad(law, (0, total.size - 1 - law.size)) + weight * total[1:]
+        [hist] = sample_demand([SystemParams(1, p_e, cap, PoissonPerRI(load))], runs, seed=122)
+        assert pooled_chisquare_pvalue(hist, law, least=5.0) > 1e-6
+        # the pooled chi-square is weak against a small shift; the mean is not
+        values = np.arange(law.size)
+        mean = values @ law
+        assert abs(hist.mean() - mean) <= 5.0 * math.sqrt((values - mean) ** 2 @ law / hist.runs)
 
     @pytest.mark.parametrize(
         "arrival,p_e,cap,seed",
@@ -516,7 +538,6 @@ class TestSimulateInterval:
                 SystemParams(200, 0.0, 5), 10_000, SchedulerPolicy.RANDOM_UNIFORM, RngStream(11, i)
             )
             assert result.failures == 0
-            assert result.unserved_failures == 0
 
     def test_no_shared_pool_fails_on_first_error(self):
         # single preallocated attempt, failure probability 0.5, nothing to retry with
@@ -529,21 +550,36 @@ class TestSimulateInterval:
         p_hat = failed / total
         assert abs(p_hat - 0.5) <= 3.0 * math.sqrt(0.25 / total)
 
-    def test_capacity_sufficiency(self):
+    def test_capacity_sufficiency(self, monkeypatch):
         # whenever the realized demand fits the pool, the only failures are
-        # reports that burned every attempt
+        # reports that burned every attempt: those drawn from the same stream
+        # at an ample pool, since within the chain every finite capacity draws
+        # the outcomes alike (two rows) before serving.  Where demand
+        # overflows, serving adds failures, and leaves some report unserved
         params = SystemParams(100, 0.4, 10)
         capacity = 120
-        saw_both_sides = set()
+        serve, unserved = sim._serve, []
+
+        def record(*args):
+            failures, left = serve(*args)
+            unserved.extend(left.tolist())
+            return failures, left
+
+        monkeypatch.setattr(sim, "_serve", record)
+        sides = collections.Counter()
         for i in range(3_000):
             result = simulate_interval(params, capacity, SchedulerPolicy.RANDOM_UNIFORM, RngStream(13, i))
+            ample = simulate_interval(params, 2**62, SchedulerPolicy.RANDOM_UNIFORM, RngStream(13, i))
+            assert result.common_demand == ample.common_demand
             if result.common_demand <= capacity:
-                assert result.unserved_failures == 0
-                saw_both_sides.add("fits")
+                assert result.failures == ample.failures
+                sides["fits"] += 1
             else:
-                saw_both_sides.add("overflows")
-                assert result.unserved_failures >= 1
-        assert saw_both_sides == {"fits", "overflows"}
+                assert result.failures >= ample.failures
+                sides["overflows"] += 1
+        assert set(sides) == {"fits", "overflows"}
+        # every interval served overflowed, and each leaves at least one report unserved
+        assert len(unserved) == sides["overflows"] and min(unserved) >= 1
 
     def test_attempt_distribution_through_the_engine(self):
         # with one device and one report, demand + 1 is the report's attempt
@@ -889,7 +925,7 @@ class TestFailureCountsAcrossPolicies:
         counts = []
         for policy, seed in self.SEEDS.items():
             blocks = sim._blocks([params], self.INTERVALS, seed, capacity, policy)
-            counts.append(np.bincount(np.concatenate([failures for _, (_, failures, _, _) in blocks])))
+            counts.append(np.bincount(np.concatenate([failures for _, (_, failures, _) in blocks])))
         width = max(map(len, counts))
         table = self.pooled(np.array([np.pad(c, (0, width - len(c))) for c in counts]))
         assert table.shape[1] > 10 and table.sum() == 2 * self.INTERVALS
@@ -1225,8 +1261,7 @@ class TestOverflowBeyondTheChain:
             return np.zeros((2, counts.shape[1]), dtype=np.int64)
 
         monkeypatch.setattr(sim, "_serve", record)
-        _, _, demand, _ = draw_block(RngStream(410, 0).generator, params, size, capacity,
-                                     SchedulerPolicy.FIFO)
+        _, _, demand = draw_block(RngStream(410, 0).generator, params, size, capacity, SchedulerPolicy.FIFO)
         gen = RngStream(410, 0).generator
         devices = by_category(gen, params.n_devices, _report_count_law(params.arrival), size)
         active = params.n_devices - devices[:, 0]
@@ -1314,19 +1349,24 @@ class TestPoolMetamorphicInTheChain:
 
     @pytest.mark.parametrize("policy", list(SchedulerPolicy))
     @pytest.mark.parametrize("params,seed", METAMORPHIC_POINTS)
-    def test_demand_ignores_the_pool_and_an_ample_pool_leaves_retry_limit_failures(self, params, seed, policy):
+    def test_demand_ignores_the_pool_and_an_ample_pool_leaves_retry_limit_failures(
+            self, monkeypatch, params, seed, policy):
         def blocks(capacity):  # three blocks, the last one partial
             return [outcome for _, outcome in sim._blocks([params], 2_500, seed, capacity, policy)]
 
-        ample, starved = blocks(2**62), blocks(0)
-        assert not any(unserved.any() for *_, unserved in ample)
+        served = []
+        serve = sim._serve
+        monkeypatch.setattr(sim, "_serve", lambda *args: served.append(args) or serve(*args))
+        ample = blocks(2**62)
+        assert served == []  # an ample pool serves no interval, so leaves none unserved
+        starved = blocks(0)
         # at C = 0 every interval with demand is served, and loses reports
-        assert any((failures > floor).any() for (_, failures, _, _), (_, floor, _, _) in zip(starved, ample))
+        assert any((failures > floor).any() for (_, failures, _), (_, floor, _) in zip(starved, ample))
         for drawn in (starved, blocks(dimension_capacity(params))):
-            for (_, failures, demand, _), (_, floor, ample_demand, _) in zip(drawn, ample, strict=True):
+            for (_, failures, demand), (_, floor, ample_demand) in zip(drawn, ample, strict=True):
                 assert np.array_equal(demand, ample_demand)
                 assert np.all(failures >= floor)
-        largest = max(int(demand.max()) for _, _, demand, _ in ample)
+        largest = max(int(demand.max()) for _, _, demand in ample)
         for capacity in (largest, largest + 1, 2 * largest):
             for outcome, expected in zip(blocks(capacity), ample, strict=True):
                 assert all(np.array_equal(got, want) for got, want in zip(outcome, expected)), capacity
