@@ -1,12 +1,14 @@
 """Command-line front end: dimensioning, CLT validation, simulation, sweeps.
 
 Configuration precedence is flag > config file (plain key=value lines) >
-the command's default in `_COMMANDS` > global default.  A command validates
-the keys it reads before computing anything, then returns its CSV rows and a
-short human summary, which `main` alone writes.  With --out the rows go, as
-they are made, to a new temporary .m2mpool-*.csv of mode 0600 in the target's
-directory, renamed onto the target (without fsync) only after the last row,
-so a failed invocation leaves no partial output; the summary then goes to
+the command's default in `_COMMANDS` > global default.  A command refuses a
+bad input before its first draw (microseconds of analytic work may come
+first; a simulation call's own inputs are the engine's entry check's), then
+returns its CSV rows and a short human summary, which `main` alone writes.
+With --out the rows go, as they are made, to a new temporary .m2mpool-*.csv
+of mode 0600 in the target's directory, renamed onto the target (without
+fsync) only after the last row, so a failed invocation, or one ended by
+SIGTERM (not SIGKILL), leaves no partial output; the summary then goes to
 stdout.  Without --out the CSV itself is stdout and the summary goes to
 stderr.  Nothing reaches stdout before the last row, and a failed write
 prints no summary.
@@ -23,7 +25,12 @@ import itertools
 import math
 import os
 import sys
+import threading
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+# the C core of `signal`: the wrapper converts each handler it returns to an enum, which for a
+# Python function raises and catches a ValueError, about 15 of the 20 us main spent on SIGTERM
+import _signal
 
 from .analytic import (
     DemandSummary,
@@ -54,7 +61,6 @@ from .sim import (
     MAX_LOAD,
     SchedulerPolicy,
     check_simulable,
-    check_work,
     estimate_failure_prob,
     ks_distance,
     sample_demand,
@@ -296,17 +302,16 @@ def cmd_dimension(cfg: _Config) -> Output:
 
 
 def cmd_validate_clt(cfg: _Config) -> Output:
-    check_simulable(cfg.devices, cfg.arrival_model)
-    if cfg.runs < 1:
-        raise ParameterError(f"validate-clt needs runs >= 1, got {cfg.runs!r}")
     pe_values = [0.1, 0.4] if cfg.pe is None else [cfg.pe]
     all_params = [cfg.system_params(pe=pe) for pe in pe_values]
-    check_work(cfg.runs * len(all_params), cfg.max_attempts)
+    summaries = [demand_summary(params) for params in all_params]
+    # gaussian_cdf refuses this too, but only once every histogram is drawn
+    if min(summary.variance for summary in summaries) <= 0.0:
+        raise ParameterError("zero-variance summary has no Gaussian comparison")
     # every histogram is drawn, so its width is checked, before any row is made
     hists = sample_demand(all_params, cfg.runs, cfg.seed)
     tables, notes = [], []
-    for pe, params, hist in zip(map(float_text, pe_values), all_params, hists):
-        summary = demand_summary(params)
+    for pe, summary, hist in zip(map(float_text, pe_values), summaries, hists):
         cdf = gaussian_cdf(summary, hist.offset, hist.offset + hist.counts.size - 1)
         notes.append(
             f"pe={pe}: ks={ks_distance(hist, cdf):.5f}, empirical mean {hist.mean():.4f} "
@@ -322,14 +327,10 @@ def cmd_validate_clt(cfg: _Config) -> Output:
 
 
 def cmd_simulate(cfg: _Config) -> Output:
-    check_simulable(cfg.devices, cfg.arrival_model)
-    if cfg.runs < 1:
-        raise ParameterError(f"simulate needs runs >= 1, got {cfg.runs!r}")
     params = cfg.system_params()
     summary = demand_summary(params)
     capacity = dimension_capacity(params, summary) if cfg.capacity is None else cfg.capacity
     policy = SchedulerPolicy(cfg.policy)
-    check_work(cfg.runs, params.max_attempts)
     estimate = estimate_failure_prob(params, capacity, policy, cfg.runs, cfg.seed)
     bound = failure_bound(capacity, summary, params.p_e, params.max_attempts)
     pe = float_text(params.p_e)
@@ -366,7 +367,7 @@ def _parse_sweep(text: str | None) -> tuple[str, int, int, int]:
     return var, start, stop, step
 
 
-def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> Iterator[str]:
+def _sweep_rows(cfg: _Config, by_devices: bool, values: range, runs: int) -> Iterator[str]:
     # what the swept value leaves alone is computed at the first point, in the
     # order every point is checked in: parameters, profile, dimensioning, plan,
     # simulation.  The values grow from the first, so its checks of N, the report
@@ -393,9 +394,9 @@ def _sweep_rows(cfg: _Config, by_devices: bool, values: range) -> Iterator[str]:
             report_bytes = value
             rbs = rbs_per_report(profile, 8 * value)
         x_p, x_c, fraction = pool_layout(n_devices, profile, capacity, rbs)
-        if cfg.runs > 0 and (by_devices or estimate is None):
+        if runs > 0 and (by_devices or estimate is None):
             point = cfg.system_params(devices=value) if by_devices else params
-            estimate = estimate_failure_prob(point, capacity, policy, cfg.runs, cfg.seed)
+            estimate = estimate_failure_prob(point, capacity, policy, runs, cfg.seed)
             simulated = ("%.10g" % estimate.p_hat, "%.10g" % estimate.ci_high)
         yield row % (n_devices, report_bytes, mean, std, capacity, rbs, x_p, x_c, fraction, *simulated)
 
@@ -404,12 +405,14 @@ def cmd_sweep(cfg: _Config) -> Output:
     var, start, stop, step = _parse_sweep(cfg.sweep)
     if cfg.runs < 0:
         raise ParameterError(f"sweep needs runs >= 0, got {cfg.runs!r}")
-    values = range(start, stop + 1, step)
-    if cfg.runs > 0 and values:  # every limit grows with N: the largest simulated is checked
-        check_simulable(values[-1] if var == "devices" else cfg.devices, cfg.arrival_model)
-        # a report-bytes axis simulates its first point alone
-        check_work(cfg.runs * (len(values) if var == "devices" else 1), cfg.max_attempts)
-    rows = _sweep_rows(cfg, var == "devices", values) if values else []
+    values, by_devices = range(start, stop + 1, step), var == "devices"
+    if cfg.runs > 0 and values:  # each point is an engine call: the largest N, and all their work
+        # every limit grows with N; a report-bytes axis simulates its first point alone
+        check_simulable(values[-1] if by_devices else cfg.devices, cfg.arrival_model,
+                        cfg.runs * (len(values) if by_devices else 1), cfg.max_attempts)
+        # every point's analytic row is made, and dropped, before the first estimate
+        collections.deque(_sweep_rows(cfg, by_devices, values, 0), maxlen=0)
+    rows = _sweep_rows(cfg, by_devices, values, cfg.runs) if values else []
     return rows, f"sweep {var} {start}..{stop} step {step}: {len(values)} points"
 
 
@@ -431,12 +434,29 @@ _COMMANDS = {
 }
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where a command runs so that its cleanup (a --out temporary file's) runs."""
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # SIGTERM's default action ends the process without unwinding: in the main thread the
+    # command unwinds instead, and the process then ends by the signal all the same, even
+    # where C code (an import, say) put an error of its own in place of the _Terminated raised
+    received = []
+
+    def terminate(signum: int, frame: object) -> None:
+        received.append(signum)
+        raise _Terminated
+
+    in_main = threading.current_thread() is threading.main_thread()
+    unwind = in_main and _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
     try:
+        if unwind:
+            _signal.signal(_signal.SIGTERM, terminate)
         cfg = _Config(args)
         rows, summary = _COMMANDS[cfg.command][0](cfg)
         _write_csv(cfg.out, SCHEMAS[cfg.command].header, rows)
@@ -454,6 +474,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"m2mpool: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if unwind:
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+            if received:  # the default action ends the process here
+                _signal.raise_signal(_signal.SIGTERM)
 
 
 if __name__ == "__main__":

@@ -203,19 +203,22 @@ MAX_DEVICES = _INT64_MAX
 # times the mean, and the Chernoff bound puts the tail beyond it below
 # exp(-1e16); a block sum at the mean is at most 1e18.
 MAX_MEAN_REPORTS = 10**15
-# most interval steps one command draws (`check_work`): its intervals, each
-# drawn once per parameter set, times min(L, _CHAIN_STEPS), the outcome
-# categories an interval's multinomial walks.  The cheapest step measured
-# about 4.5 ns (N=1, L=64, sample_demand; 2-core VM, numpy 2.4.6), so a
-# refused command would have run for more than two hours; no default draws 10**7
+# most interval steps one simulation call draws (`check_simulable`): its
+# intervals, each drawn once per parameter set, times min(L, _CHAIN_STEPS), the
+# outcome categories an interval's multinomial walks.  It bounds steps, not
+# time.  The cheapest step measured about 4.5 ns (N=1, L=64, sample_demand;
+# 2-core VM, numpy 2.4.6), so a refused call would have run for more than two
+# hours, but a headline step (N=30000, L=10) costs about 330 ns, so about
+# 2e11 intervals there pass and draw for about 7.6 days; no default command draws 10**7
 MAX_WORK = 2 * 10**12
 # mass left after the categories a multinomial draws largest first (see _drawn_in_order)
 _TAIL_MASS = 1e-3
 
 
-def check_simulable(n_devices: int, arrival: ArrivalModel) -> None:
+def check_simulable(n_devices: int, arrival: ArrivalModel, intervals: int, max_attempts: int) -> None:
     """Reject a device count, a mean report count per device, or their
-    product, beyond what the engine simulates."""
+    product, beyond what the engine simulates, and `intervals` at a retry
+    limit `max_attempts` past MAX_WORK interval steps."""
     if n_devices > MAX_DEVICES:
         raise ParameterError(f"devices must be at most {MAX_DEVICES} to simulate, got {n_devices!r}")
     load = arrival.mean_reports
@@ -226,16 +229,30 @@ def check_simulable(n_devices: int, arrival: ArrivalModel) -> None:
             f"devices x load must be at most {MAX_MEAN_REPORTS:g} reports per interval "
             f"to simulate, got {n_devices} x {float_text(load)}"
         )
-
-
-def check_work(intervals: int, max_attempts: int) -> None:
-    """Reject a command whose `intervals` at a retry limit `max_attempts` pass MAX_WORK."""
     steps = min(max_attempts, _CHAIN_STEPS)
     if intervals * steps > MAX_WORK:
         raise ParameterError(
             f"a command may draw at most {MAX_WORK:g} interval steps, intervals x min(L, {_CHAIN_STEPS}); "
             f"got {intervals} x {steps}"
         )
+
+
+def _check_call(params: Sequence[SystemParams], runs: int, capacity: int, policy: SchedulerPolicy) -> None:
+    """Refuse a simulation call's static inputs, once and before its first draw: runs below 1,
+    no entry, entries that do not share N and the arrival model, what `check_simulable` refuses
+    over runs x entries, a negative capacity and a policy that is not a SchedulerPolicy."""
+    if runs < 1:
+        raise ParameterError(f"runs must be positive, got {runs!r}")
+    if not params:
+        raise ParameterError("a simulation needs at least one parameter set")
+    if len({(p.n_devices, p.arrival) for p in params}) > 1:
+        raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
+    check_simulable(params[0].n_devices, params[0].arrival, runs * len(params),
+                    max(p.max_attempts for p in params))
+    if capacity < 0:
+        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
+    if not isinstance(policy, SchedulerPolicy):
+        raise ParameterError(f"unknown scheduler policy: {policy!r}")
 
 
 def _drawn_in_order(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +305,6 @@ def _draw_arrivals(
     """Active devices and excess reports of `size` intervals: the devices by
     report count, one multinomial for the whole block.  Only the device count
     and the arrival model enter it."""
-    check_simulable(params.n_devices, params.arrival)
     pmf, back = _report_count_law(params.arrival)
     devices = gen.multinomial(params.n_devices, pmf, size)[:, back]
     active = params.n_devices - devices[:, 0]
@@ -321,10 +337,6 @@ def _draw_outcomes(
     one multinomial over the sum of their trials.  So demand and retry-limit
     failures keep their law.
     """
-    if capacity < 0:
-        raise ParameterError(f"capacity must be non-negative, got {capacity!r}")
-    if not isinstance(policy, SchedulerPolicy):
-        raise ParameterError(f"unknown scheduler policy: {policy!r}")
     p_e, size = params.p_e, active.size
     steps = min(params.max_attempts, _CHAIN_STEPS)
     # an L beyond int64 caps nothing a draw can reach, and would overflow numpy
@@ -606,17 +618,12 @@ def _blocks(
     policy: SchedulerPolicy,
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """(entry index, `_draw_outcomes` of it: each interval's reports, failures
-    and demand) of each block of `runs` intervals, once it has checked that
-    runs >= 1 and that the entries are one or more.  Block k draws from stream
-    (seed, k): the arrivals once, by the first entry, whose device count and
-    arrival model every entry shares (also checked), then each entry's
-    outcomes from the stream state that follows them, as if drawn alone."""
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs!r}")
-    if not params:
-        raise ParameterError("a simulation needs at least one parameter set")
-    if len({(p.n_devices, p.arrival) for p in params}) > 1:
-        raise ParameterError("every parameter set sampled together needs the same devices and arrival model")
+    and demand) of each block of `runs` intervals, once `_check_call` has
+    passed the call.  Block k draws from stream (seed, k): the arrivals once,
+    by the first entry, whose device count and arrival model every entry
+    shares, then each entry's outcomes from the stream state that follows
+    them, as if drawn alone."""
+    _check_call(params, runs, capacity, policy)
     for index, start in enumerate(range(0, runs, BLOCK_INTERVALS)):
         gen = RngStream(seed, index).generator
         active, excess = _draw_arrivals(gen, params[0], min(BLOCK_INTERVALS, runs - start))
@@ -685,8 +692,9 @@ def simulate_interval(
 
     Returns total reports, failed reports and the realized shared-pool
     demand: one interval's `_draw_arrivals`, then its `_draw_outcomes`,
-    drawn from `rng`.
+    drawn from `rng` once `_check_call` has passed the call.
     """
+    _check_call([params], 1, capacity, policy)
     gen = rng.generator
     results = _draw_outcomes(gen, params, *_draw_arrivals(gen, params, 1), capacity, policy)
     return IntervalResult(*(int(values[0]) for values in results))

@@ -9,16 +9,19 @@ import inspect
 import io
 import os
 import re
+import signal
 import stat
+import subprocess
 import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from m2mpool import analytic, cli, numerics, sim
-from m2mpool.analytic import AttemptLaw, DemandSummary, SystemParams, demand_summary
+from m2mpool.analytic import AttemptLaw, DemandSummary, OnePerRI, SystemParams, demand_summary
 from m2mpool.cli import _OPTIONS, _Config, build_parser, main
 from m2mpool.lte import PoolPlan
 from m2mpool.numerics import q_function
@@ -1151,8 +1154,9 @@ class TestUsage:
         assert f"unrecognized arguments: {' '.join(args[1:])}" in err
 
     @pytest.mark.parametrize("args, message", [
-        (["validate-clt", "--runs", "0"], "validate-clt needs runs >= 1, got 0"),
-        (["simulate", "--runs", "0"], "simulate needs runs >= 1, got 0"),
+        # the engine's own refusal, before its first draw
+        (["validate-clt", "--runs", "0"], "runs must be positive, got 0"),
+        (["simulate", "--runs", "0"], "runs must be positive, got 0"),
         (["dimension", "--ri-seconds", "0.0004"], "ri_seconds must be more than 0.0005 and at most 86400, got 0.0004"),
         # past the work budget, each of these would draw for hours before its first row
         (["simulate", "--runs", "31250000001", "--max-attempts", "64"],
@@ -1170,9 +1174,9 @@ class TestUsage:
     def test_the_work_budget_counts_intervals_times_chain_steps(self):
         # the budget itself passes, one interval step more is refused; L counts up to the 64-step chain
         for intervals, max_attempts in ((MAX_WORK // 64, 10**9), (MAX_WORK, 1)):
-            sim.check_work(intervals, max_attempts)
+            sim.check_simulable(1, OnePerRI(), intervals, max_attempts)
             with pytest.raises(ParameterError, match="^a command may draw at most 2e"):
-                sim.check_work(intervals + 1, max_attempts)
+                sim.check_simulable(1, OnePerRI(), intervals + 1, max_attempts)
         # the largest default command, validate-clt at its two p_e, draws a 10**5th of it at most
         assert 2 * _OPTIONS["runs"][1] * _OPTIONS["max_attempts"][1] * 10**5 < MAX_WORK
 
@@ -1187,6 +1191,63 @@ class TestUsage:
         code, _, err = run_cli([*command, "--max-attempts", "1" + "0" * 309,
                                 "--out", str(tmp_path / "out.csv")])
         assert (code, err) == (0, "")
+
+
+class TestRefusedBeforeTheFirstDraw:
+    # a late infeasible point: an interval of 6000 subframes holds the pool of 33000 devices, not 34000
+    LATE_INFEASIBLE = ["sweep", "--sweep", "devices:1000:100000:1000", "--ri-seconds", "6", "--runs", "5"]
+
+    @pytest.mark.parametrize("args, code, message", [
+        # drawn first, 3e6 runs took 1.2 s, and the budget's 2e11 would take about 20 hours
+        (["validate-clt", "--runs", "3000000", "--devices", "1", "--arrival", "one-per-ri", "--pe", "0"], 1,
+         "error: zero-variance summary has no Gaussian comparison"),
+        (["simulate", "--devices", "100", "--runs", "10", "--capacity", "-1"], 1,
+         "error: capacity must be non-negative, got -1"),
+        (LATE_INFEASIBLE, 3, "infeasible geometry: pool needs 6095 subframes but the interval has only 6000"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_refused_with_no_stream_built(self, args, code, message, tmp_path, monkeypatch):
+        def stream(*args):
+            raise AssertionError("a stream was built before the refusal")
+
+        monkeypatch.setattr(sim, "RngStream", stream)
+        result = run_cli([*args, "--out", str(tmp_path / "out.csv")])
+        assert result == (code, "", f"m2mpool: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, code, estimates", [
+        (LATE_INFEASIBLE, 3, 0),
+        (["sweep", "--sweep", "devices:1000:3000:1000", "--runs", "5"], 0, 3),
+        (["sweep", "--sweep", "report-bytes:100:300:100", "--runs", "5"], 0, 1),  # one estimate serves every point
+    ], ids=["late-infeasible", "devices", "report-bytes"])
+    def test_a_sweep_makes_no_estimate_before_every_point_is_checked(self, args, code, estimates, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_failure_prob",
+                            lambda *args: calls.append(args) or sim.estimate_failure_prob(*args))
+        result, out, _ = run_cli(args)
+        assert (result, len(calls), out.count("\n")) == (code, estimates, 4 if estimates else 0)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGTERM ends a process by the signal on POSIX only")
+def test_sigterm_leaves_no_temporary_file_and_still_ends_the_process(tmp_path):
+    # inside the work budget, the first point draws for hours: the command is stopped while its
+    # temporary file is open
+    command = [sys.executable, "-m", "m2mpool.cli", "sweep", "--sweep", "report-bytes:100:1000:100",
+               "--modulation", "qam64", "--devices", "100", "--runs", "100000000000", "--out", "x.csv"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen(command, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.iterdir()) and child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [path.name[:9] for path in tmp_path.iterdir()] == [".m2mpool-"]
+            child.send_signal(signal.SIGTERM)
+            out, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+    assert (child.returncode, out, err) == (-signal.SIGTERM, b"", b"")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestNegativeZeroErrorProb:

@@ -3,9 +3,9 @@ report-count law: no module outside their validation asks which model it
 holds, and the engine never names one.  `analytic.AttemptLaw` owns the
 attempt law: it alone raises p_e to a power (with the sums it reads) and
 checks (p_e, L).  The engine draws a block on one path, arrivals then
-outcomes, and checks the capacity and the policy once on it; `_blocks`
-alone checks a simulation call's runs and entries, and hands on three arrays
-an interval each.  The outcome law is drawn there alone, validate-clt
+outcomes, and hands on three arrays an interval each.  One entry check
+refuses a simulation call's static inputs once, before its first draw, and
+each of those refusals has one home.  The outcome law is drawn there alone, validate-clt
 included, with one row per interval or two as the capacity alone decides.
 The normal quantile and the Poisson draws are the libraries' own, and the
 Gaussian demand law is evaluated in `analytic` alone, by one tail function."""
@@ -100,30 +100,49 @@ def test_only_the_attempt_law_checks_p_e_and_the_retry_limit():
     assert found == [("analytic.py", "AttemptLaw.__post_init__")] * 2
 
 
-def test_the_engine_checks_the_capacity_once_on_its_one_block_path():
-    tree = ast.parse((SRC / "sim.py").read_text())
-    for message in ("capacity must be non-negative", "unknown scheduler policy"):
-        raising = [scope for scope, node in scoped(tree) if isinstance(node, ast.Raise)
-                   and any(message in str(getattr(part, "value", "")) for part in ast.walk(node))]
-        assert raising == ["_draw_outcomes"], message
-    for draw in ("_draw_arrivals", "_draw_outcomes"):
-        assert sorted(scope for scope, node in scoped(tree) if called(node) == draw) == [
-            "_blocks", "simulate_interval"], draw
+# a piece of each static refusal of a simulation call's message, and the function that raises it
+STATIC_REFUSALS = {
+    "runs must be positive": "_check_call",
+    "at least one parameter set": "_check_call",
+    "same devices and arrival": "_check_call",
+    "to simulate": "check_simulable",  # the device count, the load and their product
+    "interval steps": "check_simulable",  # the work budget
+    "capacity must be non-negative": "_check_call",
+    "unknown scheduler policy": "_check_call",
+}
 
 
-def test_only_the_block_loop_checks_a_simulation_call_s_runs_and_entries():
-    # estimate_failure_prob's own run check, "intervals must be positive", is raised nowhere
+def test_each_static_refusal_of_a_simulation_call_has_one_home():
+    # in the engine or the front end (the analytic and grid modules check a capacity for what they
+    # compute, and draw nothing); estimate_failure_prob's old "intervals must be positive" is gone
     raising = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in (SRC / "cli.py", SRC / "sim.py"):
         for scope, node in scoped(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
                 text = " ".join(str(getattr(part, "value", "")) for part in ast.walk(node))
-                for message in ("runs must be positive", "intervals must be positive",
-                                "at least one parameter set", "same devices and arrival"):
+                for message in (*STATIC_REFUSALS, "intervals must be positive"):
                     if message in text:
-                        raising.setdefault(message, []).append((path.name, scope))
-    assert raising == {message: [("sim.py", "_blocks")] for message in (
-        "runs must be positive", "at least one parameter set", "same devices and arrival")}
+                        raising.setdefault(message, set()).add((path.name, scope))
+    assert raising == {message: {("sim.py", home)} for message, home in STATIC_REFUSALS.items()}
+    # beside the draws stays only what depends on drawn data: the reports in flight past the chain
+    assert [scope for scope, node in scoped(ast.parse((SRC / "sim.py").read_text())) if isinstance(node, ast.Raise)
+            and scope in ("_draw_arrivals", "_draw_outcomes", "_serve")] == ["_draw_outcomes"]
+
+
+def test_one_entry_check_runs_once_per_simulation_call_before_its_first_draw():
+    calls = {name: sorted((path.name, scope) for path in sorted(SRC.glob("*.py"))
+                          for scope, node in scoped(ast.parse(path.read_text())) if called(node) == name)
+             for name in ("_check_call", "check_simulable", "_draw_arrivals", "_draw_outcomes")}
+    engine = [("sim.py", "_blocks"), ("sim.py", "simulate_interval")]
+    # a sweep's points are engine calls of their own, so it checks its largest N and whole work once
+    assert calls == {"_check_call": engine, "check_simulable": [("cli.py", "cmd_sweep"), ("sim.py", "_check_call")],
+                     "_draw_arrivals": engine, "_draw_outcomes": engine}
+    # a statement of the caller's body itself (not in a loop), ahead of the first stream it reads
+    for caller, stream in (("_blocks", "RngStream"), ("simulate_interval", "generator")):
+        body = engine_function(caller).body
+        [check] = [i for i, statement in enumerate(body) if called(getattr(statement, "value", None)) == "_check_call"]
+        assert stream not in set().union(*map(names, body[:check + 1])), caller
+        assert stream in set().union(*map(names, body[check + 1:])), caller
 
 
 def test_an_engine_block_hands_on_three_arrays():
@@ -181,10 +200,25 @@ def test_no_second_block_path_or_leap_floor_is_left():
 
 
 def test_the_only_keep_alive_imports_are_the_tracer_s_three():
+    keep_alive = [("cli.py", "q_function"), ("sim.py", "poisson_counts"), ("sim.py", "q_function")]
     found = [(path.name, name.strip()) for path in sorted(SRC.glob("*.py"))
              for line in path.read_text().splitlines() if "# noqa: F401" in line
              for name in line.split(" import ")[-1].split("#")[0].split(",")]
-    assert found == [("cli.py", "q_function"), ("sim.py", "poisson_counts"), ("sim.py", "q_function")]
+    assert found == keep_alive
+    # a stand-in for pyflakes' F401, which is not installed: every other imported name is read
+    # in its module, or exported by its `__all__`
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {element.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    and names(node.targets[0]) == {"__all__"} for element in ast.walk(node.value)
+                    if isinstance(element, ast.Constant)}
+        unused += [(path.name, name) for name in sorted(imported - read - exported)]
+    assert unused == keep_alive
 
 
 def test_one_analytic_function_evaluates_the_gaussian_tail():

@@ -751,6 +751,60 @@ def exact_law(policy: SchedulerPolicy, first, excess, capacity):
     return random_law(first + excess, capacity)
 
 
+class TestEntryCheck:
+    """A simulation call's static inputs are refused, with their messages, before its first stream."""
+
+    PARAMS = SystemParams(100, 0.1, 10)
+    BUDGET = "a command may draw at most 2e"
+    UNSIMULABLE = [(SystemParams(sim.MAX_DEVICES + 1, 0.1, 10), "devices must be at most"),
+                   (SystemParams(100, 0.1, 10, PoissonPerRI(sim.MAX_LOAD * 2)), "load must be at most"),
+                   (SystemParams(10**13, 0.1, 10, PoissonPerRI(sim.MAX_LOAD)), "devices x load must be at most")]
+
+    @pytest.fixture(autouse=True)
+    def no_stream(self, monkeypatch):
+        def stream(*args):
+            raise AssertionError("a stream was built before the refusal")
+
+        monkeypatch.setattr(sim, "RngStream", stream)
+
+    @pytest.mark.parametrize("params, capacity, policy, intervals, message", [
+        (PARAMS, 100, SchedulerPolicy.FIFO, sim.MAX_WORK // 10 + 1, BUDGET),
+        (SystemParams(100, 0.1, 64), 100, SchedulerPolicy.FIFO, sim.MAX_WORK // 64 + 1, BUDGET),
+        (PARAMS, -1, SchedulerPolicy.FIFO, 10, "capacity must be non-negative, got -1"),
+        (PARAMS, 100, "fifo", 10, "unknown scheduler policy: 'fifo'"),
+        (PARAMS, 100, SchedulerPolicy.FIFO, 0, "runs must be positive, got 0"),
+        *((params, 100, SchedulerPolicy.FIFO, 10, message) for params, message in UNSIMULABLE),
+    ])
+    def test_estimate_failure_prob(self, params, capacity, policy, intervals, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            estimate_failure_prob(params, capacity, policy, intervals, seed=1)
+
+    @pytest.mark.parametrize("params, runs, message", [
+        # the budget counts each interval once per parameter set
+        ([PARAMS, SystemParams(100, 0.4, 10)], sim.MAX_WORK // 20 + 1, BUDGET),
+        ([PARAMS], 0, "runs must be positive, got 0"),
+        ([], 10, "a simulation needs at least one parameter set"),
+        *(([params], 10, message) for params, message in UNSIMULABLE),
+    ])
+    def test_sample_demand(self, params, runs, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            sample_demand(params, runs, seed=1)
+
+    def test_the_budget_passes_at_its_bound(self):
+        # one interval step short of the budget is not refused: the entry check lets it reach the stream
+        with pytest.raises(AssertionError, match="a stream was built"):
+            sample_demand([self.PARAMS, SystemParams(100, 0.4, 10)], sim.MAX_WORK // 20, seed=1)
+
+    def test_simulate_interval_reads_no_generator_before_the_refusal(self):
+        class Stream:
+            @property
+            def generator(self):
+                raise AssertionError("a generator was read before the refusal")
+
+        with pytest.raises(ParameterError, match="^capacity must be non-negative, got -1"):
+            simulate_interval(self.PARAMS, -1, SchedulerPolicy.FIFO, Stream())
+
+
 class TestServingRules:
     """The closed-form serving rules against the exact law of the slot-by-slot pool."""
 
